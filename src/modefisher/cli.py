@@ -16,16 +16,15 @@ import sys
 
 import numpy as np
 
-from .collective import Direction, bose_hubbard, commutator_residual, direction_generator, schwinger
-from .fock import diagonal_state, make_fock_state, validate_state
+from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
+                         direction_generator, schwinger)
+from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
 from .metrology import NonIdentifiableError, classical_fisher, monte_carlo_estimate, rotate
 from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral
 from .separability import is_separable
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         observable_from_json, state_from_json, state_to_json)
-
-DEFAULT_TOL = 1e-10
 
 
 def _tolerance(args) -> float:
@@ -66,6 +65,15 @@ def _load_state(path: str, tol: float):
     return state
 
 
+def _closed_form_fisher(spatial, direction: Direction, tol: float) -> tuple[float, float]:
+    """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
+    rho = spatial.density_matrix()
+    off = np.abs(rho - np.diag(np.diag(rho))).max()
+    if off > tol:
+        return math.nan, off
+    return qfi_diagonal_closed_form(np.diag(rho).real, spatial.n_particles, direction, tol), off
+
+
 def _cmd_qfi(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
@@ -76,16 +84,14 @@ def _cmd_qfi(args) -> int:
     fisher_spectral = math.nan
     fisher_closed = math.nan
     if args.method in ("spectral", "both"):
-        fisher_spectral = qfi_spectral(spatial, generator)
+        fisher_spectral = qfi_spectral(spatial, generator, tol=tol)
     if args.method in ("closed-form", "both"):
-        rho = spatial.density_matrix()
-        off = np.abs(rho - np.diag(np.diag(rho))).max()
+        fisher_closed, off = _closed_form_fisher(spatial, direction, tol)
         if off > tol:
             raise ValueError(
                 "closed-form method requires a state diagonal in the spatial "
                 f"Fock basis (max off-diagonal {off:.3e})"
             )
-        fisher_closed = qfi_diagonal_closed_form(np.diag(rho).real, state.n_particles, direction)
 
     fisher = fisher_spectral if not math.isnan(fisher_spectral) else fisher_closed
     report_obj = classify(fisher, state.n_particles)
@@ -143,19 +149,11 @@ def _cmd_rotate(args) -> int:
     return 0
 
 
-def _estimate_row(state, direction, theta, trials, shots, seed):
-    run = monte_carlo_estimate(state, direction, theta, trials, shots, seed)
-    fisher = 1.0 / (shots * run.qcrb ** 2) if math.isfinite(run.qcrb) else 0.0
-    fisher_cl = 1.0 / (shots * run.ccrb ** 2) if math.isfinite(run.ccrb) else 0.0
-    return run, fisher, fisher_cl
-
-
 def _cmd_estimate(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
-    run, fisher, fisher_cl = _estimate_row(state, direction, args.theta,
-                                           args.trials, args.shots, args.seed)
+    run = monte_carlo_estimate(state, direction, args.theta, args.trials, args.shots, args.seed)
     row = {
         "schema_version": SCHEMA_VERSION,
         "theta_true": run.theta_true,
@@ -166,8 +164,8 @@ def _cmd_estimate(args) -> int:
         "empirical_std": run.empirical_std,
         "qcrb": run.qcrb,
         "ccrb": run.ccrb,
-        "fisher": fisher,
-        "classical_fisher": fisher_cl,
+        "fisher": run.fisher,
+        "classical_fisher": run.classical_fisher,
     }
     if args.format == "json":
         row["estimates"] = run.estimates.tolist()
@@ -205,13 +203,8 @@ def _cmd_sweep(args) -> int:
 
         spatial = transform_state(state, spatial_frame())
         generator = direction_generator(state.n_particles, direction)
-        fisher_spectral = qfi_spectral(spatial, generator)
-        rho = spatial.density_matrix()
-        if np.abs(rho - np.diag(np.diag(rho))).max() <= tol:
-            fisher_closed = qfi_diagonal_closed_form(np.diag(rho).real,
-                                                     state.n_particles, direction)
-        else:
-            fisher_closed = math.nan
+        fisher_spectral = qfi_spectral(spatial, generator, tol=tol)
+        fisher_closed, _ = _closed_form_fisher(spatial, direction, tol)
         fisher_cl = classical_fisher(state, direction, theta)
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
         ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
@@ -292,9 +285,7 @@ def _selftest_checks():
         for phi in (0.0, 1.1):
             frame = bogolubov_frame(phi)
             v = frame_change_unitary(big_n, frame)
-            gen = direction_generator(big_n, Direction.in_plane(phi)).matrix
-            lam, vec = np.linalg.eigh(gen)
-            u = (vec * np.exp(0.7j * lam)) @ vec.conj().T
+            u = Rotation(big_n, Direction.in_plane(phi)).unitary(0.7)
             u_b = v @ u @ v.conj().T
             ok = ok and np.abs(u_b - np.diag(np.diag(u_b))).max() <= 1e-10
     yield "exponential-locality", ok
@@ -313,6 +304,10 @@ def _selftest_checks():
         h_b = v @ h.matrix @ v.conj().T
         ok = ok and np.abs(h_b - np.diag(np.diag(h_b))).max() <= 1e-10
     yield "bose-hubbard-diagonal-frame", ok
+
+    # N = 100 rather than 200 keeps the selftest's peak memory near the other checks'
+    v = frame_change_unitary(100, bogolubov_frame(0.4))
+    yield "frame-unitarity", np.abs(v.conj().T @ v - np.eye(101)).max() <= 1e-12
 
 
 def _cmd_selftest(args) -> int:

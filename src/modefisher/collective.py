@@ -73,11 +73,8 @@ class CollectiveObservable:
 
 def _raising_matrix(n_particles: int) -> np.ndarray:
     """J_+ = a1^dag a2, with <k+1|J_+|k> = sqrt((k+1)(N-k))."""
-    big_n = n_particles
-    jp = np.zeros((big_n + 1, big_n + 1), dtype=complex)
-    for k in range(big_n):
-        jp[k + 1, k] = math.sqrt((k + 1) * (big_n - k))
-    return jp
+    k = np.arange(n_particles)
+    return np.diag(np.sqrt((k + 1.0) * (n_particles - k)), -1).astype(complex)
 
 
 def schwinger(n_particles: int):
@@ -101,6 +98,21 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
     jx, jy, jz = schwinger(n_particles)
     mat = n.n_x * jx.matrix + n.n_y * jy.matrix + n.n_z * jz.matrix
     return CollectiveObservable(mat, f"Jn({n.n_x:.6g},{n.n_y:.6g},{n.n_z:.6g})")
+
+
+class Rotation:
+    """exp(i theta J_n) = Q e^{i theta Lambda} Q^dag from one eigendecomposition of J_n.
+
+    Rotations and frame changes are both built here; the result is unitary to rounding at any N.
+    """
+
+    def __init__(self, n_particles: int, n: Direction):
+        self.generator = direction_generator(n_particles, n)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.generator.matrix)
+
+    def unitary(self, theta: float) -> np.ndarray:
+        phase = np.exp(1j * theta * self.eigenvalues)
+        return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
 
 
 def commutator_residual(n_particles: int) -> float:

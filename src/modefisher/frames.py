@@ -1,14 +1,14 @@
-"""Two-mode frame changes and the induced Fock-basis unitaries.
+"""Two-mode frame changes as the spin-N/2 image of the 2x2 mode mixing.
 
-A ``ModeFrame`` is a 2x2 unitary mixing of the two mode operators.  Row i
-of the mixing matrix gives the new mode b_i as a combination of (a_1, a_2),
+A ``ModeFrame`` is a 2x2 unitary mixing U of the two mode operators.  Row i
+of U gives the new mode b_i as a combination of (a_1, a_2),
 
-    b_i = sum_j U[i, j] a_j ,
+    b_i = sum_j U[i, j] a_j ,   so   a_j^dag = sum_i U[i, j] b_i^dag.
 
-so the inverse relation used to re-expand Fock states is
-a_j^dag = sum_i U[i, j] b_i^dag.  The (N+1)-dimensional change-of-basis
-unitary maps spatial-frame amplitudes to amplitudes over the new frame's
-Fock basis, with the index convention k = occupation of mode 1, ascending.
+The change-of-basis unitary V maps spatial-frame amplitudes to amplitudes
+over the new frame's Fock basis.  It is the image of U on the N-particle
+sector: with U = e^{ia} (cos b - i sin b n.sigma), V = Gamma(U) =
+e^{iaN} exp(-2ib J_n), and Gamma(U1) Gamma(U2) = Gamma(U1 U2).
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .collective import Direction, Rotation
 
 UNITARITY_TOL = 1e-12
 
@@ -71,34 +73,29 @@ def custom_frame(mixing) -> ModeFrame:
     return ModeFrame(np.asarray(mixing, dtype=complex), label="custom")
 
 
+def _spin_image(n_particles: int, u: np.ndarray) -> np.ndarray:
+    """Gamma(U) = e^{iaN} exp(-2ib J_n) for U = e^{ia}(cos b - i sin b n.sigma)."""
+    a = 0.5 * float(np.angle(np.linalg.det(u)))
+    w = np.exp(-1j * a) * u
+    # (i/2) tr(sigma_k W) = sin(b) n_k for W = cos b - i sin b n.sigma in SU(2)
+    sin_b_n = np.array([0.5j * (w[1, 0] + w[0, 1]),
+                        0.5 * (w[1, 0] - w[0, 1]),
+                        0.5j * (w[0, 0] - w[1, 1])]).real
+    sin_b = float(np.linalg.norm(sin_b_n))
+    b = math.atan2(sin_b, 0.5 * float(np.trace(w).real))
+    n = Direction(*(sin_b_n / sin_b)) if sin_b > 0.0 else Direction(0.0, 0.0, 1.0)
+    return np.exp(1j * a * n_particles) * Rotation(n_particles, n).unitary(-2.0 * b)
+
+
 def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     """(N+1)x(N+1) unitary V whose column k expands |k, N-k> over the frame's Fock basis.
 
-    Built by binomially expanding the creation-operator monomial
-    (a_1^dag)^k (a_2^dag)^{N-k} |0> in the b modes; square-root factorial
-    weights are evaluated through log-gamma so the construction stays
-    stable well past N = 100.
+    V = Gamma(U) is the spin-N/2 image of the frame's mixing U; it is
+    unitary to rounding at any N.
     """
     if n_particles < 0:
         raise ValueError(f"n_particles must be >= 0, got {n_particles}")
-    big_n = n_particles
-    u = frame.mixing
-    a1 = u[:, 0]  # coefficients of (b1^dag, b2^dag) in a1^dag
-    a2 = u[:, 1]
-    lg = [math.lgamma(j + 1) for j in range(big_n + 1)]
-    v = np.zeros((big_n + 1, big_n + 1), dtype=complex)
-    for k in range(big_n + 1):
-        norm_k = lg[k] + lg[big_n - k]
-        for r in range(k + 1):
-            c_r = math.comb(k, r) * a1[0] ** r * a1[1] ** (k - r)
-            for s in range(big_n - k + 1):
-                j = r + s
-                weight = math.exp(0.5 * (lg[j] + lg[big_n - j] - norm_k))
-                v[j, k] += (
-                    c_r * math.comb(big_n - k, s) * weight
-                    * a2[0] ** s * a2[1] ** (big_n - k - s)
-                )
-    return v
+    return _spin_image(n_particles, frame.mixing)
 
 
 def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> np.ndarray:
@@ -109,15 +106,15 @@ def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> n
 
 
 def transform_state(state, frame: ModeFrame):
-    """Re-express a SectorState in a new mode frame; norm and trace are preserved."""
+    """Re-express a SectorState in a new mode frame; norm and trace are preserved.
+
+    The change is Gamma(U_new U_old^dag); a frame with a bitwise-equal mixing keeps the data.
+    """
     from .fock import SectorState
 
-    v_new = frame_change_unitary(state.n_particles, frame)
-    if state.frame.is_spatial:
-        v = v_new
-    else:
-        v_old = frame_change_unitary(state.n_particles, state.frame)
-        v = v_new @ v_old.conj().T
+    if np.array_equal(frame.mixing, state.frame.mixing):
+        return SectorState(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
+    v = _spin_image(state.n_particles, frame.mixing @ state.frame.mixing.conj().T)
     if state.amplitudes is not None:
         return SectorState(state.n_particles, frame, amplitudes=v @ state.amplitudes)
     return SectorState(state.n_particles, frame, rho=v @ state.rho @ v.conj().T)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, direction_generator
+from .collective import Direction, Rotation
 from .fock import SectorState, validate_state
 from .qfi import qfi_spectral
 
@@ -44,6 +44,8 @@ class EstimationRun:
     qcrb: float
     ccrb: float
     seed: int
+    fisher: float
+    classical_fisher: float
 
     def __post_init__(self):
         est = np.array(self.estimates, dtype=float)
@@ -59,27 +61,17 @@ class _RotationModel:
         if violations:
             raise ValueError(f"invalid state: {', '.join(violations)}")
         self.state = state
-        self.generator = direction_generator(state.n_particles, n)
-        lam, vec = np.linalg.eigh(self.generator.matrix)
-        self.eigenvalues = lam
-        self.eigenvectors = vec
+        self.rotation = Rotation(state.n_particles, n)
+        self._psi_eig = None
         if state.amplitudes is not None:
-            self._psi_eig = vec.conj().T @ state.amplitudes
-            self._rho_eig = None
-        else:
-            self._psi_eig = None
-            self._rho_eig = vec.conj().T @ state.rho @ vec
-
-    def unitary(self, theta: float) -> np.ndarray:
-        phase = np.exp(1j * theta * self.eigenvalues)
-        return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
+            self._psi_eig = self.rotation.eigenvectors.conj().T @ state.amplitudes
 
     def rotated(self, theta: float) -> SectorState:
         if self._psi_eig is not None:
-            phase = np.exp(1j * theta * self.eigenvalues)
-            c = self.eigenvectors @ (phase * self._psi_eig)
+            phase = np.exp(1j * theta * self.rotation.eigenvalues)
+            c = self.rotation.eigenvectors @ (phase * self._psi_eig)
             return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
-        u = self.unitary(theta)
+        u = self.rotation.unitary(theta)
         return SectorState(self.state.n_particles, self.state.frame,
                            rho=u @ self.state.rho @ u.conj().T)
 
@@ -185,8 +177,9 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
         estimates[trial] = _golden_max(loglik_factory(counts), bracket_lo, bracket_hi, refine_tol)
 
     empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
-    fisher = qfi_spectral(state, model.generator)
+    fisher = qfi_spectral(state, model.rotation.generator)
     fisher_cl = classical_fisher(state, n, theta_true)
     qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
     ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
-    return EstimationRun(theta_true, n, trials, shots, estimates, empirical_std, qcrb, ccrb, seed)
+    return EstimationRun(theta_true, n, trials, shots, estimates, empirical_std, qcrb, ccrb, seed,
+                         fisher, fisher_cl)

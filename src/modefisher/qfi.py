@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import CollectiveObservable, Direction
-from .fock import SectorState, expectation, validate_state
+from .fock import DEFAULT_TOL, SectorState, expectation, validate_state
 
 SPECTRAL_CUTOFF = 1e-12
 CLASSIFY_TOL = 1e-8
@@ -43,7 +43,7 @@ def _observable_matrix(observable) -> np.ndarray:
 
 
 def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF,
-                 tol: float = 1e-10) -> float:
+                 tol: float = DEFAULT_TOL) -> float:
     """F = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) |<i|A|j>|^2 over eig(rho).
 
     Pairs with l_i + l_j <= cutoff (null-space pairs) are excluded; this is
@@ -66,7 +66,7 @@ def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF
     return float(2.0 * np.sum(weight * np.abs(a_eig) ** 2))
 
 
-def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = 1e-10) -> float:
+def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = DEFAULT_TOL) -> float:
     """Fisher information of the mixture sum_k p_k |k, N-k><k, N-k| under J_n.
 
     F = (n_x^2 + n_y^2) [N + 2 sum_k p_k k(N-k)

@@ -15,10 +15,8 @@ from typing import Iterator
 import numpy as np
 
 from .collective import schwinger
-from .fock import MonomialOp, SectorState, expectation, monomial_matrix, validate_state
+from .fock import DEFAULT_TOL, MonomialOp, SectorState, expectation, monomial_matrix, validate_state
 from .frames import ModeFrame, spatial_frame, transform_state
-
-DEFAULT_TOL = 1e-10
 
 SPIN_SQUEEZING_CAVEAT = (
     "witness derived for distinguishable particles; for identical bosons a "

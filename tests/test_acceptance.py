@@ -120,9 +120,9 @@ def test_06_bipartition_relativity():
 
 def test_07_frame_invariance_of_qfi():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        big_n = int(rng.integers(1, 21))
-        if rng.random() < 0.5:
+    for case in range(52):  # cases 50 and 51: a Fock state and a mixed state at N = 200
+        big_n = int(rng.integers(1, 21)) if case < 50 else 200
+        if case == 50 or (case < 50 and rng.random() < 0.5):
             state = make_fock_state(int(rng.integers(0, big_n + 1)), big_n)
         else:
             a = rng.normal(size=(big_n + 1, big_n + 1)) + 1j * rng.normal(size=(big_n + 1, big_n + 1))

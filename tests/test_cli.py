@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from modefisher import schwinger
 from modefisher.cli import main
 
 
@@ -69,6 +70,22 @@ class TestQfiCommand:
                                      "--method", "closed-form"])
         assert code == 2
         assert "diagonal" in json.loads(out)["error"]["message"]
+
+    def test_tol_reaches_spectral_route(self, capsys, tmp_path):
+        big_n = 8
+        rng = np.random.default_rng(21)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        c *= math.sqrt(1.0 + 1e-6) / np.linalg.norm(c)
+        path = write_json(tmp_path / "off_norm.json",
+                          {"N": big_n, "kind": "pure", "amplitudes_re": c.real.tolist(),
+                           "amplitudes_im": c.imag.tolist(), "frame": {"kind": "spatial"}})
+        code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0",
+                                     "--method", "spectral", "--tol", "1e-5"])
+        assert code == 0
+        jx = schwinger(big_n)[0].matrix
+        psi = c / np.linalg.norm(c)
+        four_var = 4.0 * ((psi.conj() @ jx @ jx @ psi).real - (psi.conj() @ jx @ psi).real ** 2)
+        assert json.loads(out)["fisher"] == pytest.approx(four_var, abs=1e-4)
 
     def test_determinism(self, capsys, twin4):
         _, a = run_cli(capsys, ["qfi", "--state", twin4, "--direction", "1,0,0"])
@@ -188,6 +205,7 @@ class TestSelftest:
         assert code == 0
         assert report["failed"] == 0
         assert report["passed"] >= 5
+        assert "frame-unitarity" in [c["name"] for c in report["checks"]]
 
 
 def test_tolerance_env_override(capsys, tmp_path, monkeypatch, twin4):

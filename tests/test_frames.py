@@ -74,6 +74,26 @@ class TestFrameChangeUnitary:
             v = frame_change_unitary(9, f)
             assert np.abs(v.conj().T @ v - np.eye(10)).max() <= 1e-10
 
+    @pytest.mark.parametrize("big_n", [60, 200, 1000])
+    def test_unitary_at_large_n(self, big_n):
+        custom = custom_frame(random_unitary_2x2(np.random.default_rng(big_n)))
+        for frame in (bogolubov_frame(0.4), custom):
+            v = frame_change_unitary(big_n, frame)
+            assert np.abs(v.conj().T @ v - np.eye(big_n + 1)).max() <= 1e-12
+
+    def test_homomorphism(self):
+        # V(U1) V(U2) = V(U1 U2), phases included
+        rng = np.random.default_rng(13)
+        near_identity = np.array([[1.0, 1e-10], [-1e-10, 1.0]], dtype=complex)
+        special = [np.diag(np.exp([0.3j, -1.1j])), near_identity, -np.eye(2, dtype=complex)]
+        for big_n in (0, 1, 4, 11):
+            for u1 in special + [random_unitary_2x2(rng) for _ in range(4)]:
+                u2 = random_unitary_2x2(rng)
+                v12 = frame_change_unitary(big_n, custom_frame(u1 @ u2))
+                v1 = frame_change_unitary(big_n, custom_frame(u1))
+                v2 = frame_change_unitary(big_n, custom_frame(u2))
+                assert np.abs(v1 @ v2 - v12).max() <= 1e-12
+
 
 class TestFockExpansionCoefficients:
     def test_single_particle(self):
@@ -119,6 +139,15 @@ class TestTransformState:
         rho = density_state(np.eye(5) / 5)
         moved = transform_state(rho, bogolubov_frame(1.1))
         assert np.abs(moved.rho - np.eye(5) / 5).max() <= 1e-10
+
+    def test_same_frame_keeps_data(self):
+        rng = np.random.default_rng(4)
+        frame = custom_frame(random_unitary_2x2(rng))
+        pure = make_fock_state(2, 5, frame)
+        assert np.array_equal(transform_state(pure, custom_frame(frame.mixing)).amplitudes,
+                              pure.amplitudes)
+        mixed = density_state(np.eye(4) / 4, frame)
+        assert np.array_equal(transform_state(mixed, frame).rho, mixed.rho)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(8)

@@ -110,6 +110,9 @@ class TestMonteCarloEstimate:
         run = monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0),
                                    0.35, 20, 2000, 7)
         assert run.qcrb <= run.ccrb + 1e-12
+        assert run.fisher == pytest.approx(4.0, abs=1e-9)
+        assert run.qcrb == pytest.approx(1.0 / math.sqrt(2000 * run.fisher), rel=1e-15)
+        assert run.ccrb == pytest.approx(1.0 / math.sqrt(2000 * run.classical_fisher), rel=1e-15)
         assert run.empirical_std >= 0.0
         assert len(run.estimates) == 20
 

@@ -46,6 +46,15 @@ class TestIsSeparable:
         # Certificate residual equals rho_{n m} sqrt(m! n! (N-m)! (N-n)!)
         assert abs(w.residual) > 1e-10
 
+    @pytest.mark.parametrize("big_n", [60, 200])
+    def test_fock_state_separable_in_its_own_frame(self, big_n):
+        frame = bogolubov_frame(0.4)
+        state = make_fock_state(big_n // 3, big_n, frame)
+        assert is_separable(state, frame).separable
+        # through the spatial frame and back: two images of 2x2 mixings
+        round_trip = transform_state(transform_state(state, spatial_frame()), frame)
+        assert is_separable(round_trip, bogolubov_frame(0.4)).separable
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             is_separable(density_state(np.diag([0.2, 0.2])), spatial_frame())
