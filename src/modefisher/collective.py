@@ -1,8 +1,8 @@
 """Schwinger su(2) collective observables and the double-well Bose-Hubbard Hamiltonian.
 
-All observables are dense (N+1)x(N+1) Hermitian matrices in the ascending
-Fock basis of :mod:`modefisher.fock`; the sector dimension is small enough
-that sparsity buys nothing and dense eigensolvers are needed downstream.
+Every sector operator comes from :func:`ladder`, the band of a monomial; the
+observables are the J_z or number diagonal plus the J_+ band, returned as dense
+(N+1)x(N+1) Hermitian matrices in the ascending Fock basis of :mod:`modefisher.fock`.
 """
 from __future__ import annotations
 
@@ -71,32 +71,66 @@ class CollectiveObservable:
         return self.matrix.shape[0] - 1
 
 
-def _raising_matrix(n_particles: int) -> np.ndarray:
-    """J_+ = a1^dag a2, with <k+1|J_+|k> = sqrt((k+1)(N-k))."""
+LADDER_CHUNK = 16
+
+
+def ladder(n_particles: int, m: int, n: int, r: int, s: int) -> np.ndarray:
+    """Band of (a1^dag)^m a1^n (a2^dag)^r a2^s on the N-particle sector.
+
+    Entry k is the coefficient taking |k, N-k> to |k-n+m, N-k-s+r>, the square
+    root of k(k-1)...(k-n+1) (k-n+1)...(k-n+m) times the same product for mode 2
+    from N-k; it is zero where an annihilation empties a mode.  The integer
+    factors are multiplied in float LADDER_CHUNK at a time and the square roots
+    of these partial products multiplied, so a coefficient is finite whenever
+    its value fits in a double; past that this raises ValueError.
+    """
+    if n_particles < 0:
+        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
+    if min(m, n, r, s) < 0:
+        raise ValueError("monomial exponents must be nonnegative")
+    k = np.arange(n, n_particles - s + 1, dtype=float)
+    rest = n_particles - k
+    # one row per integer factor; the leading row of ones keeps reduceat defined without factors
+    factors = np.vstack([np.ones_like(k), k - np.arange(n)[:, None],
+                         k - n + np.arange(1, m + 1)[:, None], rest - np.arange(s)[:, None],
+                         rest - s + np.arange(1, r + 1)[:, None]])
+    with np.errstate(over="ignore"):
+        chunks = np.multiply.reduceat(factors, np.arange(0, len(factors), LADDER_CHUNK), axis=0)
+        coeff = np.sqrt(chunks).prod(axis=0)
+    if not np.isfinite(coeff).all():
+        raise ValueError(f"ladder coefficient of (a1^dag)^{m} a1^{n} (a2^dag)^{r} a2^{s} "
+                         f"at N={n_particles} exceeds double range")
+    band = np.zeros(n_particles + 1)
+    band[n:n + len(k)] = coeff
+    return band
+
+
+def su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
+    """The J_z diagonal (2k-N)/2 and the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k))."""
+    raising = ladder(n_particles, 1, 0, 0, 1)[:-1]
+    return (2 * np.arange(n_particles + 1) - n_particles) / 2.0, raising
+
+
+def _generator_matrix(n_particles: int, n_x: float, n_y: float, n_z: float) -> np.ndarray:
+    """n_x Jx + n_y Jy + n_z Jz: diagonal n_z J_z, subdiagonal (n_x - i n_y) J_+ / 2."""
+    jz, raising = su2_bands(n_particles)
+    mat = np.diag((n_z * jz).astype(complex))
     k = np.arange(n_particles)
-    return np.diag(np.sqrt((k + 1.0) * (n_particles - k)), -1).astype(complex)
+    mat[k + 1, k] = (n_x - 1j * n_y) * (0.5 * raising)
+    mat[k, k + 1] = (n_x + 1j * n_y) * (0.5 * raising)
+    return mat
 
 
 def schwinger(n_particles: int):
     """The collective pseudo-spin triple (Jx, Jy, Jz) on the N-particle sector."""
-    if n_particles < 0:
-        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
-    jp = _raising_matrix(n_particles)
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    jz = np.diag([(2 * k - n_particles) / 2.0 for k in range(n_particles + 1)]).astype(complex)
-    return (
-        CollectiveObservable(jx, "Jx"),
-        CollectiveObservable(jy, "Jy"),
-        CollectiveObservable(jz, "Jz"),
-    )
+    return tuple(CollectiveObservable(_generator_matrix(n_particles, *axis), label)
+                 for axis, label in (((1.0, 0.0, 0.0), "Jx"), ((0.0, 1.0, 0.0), "Jy"),
+                                     ((0.0, 0.0, 1.0), "Jz")))
 
 
 def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
     """J_n = n_x Jx + n_y Jy + n_z Jz."""
-    jx, jy, jz = schwinger(n_particles)
-    mat = n.n_x * jx.matrix + n.n_y * jy.matrix + n.n_z * jz.matrix
+    mat = _generator_matrix(n_particles, n.n_x, n.n_y, n.n_z)
     return CollectiveObservable(mat, f"Jn({n.n_x:.6g},{n.n_y:.6g},{n.n_z:.6g})")
 
 
@@ -130,11 +164,9 @@ def bose_hubbard(n_particles: int, eps1: float, eps2: float, u: float, j: float)
     """Double-well Bose-Hubbard Hamiltonian with well depths eps1, eps2,
     on-site repulsion u and hopping amplitude j (hopping enters with sign -j).
     """
-    big_n = n_particles
     if not all(math.isfinite(x) for x in (eps1, eps2, u, j)):
         raise ValueError("couplings must be finite")
-    mat = np.zeros((big_n + 1, big_n + 1), dtype=complex)
-    for k in range(big_n + 1):
-        mat[k, k] = eps1 * k + eps2 * (big_n - k) + u * (k ** 2 + (big_n - k) ** 2)
-    mat -= j * (_raising_matrix(big_n) + _raising_matrix(big_n).conj().T)
+    mat = _generator_matrix(n_particles, -2.0 * j, 0.0, 0.0)  # hopping -j (J_+ + J_-)
+    k = np.arange(n_particles + 1)
+    mat[k, k] = eps1 * k + eps2 * (n_particles - k) + u * (k ** 2 + (n_particles - k) ** 2)
     return CollectiveObservable(mat, f"H_BH({eps1:.6g},{eps2:.6g},{u:.6g},{j:.6g})")

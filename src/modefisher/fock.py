@@ -6,11 +6,11 @@ of mode 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .collective import ladder
 from .frames import ModeFrame, spatial_frame
 
 DEFAULT_TOL = 1e-10
@@ -129,49 +129,18 @@ class MonomialOp:
         return MonomialOp(self.n, self.m, self.s, self.r)
 
 
-def falling_product_sq(base: int, down: int, up: int) -> int:
-    """Exact integer base(base-1)...(base-down+1) * (base-down+1)...(base-down+up).
-
-    This is the square of the ladder coefficient for ``down`` annihilations
-    followed by ``up`` creations starting from occupation ``base``; zero when
-    the annihilations exhaust the mode.  Kept in integer arithmetic so the
-    square root below never sees a factorial ratio.
-    """
-    if base < down:
-        return 0
-    prod = 1
-    for j in range(down):
-        prod *= base - j
-    for j in range(1, up + 1):
-        prod *= base - down + j
-    return prod
-
-
-def coefficient_alpha(m: int, n: int, k: int) -> float:
-    """<k-n+m| (a1^dag)^m a1^n |k> on a single mode."""
-    return math.sqrt(falling_product_sq(k, n, m))
-
-
-def coefficient_beta(r: int, s: int, k: int, n_particles: int) -> float:
-    """<N-k-s+r| (a2^dag)^r a2^s |N-k> on the second mode."""
-    return math.sqrt(falling_product_sq(n_particles - k, s, r))
-
-
 def monomial_matrix(op: MonomialOp, n_particles: int) -> np.ndarray:
-    """Matrix of (a1^dag)^m a1^n (a2^dag)^r a2^s on the N-particle sector.
+    """Matrix of (a1^dag)^m a1^n (a2^dag)^r a2^s on the N-particle sector: its ladder band.
 
     Non-number-conserving monomials (m - n != s - r) leave the sector and
     map to the zero matrix.
     """
-    big_n = n_particles
-    mat = np.zeros((big_n + 1, big_n + 1), dtype=complex)
-    if not op.conserves_number:
-        return mat
-    for k in range(big_n + 1):
-        l = k - op.n + op.m
-        if not 0 <= l <= big_n:
-            continue
-        mat[l, k] = coefficient_alpha(op.m, op.n, k) * coefficient_beta(op.r, op.s, k, big_n)
+    # a1^(N+1) has an all-zero band: a number-changing monomial places nothing
+    m, n, r, s = (op.m, op.n, op.r, op.s) if op.conserves_number else (0, n_particles + 1, 0, 0)
+    band = ladder(n_particles, m, n, r, s)
+    k = np.flatnonzero(band)
+    mat = np.zeros((n_particles + 1, n_particles + 1), dtype=complex)
+    mat[k + m - n, k] = band[k]
     return mat
 
 

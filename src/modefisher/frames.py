@@ -93,8 +93,6 @@ def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     V = Gamma(U) is the spin-N/2 image of the frame's mixing U; it is
     unitary to rounding at any N.
     """
-    if n_particles < 0:
-        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
     return _spin_image(n_particles, frame.mixing)
 
 

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .collective import schwinger
+from .collective import su2_bands
 from .fock import DEFAULT_TOL, MonomialOp, SectorState, expectation, monomial_matrix, validate_state
 from .frames import ModeFrame, spatial_frame, transform_state
 
@@ -105,10 +105,10 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     The result carries a caveat flag: the inequality is an entanglement
     witness for distinguishable particles only.
     """
-    spatial = transform_state(state, spatial_frame())
-    jx, jy, jz = schwinger(state.n_particles)
-    mean_z = expectation(spatial, jz.matrix).real
-    mean_zz = expectation(spatial, jz.matrix @ jz.matrix).real
-    lhs = state.n_particles * (mean_zz - mean_z ** 2)
-    rhs = expectation(spatial, jx.matrix).real ** 2 + expectation(spatial, jy.matrix).real ** 2
+    rho = transform_state(state, spatial_frame()).density_matrix()
+    p = np.diag(rho).real
+    jz, raising = su2_bands(state.n_particles)
+    lhs = state.n_particles * (p @ jz ** 2 - (p @ jz) ** 2)
+    # <J_+> = <Jx> + i <Jy> = sum_k J_+[k+1, k] rho[k, k+1]
+    rhs = abs(raising @ np.diag(rho, 1)) ** 2
     return SpinSqueezingWitness(lhs, rhs, lhs < rhs - tol)

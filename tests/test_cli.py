@@ -28,6 +28,14 @@ def twin4(tmp_path):
 
 
 @pytest.fixture
+def cat2(tmp_path):
+    amp = 1 / math.sqrt(2)
+    return write_json(tmp_path / "cat.json",
+                      {"N": 2, "kind": "pure", "amplitudes_re": [amp, 0.0, amp],
+                       "amplitudes_im": [0.0, 0.0, 0.0], "frame": {"kind": "spatial"}})
+
+
+@pytest.fixture
 def bogo0(tmp_path):
     return write_json(tmp_path / "bogo0.json", {"kind": "bogolubov", "phi": 0.0})
 
@@ -59,17 +67,19 @@ class TestQfiCommand:
         for key in ("fisher", "phase_bound", "heisenberg_fraction"):
             assert float(rows[0][key]) == pytest.approx(report[key], abs=1e-12)
 
-    def test_closed_form_rejects_coherent_state(self, capsys, tmp_path):
-        amp = 1 / math.sqrt(2)
-        path = write_json(tmp_path / "cat.json",
-                          {"N": 2, "kind": "pure",
-                           "amplitudes_re": [amp, 0.0, amp],
-                           "amplitudes_im": [0.0, 0.0, 0.0],
-                           "frame": {"kind": "spatial"}})
-        code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0",
+    def test_closed_form_rejects_coherent_state(self, capsys, cat2):
+        code, out = run_cli(capsys, ["qfi", "--state", cat2, "--direction", "1,0,0",
                                      "--method", "closed-form"])
         assert code == 2
         assert "diagonal" in json.loads(out)["error"]["message"]
+
+    def test_default_method_reports_nan_closed_form_for_coherent_state(self, capsys, cat2):
+        # (|0,2> + |2,0>)/sqrt(2): F = 4 Var(Jx) = 4
+        code, out = run_cli(capsys, ["qfi", "--state", cat2, "--direction", "1,0,0"])
+        assert code == 0
+        report = json.loads(out)
+        assert math.isnan(report["fisher_closed_form"])
+        assert report["fisher"] == report["fisher_spectral"] == pytest.approx(4.0, abs=1e-12)
 
     def test_tol_reaches_spectral_route(self, capsys, tmp_path):
         big_n = 8
@@ -111,6 +121,15 @@ class TestSeparabilityCommand:
         assert "witness" in report
         w = report["witness"]
         assert math.hypot(w["residual_re"], w["residual_im"]) > 1e-10
+
+    def test_coefficient_past_double_range_exits_2(self, capsys, tmp_path):
+        state = write_json(tmp_path / "fock200.json", {"N": 200, "kind": "fock", "k": 66})
+        frame = write_json(tmp_path / "bogo.json", {"kind": "bogolubov", "phi": 0.4})
+        code, out = run_cli(capsys, ["separability", "--state", state, "--frame", frame,
+                                     "--witnesses"])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and "double range" in error["message"]
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

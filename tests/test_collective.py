@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from modefisher import (Direction, bogolubov_frame, bose_hubbard,
+from modefisher import (Direction, MonomialOp, bogolubov_frame, bose_hubbard,
                         commutator_residual, direction_generator,
-                        frame_change_unitary, schwinger)
+                        frame_change_unitary, monomial_matrix, schwinger)
+from modefisher.collective import ladder
 
 
 class TestDirection:
@@ -49,6 +50,28 @@ class TestSchwinger:
         casimir = jx @ jx + jy @ jy + jz @ jz
         expected = (big_n / 2) * (big_n / 2 + 1) * np.eye(big_n + 1)
         assert np.abs(casimir - expected).max() <= 1e-10
+
+
+class TestLadder:
+    def test_raising_band_is_sqrt_of_integer_product(self):
+        for big_n in [*range(0, 2001, 7), 2000]:
+            k = np.arange(big_n)
+            band = ladder(big_n, 1, 0, 0, 1)
+            assert np.array_equal(band[:-1], np.sqrt((k + 1.0) * (big_n - k)))
+            assert band[-1] == 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda n: schwinger(n),
+        lambda n: direction_generator(n, Direction(0.6, 0.0, 0.8)),
+        lambda n: bose_hubbard(n, 0.1, 0.2, 0.3, 0.4),
+        lambda n: frame_change_unitary(n, bogolubov_frame(0.4)),
+        lambda n: monomial_matrix(MonomialOp(1, 1, 0, 0), n),
+        lambda n: monomial_matrix(MonomialOp(2, 1, 0, 0), n),
+    ], ids=["schwinger", "direction_generator", "bose_hubbard", "frame_change_unitary",
+            "monomial_matrix", "monomial_matrix_number_changing"])
+    def test_negative_n_rejected(self, build):
+        with pytest.raises(ValueError, match="n_particles must be >= 0"):
+            build(-1)
 
 
 class TestDirectionGenerator:

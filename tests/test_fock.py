@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from modefisher import (MonomialOp, density_state, diagonal_state, expectation,
                         make_fock_state, monomial_matrix, pure_state,
                         validate_state)
-from modefisher.fock import coefficient_alpha, coefficient_beta, falling_product_sq
 
 
 class TestMakeFockState:
@@ -50,16 +50,33 @@ class TestMonomialMatrix:
         assert np.allclose(a.conj().T, b)
 
     def test_exact_integer_coefficients(self):
-        # alpha, beta squared are exact integers for N <= 30
-        for big_n in (7, 30):
-            for k in range(0, big_n + 1, 3):
-                for m in range(4):
-                    for n in range(4):
-                        sq = falling_product_sq(k, n, m)
-                        assert isinstance(sq, int) and sq >= 0
-                        assert coefficient_alpha(m, n, k) == math.sqrt(sq)
-                        assert coefficient_beta(m, n, k, big_n) == math.sqrt(
-                            falling_product_sq(big_n - k, n, m))
+        # every nonzero entry is the square root of an integer product of occupations
+        for big_n, m, n, r, s in itertools.product((7, 30), *[range(4)] * 4):
+            if m - n != s - r:
+                continue
+            mat = monomial_matrix(MonomialOp(m, n, r, s), big_n)
+            for k in range(big_n + 1):
+                base1, base2 = k - n, big_n - k - s
+                if base1 < 0 or base2 < 0:
+                    assert not mat[:, k].any()
+                    continue
+                sq = (math.prod(range(base1 + 1, k + 1)) * math.prod(range(base1 + 1, base1 + m + 1))
+                      * math.prod(range(base2 + 1, big_n - k + 1))
+                      * math.prod(range(base2 + 1, base2 + r + 1)))
+                expected = math.sqrt(sq)
+                assert abs(mat[base1 + m, k] - expected) <= 2 * math.ulp(expected)
+
+    def test_coefficient_beyond_factorial_170_is_finite(self):
+        # <99, 1| (a1^dag)^99 a1^100 a2^dag |100, 0> = sqrt(100! 99!), about 1e157
+        mat = monomial_matrix(MonomialOp(99, 100, 1, 0), 100)
+        exact = math.isqrt(math.factorial(100) * math.factorial(99))
+        assert mat[99, 100] == pytest.approx(exact, rel=1e-13)
+        assert np.count_nonzero(mat) == 1
+
+    def test_coefficient_past_double_range_raises(self):
+        # sqrt(200! 200!) = 200! > 1.8e308
+        with pytest.raises(ValueError, match="double range"):
+            monomial_matrix(MonomialOp(0, 200, 200, 0), 200)
 
 
 class TestExpectation:
@@ -94,8 +111,8 @@ class TestExpectation:
                     for s_exp in range(4):
                         op = MonomialOp(m, m, s_exp, s_exp)
                         val = expectation(s, monomial_matrix(op, big_n)).real
-                        lhs = falling_product_sq(k, m, m) ** 0.5
-                        rhs = falling_product_sq(big_n - k, s_exp, s_exp) ** 0.5
+                        lhs = math.perm(k, m)
+                        rhs = math.perm(big_n - k, s_exp)
                         assert val == pytest.approx(lhs * rhs)
 
     def test_diagonal_state_kills_unbalanced_monomials(self):

@@ -55,6 +55,16 @@ class TestIsSeparable:
         round_trip = transform_state(transform_state(state, spatial_frame()), frame)
         assert is_separable(round_trip, bogolubov_frame(0.4)).separable
 
+    @pytest.mark.parametrize("big_n", [4, 60, 170])
+    def test_witness_finite_in_double_range(self, big_n):
+        verdict = is_separable(make_fock_state(big_n // 3, big_n), bogolubov_frame(0.4))
+        assert not verdict.separable
+        assert 0.0 < abs(verdict.witness_details.residual) < math.inf
+
+    def test_witness_past_double_range_raises(self):
+        with pytest.raises(ValueError, match="double range"):
+            is_separable(make_fock_state(66, 200), bogolubov_frame(0.4))
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             is_separable(density_state(np.diag([0.2, 0.2])), spatial_frame())
@@ -86,6 +96,13 @@ class TestFactorizationResidual:
             math.factorial(m) * math.factorial(n)
             * math.factorial(big_n - m) * math.factorial(big_n - n))
         assert factorization_residual(state, op) == pytest.approx(expected)
+
+    def test_same_frame_fock_witness_beyond_factorial_170(self):
+        # the coefficient sqrt(100! 99!) is about 1e157; a Fock state has no coherence
+        frame = bogolubov_frame(0.4)
+        for k in (98, 99, 100):
+            val = factorization_residual(make_fock_state(k, 100, frame), MonomialOp(99, 100, 1, 0))
+            assert val == 0.0
 
     def test_rejects_non_witness_pattern(self):
         with pytest.raises(ValueError, match="witness family"):
