@@ -65,13 +65,13 @@ def _load_state(path: str, tol: float):
     return state
 
 
-def _closed_form_fisher(spatial, direction: Direction, tol: float) -> tuple[float, float]:
+def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
     """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
-    rho = spatial.density_matrix()
+    rho = state.density_matrix()
     off = np.abs(rho - np.diag(np.diag(rho))).max()
     if off > tol:
         return math.nan, off
-    return qfi_diagonal_closed_form(np.diag(rho).real, spatial.n_particles, direction, tol), off
+    return qfi_diagonal_closed_form(np.diag(rho).real, state.n_particles, direction, tol), off
 
 
 def _cmd_qfi(args) -> int:
@@ -181,30 +181,26 @@ SWEEP_COLUMNS = ["param", "F_closed", "F_spectral", "F_cl", "qcrb", "ccrb", "emp
 
 
 def _cmd_sweep(args) -> int:
+    """Bounds per value, all on the state in its own frame, where the estimator rotates it."""
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     values = [float(v) for v in args.values.split(",")]
+    fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
     rows = []
     for value in values:
-        theta, trials, shots = args.theta, args.trials, args.shots
+        theta, trials, shots, direction = args.theta, args.trials, args.shots, fixed_direction
         if args.param == "theta":
             theta = value
-            direction = _parse_direction(args.direction)
         elif args.param == "phi":
             direction = Direction.in_plane(value)
         elif args.param == "shots":
             shots = int(value)
-            direction = _parse_direction(args.direction)
-        elif args.param == "trials":
-            trials = int(value)
-            direction = _parse_direction(args.direction)
         else:
-            raise ValueError(f"unknown sweep parameter {args.param!r}")
+            trials = int(value)
 
-        spatial = transform_state(state, spatial_frame())
         generator = direction_generator(state.n_particles, direction)
-        fisher_spectral = qfi_spectral(spatial, generator, tol=tol)
-        fisher_closed, _ = _closed_form_fisher(spatial, direction, tol)
+        fisher_spectral = qfi_spectral(state, generator, tol=tol)
+        fisher_closed, _ = _closed_form_fisher(state, direction, tol)
         fisher_cl = classical_fisher(state, direction, theta)
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
         ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf

@@ -83,11 +83,9 @@ def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = DEF
         raise ValueError(f"probabilities must sum to 1, got {p.sum():.12g}")
     k = np.arange(big_n + 1)
     mean_term = 2.0 * float(np.sum(p * k * (big_n - k)))
-    coherence_term = 0.0
-    for kk in range(big_n):
-        denom = p[kk] + p[kk + 1]
-        if denom > 0.0:
-            coherence_term += p[kk] * p[kk + 1] / denom * (kk + 1) * (big_n - kk)
+    denom = p[:-1] + p[1:]
+    ratio = np.divide(p[:-1] * p[1:], denom, out=np.zeros(big_n), where=denom > 0.0)
+    coherence_term = float(np.sum(ratio * (k[:-1] + 1) * (big_n - k[:-1])))
     return n.in_plane_weight * (big_n + mean_term - 4.0 * coherence_term)
 
 
@@ -109,19 +107,20 @@ def variance_bound(state: SectorState, observable) -> tuple[float, float, float]
 
 
 def classify(fisher: float, n_particles: int, tol: float = CLASSIFY_TOL) -> QfiReport:
-    """Phase-uncertainty bound and shot-noise/Heisenberg classification of F."""
+    """Phase bound and shot-noise/Heisenberg class of F; against N^2, tol is relative (tol N^2)."""
     if fisher < -tol:
         raise ValueError(f"Fisher information must be nonnegative, got {fisher:.6g}")
     fisher = max(fisher, 0.0)
     n_sq = float(n_particles) ** 2
-    if fisher > n_sq + tol:
+    n_sq_tol = tol * max(n_sq, 1.0)
+    if fisher > n_sq + n_sq_tol:
         raise ValueError(f"Fisher information {fisher:.6g} exceeds the N^2 = {n_sq:.6g} bound")
     if fisher <= tol:
         label = CLASS_ZERO
         phase_bound = math.inf
     else:
         phase_bound = 1.0 / math.sqrt(fisher)
-        if fisher >= n_sq - tol:
+        if fisher >= n_sq - n_sq_tol:
             label = CLASS_HEISENBERG
         elif fisher > n_particles + tol:
             label = CLASS_SUB_SHOT_NOISE

@@ -201,6 +201,18 @@ class TestSweepCommand:
         rows = json.loads(out)["rows"]
         assert all(r["F_spectral"] == pytest.approx(12.0, abs=1e-8) for r in rows)
 
+    def test_non_spatial_frame_bounds_in_own_frame(self, capsys, tmp_path):
+        state = write_json(tmp_path / "bogo_twin4.json",
+                           {"N": 4, "kind": "fock", "k": 2,
+                            "frame": {"kind": "bogolubov", "phi": 0.0}})
+        code, out = run_cli(capsys, ["sweep", "--state", state, "--param", "theta",
+                                     "--values", "0.2,0.4", "--format", "json"])
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert row["F_spectral"] == pytest.approx(12.0, abs=1e-9)
+            assert row["F_closed"] == pytest.approx(12.0, abs=1e-9)
+            assert row["qcrb"] <= row["ccrb"]
+
 
 class TestFramesCommand:
     def test_identity_for_spatial(self, capsys, tmp_path):

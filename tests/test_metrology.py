@@ -3,10 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from modefisher import (Direction, NonIdentifiableError, classical_fisher,
+from modefisher import (Direction, NonIdentifiableError, classical_fisher, density_state,
                         diagonal_state, direction_generator, make_fock_state,
                         measurement_probabilities, monte_carlo_estimate,
                         pure_state, qfi_spectral, rotate)
+from modefisher import metrology
+from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
+
+
+def _scalar_golden_max(f, a, b, tol):
+    """Reference golden-section search for the maximum of f on [a, b], one trial at a time."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 class TestRotate:
@@ -71,7 +90,7 @@ class TestClassicalFisher:
     def test_single_particle_fringe_saturates(self):
         state = make_fock_state(0, 1)
         f_cl = classical_fisher(state, Direction(1, 0, 0), 0.4)
-        assert f_cl == pytest.approx(1.0, abs=1e-6)
+        assert f_cl == pytest.approx(1.0, abs=1e-12)
 
     def test_data_processing_inequality(self):
         rng = np.random.default_rng(12)
@@ -86,9 +105,20 @@ class TestClassicalFisher:
             f_q = qfi_spectral(state, direction_generator(big_n, n))
             assert f_cl <= f_q + 1e-6
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            classical_fisher(make_fock_state(0, 1), Direction(1, 0, 0), 0.3, dtheta=0.0)
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, 0.7, math.pi / 2 - 1e-3])
+    def test_twin_fock_n2_is_exact(self, theta):
+        # p_1 = cos^2 theta, p_0 = p_2 = sin^2 theta / 2: F_cl = 4 at every theta in (0, pi/2)
+        f_cl = classical_fisher(make_fock_state(1, 2), Direction(1, 0, 0), theta)
+        assert f_cl == pytest.approx(4.0, abs=1e-12)
+
+    def test_mixed_state_matches_pure_route(self):
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        pure = pure_state(c / np.linalg.norm(c))
+        n = Direction(0.6, 0.0, 0.8)
+        mixed = density_state(pure.density_matrix())
+        assert classical_fisher(mixed, n, 0.9) == pytest.approx(classical_fisher(pure, n, 0.9),
+                                                               rel=1e-10)
 
 
 class TestMonteCarloEstimate:
@@ -121,6 +151,47 @@ class TestMonteCarloEstimate:
                                    0.35, 30, 4000, 3)
         assert abs(float(np.mean(run.estimates)) - 0.35) < 0.02
 
+    def test_one_rotation_model_per_estimate(self, monkeypatch):
+        built = []
+
+        class CountingModel(metrology._RotationModel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(metrology, "_RotationModel", CountingModel)
+        monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.4, 3, 100, 1)
+        assert len(built) == 1
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.3, 0, 10, 1)
+
+    @pytest.mark.parametrize("theta_true", [0.02, math.pi / 2 - 0.02])
+    def test_matches_scalar_golden_section(self, theta_true):
+        # near a window edge some grid maxima sit on the edge, so their brackets are one
+        # grid step wide and finish before the two-step brackets of the other trials
+        state, n = make_fock_state(1, 2), Direction(1, 0, 0)
+        trials, shots, seed = 12, 2000, 5
+        run = monte_carlo_estimate(state, n, theta_true, trials, shots, seed)
+        grid = np.linspace(*DEFAULT_WINDOW, GRID_POINTS)
+        log_grid = np.log(np.clip(measurement_probabilities(state, n, grid), 1e-300, None))
+        p_true = measurement_probabilities(state, n, theta_true)
+        cdf = np.cumsum(p_true / p_true.sum())
+        cdf[-1] = 1.0
+        at_edge = 0
+        for trial, estimate in enumerate(run.estimates):
+            key = np.array([seed, trial], dtype=np.uint64)
+            uniforms = np.random.Generator(np.random.Philox(key=key)).random(shots)
+            draws = np.searchsorted(cdf, uniforms, side="right")
+            counts = np.bincount(draws, minlength=state.dim).astype(float)
+            best = int(np.argmax(log_grid @ counts))
+            at_edge += best in (0, GRID_POINTS - 1)
+
+            def loglik(theta, counts=counts):
+                p = np.clip(measurement_probabilities(state, n, theta), 1e-300, None)
+                return float(counts @ np.log(p))
+
+            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)]
+            assert abs(estimate - _scalar_golden_max(loglik, lo, hi, REFINE_TOL)) <= 2 * REFINE_TOL
+        assert 0 < at_edge < trials

@@ -69,6 +69,29 @@ class TestClosedForm:
         f = qfi_diagonal_closed_form(p, 3, Direction(1, 0, 0))
         assert math.isfinite(f)
 
+    def test_consecutive_zero_probabilities_hand_value(self):
+        # N + 2 sum p_k k(N-k) - 4 sum p_k p_{k+1}/(p_k + p_{k+1}) (k+1)(N-k)
+        # = 4 + 2 * 0.75 - 4 * (0.125 * 4) = 3.5; the 0/0 pair (2, 3) adds nothing
+        p = np.array([0.25, 0.25, 0.0, 0.0, 0.5])
+        assert qfi_diagonal_closed_form(p, 4, Direction(1, 0, 0)) == pytest.approx(3.5, abs=1e-14)
+
+    def test_matches_per_k_loop(self):
+        def loop_reference(p, big_n):
+            k_all = np.arange(big_n + 1)
+            total = big_n + 2.0 * float(np.sum(p * k_all * (big_n - k_all)))
+            for k in range(big_n):
+                if p[k] + p[k + 1] > 0.0:
+                    total -= 4.0 * p[k] * p[k + 1] / (p[k] + p[k + 1]) * (k + 1) * (big_n - k)
+            return total
+
+        rng = np.random.default_rng(31)
+        for big_n in (1, 7, 40):
+            p = rng.random(big_n + 1) * (rng.random(big_n + 1) < 0.6)
+            p[0] = 1.0
+            p /= p.sum()
+            f = qfi_diagonal_closed_form(p, big_n, Direction(1, 0, 0))
+            assert f == pytest.approx(loop_reference(p, big_n), rel=1e-12, abs=1e-12)
+
     def test_matches_spectral_oracle(self):
         rng = np.random.default_rng(42)
         for big_n in range(2, 21, 3):
@@ -157,6 +180,11 @@ class TestClassify:
     def test_exceeds_n_squared_rejected(self):
         with pytest.raises(ValueError, match="N\\^2"):
             classify(17.1, 4)
+
+    def test_n_squared_comparisons_are_relative(self):
+        assert classify(1e8 * (1 + 1e-15), 10_000).classification == CLASS_HEISENBERG
+        with pytest.raises(ValueError, match="N\\^2"):
+            classify(1e8 * (1 + 1e-6), 10_000)
 
 
 class TestFrameInvariance:
