@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from modefisher import Direction, direction_generator, make_fock_state, qfi_spectral
+from modefisher import Direction, make_fock_state, qfi_pure
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
     sys.stdout.write("N,fisher,phase_bound,shot_noise,heisenberg\n")
     for big_n in range(2, args.n_max + 1, 2):
         state = make_fock_state(big_n // 2, big_n)
-        fisher = qfi_spectral(state, direction_generator(big_n, n))
+        fisher = qfi_pure(state, n)
         row = (big_n, fisher, 1 / math.sqrt(fisher), 1 / math.sqrt(big_n), 1 / big_n)
         sys.stdout.write(",".join(format(x, ".17g") for x in row) + "\n")
 

@@ -21,7 +21,7 @@ from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
 from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
 from .metrology import NonIdentifiableError, classical_fisher, monte_carlo_estimate, rotate
-from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral
+from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral, qfi_state
 from .separability import is_separable
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
@@ -66,30 +66,39 @@ def _load_state(path: str, tol: float):
 
 
 def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
-    """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
-    rho = state.density_matrix()
-    off = np.abs(rho - np.diag(np.diag(rho))).max()
+    """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol.
+
+    A pure state forms no rho: p = |c|^2, and its largest off-diagonal is the
+    product of the two largest |c_k|.
+    """
+    if state.is_pure:
+        c = state.amplitudes
+        p = (c * c.conj()).real
+        off = float(np.prod(np.partition(np.abs(c), -2)[-2:])) if state.dim > 1 else 0.0
+    else:
+        rho = state.rho
+        p = np.diag(rho).real
+        off = np.abs(rho - np.diag(np.diag(rho))).max()
     if off > tol:
         return math.nan, off
-    return qfi_diagonal_closed_form(np.diag(rho).real, state.n_particles, direction, tol), off
+    return qfi_diagonal_closed_form(p, state.n_particles, direction, tol), off
 
 
 def _cmd_qfi(args) -> int:
+    """F under J_n in the state's own frame, the frame `estimate` rotates it in."""
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
-    spatial = transform_state(state, spatial_frame())
-    generator = direction_generator(state.n_particles, direction)
 
     fisher_spectral = math.nan
     fisher_closed = math.nan
     if args.method in ("spectral", "both"):
-        fisher_spectral = qfi_spectral(spatial, generator, tol=tol)
+        fisher_spectral = qfi_state(state, direction, tol)
     if args.method in ("closed-form", "both"):
-        fisher_closed, off = _closed_form_fisher(spatial, direction, tol)
+        fisher_closed, off = _closed_form_fisher(state, direction, tol)
         if args.method == "closed-form" and off > tol:
             raise ValueError(
-                "closed-form method requires a state diagonal in the spatial "
+                "closed-form method requires a state diagonal in its own "
                 f"Fock basis (max off-diagonal {off:.3e})"
             )
 
@@ -143,7 +152,7 @@ def _cmd_rotate(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
-    rotated = rotate(state, direction, args.theta)
+    rotated = rotate(state, direction, args.theta, tol)
     report = {"schema_version": SCHEMA_VERSION, "state": state_to_json(rotated)}
     _emit_json(report)
     return 0
@@ -153,7 +162,8 @@ def _cmd_estimate(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
-    run = monte_carlo_estimate(state, direction, args.theta, args.trials, args.shots, args.seed)
+    run = monte_carlo_estimate(state, direction, args.theta, args.trials, args.shots, args.seed,
+                               tol)
     row = {
         "schema_version": SCHEMA_VERSION,
         "theta_true": run.theta_true,
@@ -198,14 +208,13 @@ def _cmd_sweep(args) -> int:
         else:
             trials = int(value)
 
-        generator = direction_generator(state.n_particles, direction)
-        fisher_spectral = qfi_spectral(state, generator, tol=tol)
+        fisher_spectral = qfi_state(state, direction, tol)
         fisher_closed, _ = _closed_form_fisher(state, direction, tol)
-        fisher_cl = classical_fisher(state, direction, theta)
+        fisher_cl = classical_fisher(state, direction, theta, tol)
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
         ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
         if trials > 0:
-            run = monte_carlo_estimate(state, direction, theta, trials, shots, args.seed)
+            run = monte_carlo_estimate(state, direction, theta, trials, shots, args.seed, tol)
             empirical_std = run.empirical_std
         else:
             empirical_std = math.nan
@@ -389,7 +398,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NonIdentifiableError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, NonIdentifiableError, KeyError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         _emit_json({"schema_version": SCHEMA_VERSION,
                     "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2

@@ -3,6 +3,7 @@
 Every sector operator comes from :func:`ladder`, the band of a monomial; the
 observables are the J_z or number diagonal plus the J_+ band, returned as dense
 (N+1)x(N+1) Hermitian matrices in the ascending Fock basis of :mod:`modefisher.fock`.
+:func:`apply_generator` applies J_n to a vector from the same bands in O(N).
 """
 from __future__ import annotations
 
@@ -111,14 +112,34 @@ def su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     return (2 * np.arange(n_particles + 1) - n_particles) / 2.0, raising
 
 
-def _generator_matrix(n_particles: int, n_x: float, n_y: float, n_z: float) -> np.ndarray:
-    """n_x Jx + n_y Jy + n_z Jz: diagonal n_z J_z, subdiagonal (n_x - i n_y) J_+ / 2."""
+def _generator_bands(n_particles: int, n_x: float, n_y: float,
+                     n_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two bands of n_x Jx + n_y Jy + n_z Jz: the diagonal n_z J_z and the lower band
+    (n_x - i n_y) J_+ / 2, whose entry k takes |k> to |k+1>; the upper band is its conjugate."""
     jz, raising = su2_bands(n_particles)
-    mat = np.diag((n_z * jz).astype(complex))
+    return n_z * jz, (n_x - 1j * n_y) * (0.5 * raising)
+
+
+def _generator_matrix(n_particles: int, n_x: float, n_y: float, n_z: float) -> np.ndarray:
+    """n_x Jx + n_y Jy + n_z Jz as a dense matrix: its two bands placed."""
+    diagonal, lower = _generator_bands(n_particles, n_x, n_y, n_z)
+    mat = np.diag(diagonal.astype(complex))
     k = np.arange(n_particles)
-    mat[k + 1, k] = (n_x - 1j * n_y) * (0.5 * raising)
-    mat[k, k + 1] = (n_x + 1j * n_y) * (0.5 * raising)
+    mat[k + 1, k] = lower
+    mat[k, k + 1] = lower.conj()
     return mat
+
+
+def apply_generator(n_particles: int, n: Direction, c) -> np.ndarray:
+    """J_n c in O(N) from the two bands of J_n, without forming the matrix."""
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (n_particles + 1,):
+        raise ValueError(f"vector must have shape ({n_particles + 1},), got {c.shape}")
+    diagonal, lower = _generator_bands(n_particles, n.n_x, n.n_y, n.n_z)
+    out = diagonal * c
+    out[1:] += lower * c[:-1]
+    out[:-1] += lower.conj() * c[1:]
+    return out
 
 
 def schwinger(n_particles: int):

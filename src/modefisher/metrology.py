@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import Direction, Rotation
-from .fock import SectorState, validate_state
-from .qfi import qfi_spectral
+from .fock import DEFAULT_TOL, SectorState, validate_state
+from .qfi import qfi_state
 
 DEFAULT_WINDOW = (0.0, math.pi / 2)
 GRID_POINTS = 512
@@ -57,8 +57,8 @@ class EstimationRun:
 class _RotationModel:
     """Cached eigendecomposition of J_n for repeated rotations of one state."""
 
-    def __init__(self, state: SectorState, n: Direction):
-        violations = validate_state(state)
+    def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
+        violations = validate_state(state, tol)
         if violations:
             raise ValueError(f"invalid state: {', '.join(violations)}")
         self.state = state
@@ -105,19 +105,21 @@ class _RotationModel:
         return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def rotate(state: SectorState, n: Direction, theta: float) -> SectorState:
+def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_TOL) -> SectorState:
     """Apply exp(i theta J_n) through the eigendecomposition of J_n."""
-    return _RotationModel(state, n).rotated(theta)
+    return _RotationModel(state, n, tol).rotated(theta)
 
 
-def measurement_probabilities(state: SectorState, n: Direction, theta) -> np.ndarray:
+def measurement_probabilities(state: SectorState, n: Direction, theta,
+                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Number-counting outcome distribution p_m(theta), m = 0..N; one row per angle of an array."""
-    return _RotationModel(state, n).probabilities(theta)
+    return _RotationModel(state, n, tol).probabilities(theta)
 
 
-def classical_fisher(state: SectorState, n: Direction, theta: float) -> float:
+def classical_fisher(state: SectorState, n: Direction, theta: float,
+                     tol: float = DEFAULT_TOL) -> float:
     """Fisher information of the number-counting readout, from the exact derivative of p_m."""
-    return _RotationModel(state, n).classical_fisher(theta)
+    return _RotationModel(state, n, tol).classical_fisher(theta)
 
 
 def _golden_max(model: _RotationModel, counts: np.ndarray, a: np.ndarray,
@@ -144,7 +146,8 @@ def _golden_max(model: _RotationModel, counts: np.ndarray, a: np.ndarray,
 
 
 def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
-                         trials: int, shots: int, seed: int) -> EstimationRun:
+                         trials: int, shots: int, seed: int,
+                         tol: float = DEFAULT_TOL) -> EstimationRun:
     """Run `trials` independent maximum-likelihood estimations of theta_true.
 
     Each trial draws `shots` outcomes from p(theta_true) by inverse-CDF
@@ -153,7 +156,7 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     """
     if trials < 1 or shots < 1:
         raise ValueError("trials and shots must both be >= 1")
-    model = _RotationModel(state, n)
+    model = _RotationModel(state, n, tol)
     grid = np.linspace(*DEFAULT_WINDOW, GRID_POINTS)
     prob_grid = model.probabilities(grid)
     spread = float((prob_grid.max(axis=0) - prob_grid.min(axis=0)).max())
@@ -180,7 +183,7 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
                             grid[np.minimum(best + 1, GRID_POINTS - 1)])
 
     empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
-    fisher = qfi_spectral(state, model.rotation.generator)
+    fisher = qfi_state(state, n, tol)
     fisher_cl = model.classical_fisher(theta_true)
     qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
     ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf

@@ -1,10 +1,13 @@
-"""Quantum Fisher information: spectral oracle, diagonal-state closed form, bounds.
+"""Quantum Fisher information: pure-state route, spectral and closed-form oracles, bounds.
 
-Two independent routes are kept deliberately separate: ``qfi_spectral``
-evaluates the standard eigendecomposition sum for any density matrix, while
+Three routes.  ``qfi_pure`` gives F = 4 Var(J_n) of a pure state in O(N) from
+the two bands of J_n, without a dense matrix; ``qfi_state`` sends pure states
+there and density matrices to the spectral sum.  The two oracles are kept
+deliberately separate from it and from each other: ``qfi_spectral`` evaluates
+the standard eigendecomposition sum for any density matrix, while
 ``qfi_diagonal_closed_form`` evaluates the explicit formula valid for states
-diagonal in the Fock basis.  Tests and the acceptance suite cross-check one
-against the other.
+diagonal in the Fock basis.  Tests and the acceptance suite cross-check each
+route against the others.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import CollectiveObservable, Direction
+from .collective import CollectiveObservable, Direction, apply_generator, direction_generator
 from .fock import DEFAULT_TOL, SectorState, expectation, validate_state
 
 SPECTRAL_CUTOFF = 1e-12
@@ -64,6 +67,35 @@ def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF
     mask = pair_sum > cutoff
     weight = np.where(mask, (li - lj) ** 2 / np.where(mask, pair_sum, 1.0), 0.0)
     return float(2.0 * np.sum(weight * np.abs(a_eig) ** 2))
+
+
+def qfi_pure(state: SectorState, n: Direction, tol: float = DEFAULT_TOL) -> float:
+    """F = 4 ||J_n c - <J_n> c||^2 of a pure state, in O(N) from the bands of J_n.
+
+    The residual form avoids the cancellation of <J_n^2> - <J_n>^2 at large N.
+    <J_n> is taken per unit norm, so a state whose norm is off within ``tol``
+    gets the value of the spectral sum, 4 |c|^2 Var(J_n).  Raises ValueError
+    on a density matrix; use :func:`qfi_spectral` there.
+    """
+    if not state.is_pure:
+        raise ValueError("qfi_pure needs a pure state; a density matrix takes qfi_spectral")
+    violations = validate_state(state, tol)
+    if violations:
+        raise ValueError(f"invalid state: {', '.join(violations)}")
+    c = state.amplitudes
+    jc = apply_generator(state.n_particles, n, c)
+    norm_sq = np.vdot(c, c).real
+    # a zero vector passes only a tolerance >= 1; its spectral sum is 0, and so is this
+    mean = np.vdot(c, jc).real / norm_sq if norm_sq > 0.0 else 0.0
+    residual = jc - mean * c
+    return float(4.0 * np.vdot(residual, residual).real)
+
+
+def qfi_state(state: SectorState, n: Direction, tol: float = DEFAULT_TOL) -> float:
+    """F under J_n: :func:`qfi_pure` for a pure state, :func:`qfi_spectral` for a density matrix."""
+    if state.is_pure:
+        return qfi_pure(state, n, tol)
+    return qfi_spectral(state, direction_generator(state.n_particles, n), tol=tol)
 
 
 def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = DEFAULT_TOL) -> float:

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from modefisher import schwinger
+from modefisher import cli, schwinger
 from modefisher.cli import main
 
 
@@ -96,6 +97,53 @@ class TestQfiCommand:
         psi = c / np.linalg.norm(c)
         four_var = 4.0 * ((psi.conj() @ jx @ jx @ psi).real - (psi.conj() @ jx @ psi).real ** 2)
         assert json.loads(out)["fisher"] == pytest.approx(four_var, abs=1e-4)
+        # the same --tol reaches the validation of every other subcommand on this state
+        for argv in (["rotate", "--theta", "0.3"],
+                     ["estimate", "--theta", "0.3", "--trials", "2", "--shots", "50"],
+                     ["sweep", "--param", "theta", "--values", "0.3"]):
+            code, out = run_cli(capsys, [*argv, "--state", path, "--direction", "1,0,0",
+                                         "--tol", "1e-5"])
+            assert code == 0, out
+
+    def test_non_spatial_frame_in_own_frame(self, capsys, tmp_path):
+        state = write_json(tmp_path / "bogo_twin4.json",
+                           {"N": 4, "kind": "fock", "k": 2,
+                            "frame": {"kind": "bogolubov", "phi": 0.0}})
+        code, out = run_cli(capsys, ["qfi", "--state", state, "--direction", "1,0,0"])
+        assert code == 0
+        fisher = json.loads(out)["fisher"]
+        assert fisher == pytest.approx(12.0, abs=1e-9)
+        _, out = run_cli(capsys, ["estimate", "--state", state, "--direction", "1,0,0",
+                                  "--theta", "0.3", "--trials", "2", "--shots", "50"])
+        assert json.loads(out)["fisher"] == fisher
+
+    def test_noon_state_at_n_1e5_is_heisenberg_saturating(self, capsys, tmp_path):
+        big_n = 100_000
+        amp = np.zeros(big_n + 1)
+        amp[[0, big_n]] = 1 / math.sqrt(2)
+        path = write_json(tmp_path / "noon.json",
+                          {"N": big_n, "kind": "pure", "amplitudes_re": amp.tolist(),
+                           "amplitudes_im": [0.0] * (big_n + 1)})
+        code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "0,0,1"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["classification"] == "heisenberg-saturating"
+        assert math.isnan(report["fisher_closed_form"])
+
+    def test_pure_state_at_n_1e5_builds_no_dense_matrix(self, capsys, tmp_path):
+        # a dense (N+1)^2 complex array at N = 10^5 would take 160 GB
+        big_n = 100_000
+        path = write_json(tmp_path / "fock.json", {"N": big_n, "kind": "fock", "k": 30_000})
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "0.6,0.8,0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2 ** 20
+        assert json.loads(out)["fisher_spectral"] == pytest.approx(
+            big_n + 2 * 30_000 * (big_n - 30_000), rel=1e-12)
 
     def test_determinism(self, capsys, twin4):
         _, a = run_cli(capsys, ["qfi", "--state", twin4, "--direction", "1,0,0"])
@@ -245,3 +293,14 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch, twin4):
     monkeypatch.setenv("MODEFISHER_TOL", "10")
     _, out = run_cli(capsys, ["separability", "--state", twin4, "--frame", bogo])
     assert json.loads(out)["separable"] is True
+
+
+def test_memory_error_exits_2(capsys, monkeypatch, twin4):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 1.49 GiB")
+
+    monkeypatch.setattr(cli, "rotate", out_of_memory)
+    code, out = run_cli(capsys, ["rotate", "--state", twin4, "--direction", "1,0,0",
+                                 "--theta", "0.3"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "MemoryError"

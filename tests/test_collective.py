@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from modefisher import (Direction, MonomialOp, bogolubov_frame, bose_hubbard,
-                        commutator_residual, direction_generator,
+from modefisher import (Direction, MonomialOp, apply_generator, bogolubov_frame,
+                        bose_hubbard, commutator_residual, direction_generator,
                         frame_change_unitary, monomial_matrix, schwinger)
 from modefisher.collective import ladder
 
@@ -91,6 +91,20 @@ class TestDirectionGenerator:
         g = direction_generator(1, Direction.in_plane(phi))
         assert g.matrix[1, 0] == pytest.approx(np.exp(-1j * phi) / 2)
         assert g.matrix[0, 1] == pytest.approx(np.exp(1j * phi) / 2)
+
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 9, 150])
+    def test_apply_generator_matches_matrix(self, big_n):
+        rng = np.random.default_rng(big_n)
+        for _ in range(5):
+            v = rng.normal(size=3)
+            n = Direction(*(v / np.linalg.norm(v)))
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            dense = direction_generator(big_n, n).matrix @ c
+            assert np.abs(apply_generator(big_n, n, c) - dense).max() <= 1e-12 * max(1, big_n)
+
+    def test_apply_generator_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="shape"):
+            apply_generator(3, Direction(1, 0, 0), np.ones(3))
 
 
 class TestBoseHubbard:

@@ -5,8 +5,9 @@ import pytest
 
 from modefisher import (Direction, classify, custom_frame, density_state,
                         diagonal_state, direction_generator, frame_change_unitary,
-                        make_fock_state, qfi_diagonal_closed_form, qfi_pure_fock,
-                        qfi_spectral, schwinger, transform_state, variance_bound)
+                        make_fock_state, pure_state, qfi_diagonal_closed_form, qfi_pure,
+                        qfi_pure_fock, qfi_spectral, schwinger, transform_state,
+                        variance_bound)
 from modefisher.qfi import (CLASS_HEISENBERG, CLASS_SHOT_NOISE,
                             CLASS_SUB_SHOT_NOISE, CLASS_ZERO)
 from tests.test_frames import random_unitary_2x2
@@ -39,6 +40,45 @@ class TestQfiSpectral:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             qfi_spectral(make_fock_state(0, 1), np.eye(5))
+
+
+class TestQfiPure:
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 5, 30, 200])
+    def test_matches_spectral_oracle(self, big_n):
+        rng = np.random.default_rng(100 + big_n)
+        for _ in range(5):
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            c /= np.linalg.norm(c)
+            v = rng.normal(size=3)  # n_z != 0 almost surely
+            n = Direction(*(v / np.linalg.norm(v)))
+            spectral = qfi_spectral(density_state(np.outer(c, c.conj())),
+                                    direction_generator(big_n, n))
+            assert qfi_pure(pure_state(c), n) == pytest.approx(spectral, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("big_n", [2, 1000, 100_000])
+    def test_twin_fock(self, big_n):
+        f = qfi_pure(make_fock_state(big_n // 2, big_n), Direction.in_plane(0.4))
+        assert f == pytest.approx(big_n ** 2 / 2 + big_n, rel=1e-12)
+
+    def test_off_norm_state_follows_tol_and_the_spectral_sum(self):
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        c *= math.sqrt(1.0 + 1e-6) / np.linalg.norm(c)
+        n = Direction(0.0, 0.6, 0.8)
+        with pytest.raises(ValueError, match="normalization"):
+            qfi_pure(pure_state(c), n)
+        spectral = qfi_spectral(pure_state(c), direction_generator(8, n), tol=1e-5)
+        assert qfi_pure(pure_state(c), n, tol=1e-5) == pytest.approx(spectral, rel=1e-10)
+
+    def test_zero_vector_under_huge_tol_matches_spectral_sum(self):
+        zero = pure_state(np.zeros(4))
+        n = Direction(1, 0, 0)
+        assert qfi_pure(zero, n, tol=10.0) == qfi_spectral(
+            zero, direction_generator(3, n), tol=10.0) == 0.0
+
+    def test_mixed_state_rejected(self):
+        with pytest.raises(ValueError, match="pure"):
+            qfi_pure(diagonal_state([0.5, 0.5]), Direction(1, 0, 0))
 
 
 class TestClosedForm:
