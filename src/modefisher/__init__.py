@@ -1,6 +1,6 @@
 """Mode entanglement and quantum Fisher information for N bosons in two modes."""
 
-from .collective import (CollectiveObservable, Direction, apply_generator, bose_hubbard,
+from .collective import (CollectiveObservable, Direction, bose_hubbard,
                          commutator_residual, direction_generator, schwinger)
 from .fock import (MonomialOp, SectorState, density_state, diagonal_state,
                    expectation, make_fock_state, monomial_matrix, pure_state,
@@ -11,7 +11,7 @@ from .frames import (ModeFrame, bogolubov_frame, custom_frame,
 from .metrology import (EstimationRun, NonIdentifiableError, classical_fisher,
                         measurement_probabilities, monte_carlo_estimate, rotate)
 from .qfi import (QfiReport, classify, qfi_diagonal_closed_form, qfi_pure,
-                  qfi_pure_fock, qfi_spectral, qfi_state, variance_bound)
+                  qfi_pure_fock, qfi_spectral, variance_bound)
 from .separability import (SeparabilityVerdict, SpinSqueezingWitness,
                            factorization_residual, is_separable,
                            spin_squeezing_witness, witness_monomials)
@@ -19,14 +19,14 @@ from .separability import (SeparabilityVerdict, SpinSqueezingWitness,
 __all__ = [
     "CollectiveObservable", "Direction", "EstimationRun", "ModeFrame",
     "MonomialOp", "NonIdentifiableError", "QfiReport", "SectorState",
-    "SeparabilityVerdict", "SpinSqueezingWitness", "apply_generator",
+    "SeparabilityVerdict", "SpinSqueezingWitness",
     "bogolubov_frame", "bose_hubbard", "classical_fisher", "classify",
     "commutator_residual", "custom_frame", "density_state", "diagonal_state",
     "direction_generator", "expectation", "factorization_residual",
     "fock_expansion_coefficients", "frame_change_unitary", "is_separable",
     "make_fock_state", "measurement_probabilities", "monomial_matrix",
     "monte_carlo_estimate", "pure_state", "qfi_diagonal_closed_form",
-    "qfi_pure", "qfi_pure_fock", "qfi_spectral", "qfi_state", "rotate",
+    "qfi_pure", "qfi_pure_fock", "qfi_spectral", "rotate",
     "schwinger", "spatial_frame", "spin_squeezing_witness", "transform_state",
     "validate_state", "variance_bound", "witness_monomials",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collective import Direction, Rotation
 from .fock import DEFAULT_TOL, SectorState, validate_state
-from .qfi import qfi_state
+from .qfi import qfi_pure, qfi_spectral
 
 DEFAULT_WINDOW = (0.0, math.pi / 2)
 GRID_POINTS = 512
@@ -110,10 +110,9 @@ def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_
     return _RotationModel(state, n, tol).rotated(theta)
 
 
-def measurement_probabilities(state: SectorState, n: Direction, theta,
-                              tol: float = DEFAULT_TOL) -> np.ndarray:
+def measurement_probabilities(state: SectorState, n: Direction, theta) -> np.ndarray:
     """Number-counting outcome distribution p_m(theta), m = 0..N; one row per angle of an array."""
-    return _RotationModel(state, n, tol).probabilities(theta)
+    return _RotationModel(state, n).probabilities(theta)
 
 
 def classical_fisher(state: SectorState, n: Direction, theta: float,
@@ -183,7 +182,8 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
                             grid[np.minimum(best + 1, GRID_POINTS - 1)])
 
     empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
-    fisher = qfi_state(state, n, tol)
+    fisher = (qfi_pure(state, n, tol) if state.is_pure
+              else qfi_spectral(state, model.rotation.generator, tol=tol))
     fisher_cl = model.classical_fisher(theta_true)
     qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
     ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from modefisher import (Direction, MonomialOp, apply_generator, bogolubov_frame,
+from modefisher import (Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, commutator_residual, direction_generator,
                         frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import ladder
+from modefisher.collective import apply_generator, ladder
 
 
 class TestDirection:
