@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
-                         direction_generator, schwinger)
+                         direction_generator, propagate, schwinger)
 from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
 from .metrology import NonIdentifiableError, classical_fisher, monte_carlo_estimate, rotate
@@ -314,6 +314,16 @@ def _selftest_checks():
     v = frame_change_unitary(100, bogolubov_frame(0.4))
     yield "frame-unitarity", np.abs(v.conj().T @ v - np.eye(101)).max() <= 1e-12
 
+    # the matrix-free path that serves large N, against the dense one; |theta| > 2 pi
+    ok = True
+    for big_n in (1, 7, 40):
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        c /= np.linalg.norm(c)
+        for n in (Direction(1.0, 0.0, 0.0), Direction(0.6, 0.0, 0.8)):
+            dense = Rotation(big_n, n).unitary(6.5) @ c
+            ok = ok and np.abs(propagate(big_n, n, c, 6.5) - dense).max() <= 1e-12
+    yield "propagator-vs-dense", ok
+
 
 def _cmd_selftest(args) -> int:
     checks = [{"name": name, "passed": bool(passed)} for name, passed in _selftest_checks()]
@@ -324,10 +334,27 @@ def _cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _error_report(error_type: str, message: str) -> None:
+    _emit_json({"schema_version": SCHEMA_VERSION,
+                "error": {"type": error_type, "message": message}})
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Usage errors give the JSON error object and exit 2, like validation errors.
+
+    Subparsers are built with the parser's own class, so every subcommand inherits this.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _error_report("UsageError", f"{self.prog}: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="modefisher",
-                                     description="Mode entanglement and quantum Fisher "
-                                                 "information for two-mode bosonic sectors")
+    parser = _JsonErrorParser(prog="modefisher",
+                              description="Mode entanglement and quantum Fisher "
+                                          "information for two-mode bosonic sectors")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, fmt=True):
@@ -400,8 +427,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, NonIdentifiableError, KeyError, OSError, json.JSONDecodeError,
             MemoryError) as exc:
-        _emit_json({"schema_version": SCHEMA_VERSION,
-                    "error": {"type": type(exc).__name__, "message": str(exc)}})
+        _error_report(type(exc).__name__, str(exc))
         return 2
 
 

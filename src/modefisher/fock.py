@@ -144,14 +144,12 @@ def monomial_matrix(op: MonomialOp, n_particles: int) -> np.ndarray:
     return mat
 
 
-def expectation(state: SectorState, matrix, frame: ModeFrame | None = None) -> complex:
-    """Tr[rho M] (or <psi|M|psi>); ``frame``, when given, must match the state's."""
+def expectation(state: SectorState, matrix) -> complex:
+    """Tr[rho M] (or <psi|M|psi>), with M given in the state's own Fock basis."""
     mat = np.asarray(matrix, dtype=complex)
     dim = state.dim
     if mat.shape != (dim, dim):
         raise ValueError(f"matrix shape {mat.shape} does not match sector dimension {dim}")
-    if frame is not None and not state.frame.matches(frame):
-        raise ValueError("matrix frame does not match the state's frame")
     if state.amplitudes is not None:
         c = state.amplitudes
         return complex(c.conj() @ mat @ c)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Rotation
+from .collective import Direction, Rotation, propagate, uses_propagator
 
 UNITARITY_TOL = 1e-12
 
@@ -45,9 +45,6 @@ class ModeFrame:
             raise ValueError(f"mode mixing is not unitary (residual {residual:.3e})")
         object.__setattr__(self, "mixing", u)
 
-    def matches(self, other: "ModeFrame", tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.mixing - other.mixing).max() <= tol)
-
     @property
     def is_spatial(self) -> bool:
         return bool(np.abs(self.mixing - np.eye(2)).max() <= UNITARITY_TOL)
@@ -73,8 +70,8 @@ def custom_frame(mixing) -> ModeFrame:
     return ModeFrame(np.asarray(mixing, dtype=complex), label="custom")
 
 
-def _spin_image(n_particles: int, u: np.ndarray) -> np.ndarray:
-    """Gamma(U) = e^{iaN} exp(-2ib J_n) for U = e^{ia}(cos b - i sin b n.sigma)."""
+def _spin_parameters(u: np.ndarray) -> tuple[float, float, Direction]:
+    """(a, b, n) with U = e^{ia}(cos b - i sin b n.sigma), so Gamma(U) = e^{iaN} exp(-2ib J_n)."""
     a = 0.5 * float(np.angle(np.linalg.det(u)))
     w = np.exp(-1j * a) * u
     # (i/2) tr(sigma_k W) = sin(b) n_k for W = cos b - i sin b n.sigma in SU(2)
@@ -84,7 +81,21 @@ def _spin_image(n_particles: int, u: np.ndarray) -> np.ndarray:
     sin_b = float(np.linalg.norm(sin_b_n))
     b = math.atan2(sin_b, 0.5 * float(np.trace(w).real))
     n = Direction(*(sin_b_n / sin_b)) if sin_b > 0.0 else Direction(0.0, 0.0, 1.0)
+    return a, b, n
+
+
+def _spin_image(n_particles: int, u: np.ndarray) -> np.ndarray:
+    """Gamma(U) as a dense matrix, from one eigendecomposition of J_n."""
+    a, b, n = _spin_parameters(u)
     return np.exp(1j * a * n_particles) * Rotation(n_particles, n).unitary(-2.0 * b)
+
+
+def _spin_image_times(n_particles: int, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Gamma(U) c: dense below PROPAGATOR_MIN_N, else matrix-free in O(N) memory."""
+    if not uses_propagator(n_particles):
+        return _spin_image(n_particles, u) @ c
+    a, b, n = _spin_parameters(u)
+    return np.exp(1j * a * n_particles) * propagate(n_particles, n, c, -2.0 * b)
 
 
 def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
@@ -100,19 +111,24 @@ def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> n
     """Amplitudes of the spatial Fock state |k, N-k> over the frame's Fock basis."""
     if not 0 <= k <= n_particles:
         raise ValueError(f"k={k} out of range 0 <= k <= N={n_particles}")
-    return frame_change_unitary(n_particles, frame)[:, k].copy()
+    unit = np.zeros(n_particles + 1, dtype=complex)
+    unit[k] = 1.0
+    return _spin_image_times(n_particles, frame.mixing, unit)
 
 
 def transform_state(state, frame: ModeFrame):
     """Re-express a SectorState in a new mode frame; norm and trace are preserved.
 
     The change is Gamma(U_new U_old^dag); a frame with a bitwise-equal mixing keeps the data.
+    Pure states from PROPAGATOR_MIN_N on are moved without forming Gamma(U).
     """
     from .fock import SectorState
 
     if np.array_equal(frame.mixing, state.frame.mixing):
         return SectorState(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
-    v = _spin_image(state.n_particles, frame.mixing @ state.frame.mixing.conj().T)
+    change = frame.mixing @ state.frame.mixing.conj().T
     if state.amplitudes is not None:
-        return SectorState(state.n_particles, frame, amplitudes=v @ state.amplitudes)
+        return SectorState(state.n_particles, frame,
+                           amplitudes=_spin_image_times(state.n_particles, change, state.amplitudes))
+    v = _spin_image(state.n_particles, change)
     return SectorState(state.n_particles, frame, rho=v @ state.rho @ v.conj().T)

@@ -6,6 +6,14 @@ p_m(theta) = <m, N-m| U rho U^dag |m, N-m>.  Phase estimates maximize the
 multinomial log-likelihood over a grid on (0, pi/2), refined by golden-section
 search for all trials together; one rotation model per estimate gives them all.
 
+The model has two paths.  Density matrices and pure states below
+``collective.PROPAGATOR_MIN_N`` (250) rotate through one dense eigendecomposition
+of J_n; pure states from there on use the matrix-free propagator, stream the
+grid block by block and refine each trial from its best grid point.  An estimate
+of 3 trials x 10^4 shots (one BLAS thread, 2-core Xeon) takes 33 ms dense and
+28 ms propagated at N = 250, 785 ms and 72 ms at N = 1000, and about 3 s
+propagated at N = 10^4.
+
 Sampling uses numpy's Philox counter-based generator keyed by
 (seed, trial_index), so runs are reproducible shot for shot and trials are
 independent.
@@ -17,12 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Rotation
+from .collective import Direction, Propagator, Rotation, apply_generator, uses_propagator
 from .fock import DEFAULT_TOL, SectorState, validate_state
 from .qfi import qfi_pure, qfi_spectral
 
 DEFAULT_WINDOW = (0.0, math.pi / 2)
 GRID_POINTS = 512
+# grid points per propagated step: a block costs about 1.6 GRID_BLOCK + 35 banded products
+# and one matrix product; 16 gave the least time per point at N = 10^4
+GRID_BLOCK = 16
 REFINE_TOL = 1e-8
 FLAT_LIKELIHOOD_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,23 +66,42 @@ class EstimationRun:
 
 
 class _RotationModel:
-    """Cached eigendecomposition of J_n for repeated rotations of one state."""
+    """exp(i theta J_n) for repeated rotations of one state.
+
+    Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N keep one dense
+    eigendecomposition of J_n; pure states from PROPAGATOR_MIN_N on use the matrix-free
+    :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.
+    """
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
         violations = validate_state(state, tol)
         if violations:
             raise ValueError(f"invalid state: {', '.join(violations)}")
         self.state = state
-        self.rotation = Rotation(state.n_particles, n)
-        self._psi_eig = None
-        if state.amplitudes is not None:
-            self._psi_eig = self.rotation.eigenvectors.conj().T @ state.amplitudes
+        self.direction = n
+        self.rotation = self.propagator = self._psi_eig = None
+        if state.is_pure and uses_propagator(state.n_particles):
+            self.propagator = Propagator(state.n_particles, n)
+        else:
+            self.rotation = Rotation(state.n_particles, n)
+            if state.is_pure:
+                self._psi_eig = self.rotation.eigenvectors.conj().T @ state.amplitudes
+
+    def amplitudes(self, theta) -> np.ndarray:
+        """exp(i theta J_n) c at every angle of `theta` (pure states): theta.shape + (N+1,)."""
+        theta = np.asarray(theta, dtype=float)
+        if self.propagator is not None:
+            return self.propagator.apply(self.state.amplitudes,
+                                         self.propagator.coefficients(theta))
+        # exp in place: at most two (angles, N+1) complex arrays live at once
+        amp = np.multiply.outer(theta, 1j * self.rotation.eigenvalues)
+        amp = np.exp(amp, out=amp) * self._psi_eig
+        return amp @ self.rotation.eigenvectors.T
 
     def rotated(self, theta: float) -> SectorState:
-        if self._psi_eig is not None:
-            phase = np.exp(1j * theta * self.rotation.eigenvalues)
-            c = self.rotation.eigenvectors @ (phase * self._psi_eig)
-            return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
+        if self.state.is_pure:
+            return SectorState(self.state.n_particles, self.state.frame,
+                               amplitudes=self.amplitudes(theta))
         u = self.rotation.unitary(theta)
         return SectorState(self.state.n_particles, self.state.frame,
                            rho=u @ self.state.rho @ u.conj().T)
@@ -79,34 +109,60 @@ class _RotationModel:
     def probabilities(self, theta) -> np.ndarray:
         """p_m at every angle of `theta` (shape theta.shape + (N+1,)); mixed states loop."""
         theta = np.asarray(theta, dtype=float)
-        if self._psi_eig is not None:
-            # exp in place: at most two (angles, N+1) complex arrays live at once
-            amp = np.multiply.outer(theta, 1j * self.rotation.eigenvalues)
-            amp = np.exp(amp, out=amp) * self._psi_eig
-            amp = amp @ self.rotation.eigenvectors.T
-            p = np.abs(amp) ** 2
+        if self.state.is_pure:
+            p = np.abs(self.amplitudes(theta)) ** 2
         else:
             p = np.array([np.diag(self.rotated(t).rho).real for t in theta.ravel()])
             p = p.reshape(theta.shape + (self.state.dim,))
         np.clip(p, 0.0, None, out=p)
         return p
 
+    def grid_blocks(self, grid: np.ndarray):
+        """(first index, p, amplitudes) over consecutive blocks of an evenly spaced grid.
+
+        The propagated path steps GRID_BLOCK points at a time from the last amplitudes,
+        with one set of coefficients for every block; the dense path and mixed states give
+        the whole grid as one block, without amplitudes.
+        """
+        if self.propagator is None:
+            yield 0, self.probabilities(grid), None
+            return
+        amp = self.amplitudes(grid[:1])
+        yield 0, np.abs(amp) ** 2, amp
+        steps = self.propagator.coefficients((grid[1] - grid[0]) * np.arange(1, GRID_BLOCK + 1))
+        for start in range(1, len(grid), GRID_BLOCK):
+            amp = self.propagator.apply(amp[-1], steps[:len(grid) - start])
+            yield start, np.abs(amp) ** 2, amp
+
     def log_likelihood(self, theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """sum_m counts[i, m] log p_m(theta[i]) for each row i."""
-        log_p = np.log(np.clip(self.probabilities(theta), 1e-300, None))
-        return np.einsum("im,im->i", counts, log_p)
+        return _log_likelihood(self.probabilities(theta), counts)
 
-    def classical_fisher(self, theta: float) -> float:
-        """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, dp_m/dtheta = -2 Im (J_n rho(theta))_mm."""
-        rho = self.rotated(theta).density_matrix()
-        p = np.diag(rho).real
-        dp = -2.0 * np.einsum("mj,jm->m", self.rotation.generator.matrix, rho).imag
+    def classical_fisher(self, theta: float, amplitudes: np.ndarray | None = None) -> float:
+        """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, from the exact derivative of p_m.
+
+        A pure state c(theta) (`amplitudes`, when already computed) gives
+        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m) in O(N); a density matrix gives
+        -2 Im (J_n rho(theta))_mm.
+        """
+        if self.state.is_pure:
+            c = self.amplitudes(theta) if amplitudes is None else amplitudes
+            p = (c * c.conj()).real
+            dp = -2.0 * (c.conj() * apply_generator(self.state.n_particles, self.direction, c)).imag
+        else:
+            rho = self.rotated(theta).rho
+            p = np.diag(rho).real
+            dp = -2.0 * np.einsum("mj,jm->m", self.rotation.generator.matrix, rho).imag
         keep = p > 1e-12
         return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
+def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    return np.einsum("im,im->i", counts, np.log(np.clip(p, 1e-300, None)))
+
+
 def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_TOL) -> SectorState:
-    """Apply exp(i theta J_n) through the eigendecomposition of J_n."""
+    """Apply exp(i theta J_n): dense below PROPAGATOR_MIN_N or for rho, matrix-free above."""
     return _RotationModel(state, n, tol).rotated(theta)
 
 
@@ -121,15 +177,16 @@ def classical_fisher(state: SectorState, n: Direction, theta: float,
     return _RotationModel(state, n, tol).classical_fisher(theta)
 
 
-def _golden_max(model: _RotationModel, counts: np.ndarray, a: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
+def _golden_max(loglik, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section maximum of each row's log-likelihood on [a_i, b_i] (updated in place).
 
+    `loglik(theta, rows)` gives the log-likelihoods of trials `rows` at angles `theta`.
     All rows step together; a row stops once its bracket is narrower than REFINE_TOL.
     """
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = model.log_likelihood(c, counts), model.log_likelihood(d, counts)
+    every = np.arange(len(a))
+    fc, fd = loglik(c, every), loglik(d, every)
     active = np.flatnonzero(b - a > REFINE_TOL)
     while active.size:
         left = fc[active] > fd[active]  # the maximum lies in [a, d]
@@ -138,10 +195,45 @@ def _golden_max(model: _RotationModel, counts: np.ndarray, a: np.ndarray,
         c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
         a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
         d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-        f = model.log_likelihood(np.where(left, c[active], d[active]), counts[active])
+        f = loglik(np.where(left, c[active], d[active]), active)
         fc[lt], fd[rt] = f[left], f[~left]
         active = active[b[active] - a[active] > REFINE_TOL]
     return 0.5 * (a + b)
+
+
+def _estimation_grid(n_particles: int) -> np.ndarray:
+    """max(GRID_POINTS, N//2 + 1) points over DEFAULT_WINDOW: spacing at most pi/N, below the
+    likelihood's fringe period of about 2 pi/N, so a bracket cannot hold a side fringe."""
+    return np.linspace(*DEFAULT_WINDOW, max(GRID_POINTS, n_particles // 2 + 1))
+
+
+def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
+    """Each trial's grid index of largest log-likelihood, streamed block by block.
+
+    Also returns the amplitudes at those indices on the propagated path (else None), and
+    raises NonIdentifiableError when no p_m moves over the grid.
+    """
+    trials = len(counts)
+    best, best_ll = np.zeros(trials, dtype=int), np.full(trials, -np.inf)
+    anchors = np.empty(counts.shape, dtype=complex) if model.propagator is not None else None
+    p_max = p_min = None
+    for start, p, amp in model.grid_blocks(grid):
+        p_max = p.max(axis=0) if p_max is None else np.maximum(p_max, p.max(axis=0))
+        p_min = p.min(axis=0) if p_min is None else np.minimum(p_min, p.min(axis=0))
+        log_p = np.log(np.clip(p, 1e-300, None, out=p), out=p)
+        for trial in range(trials):
+            ll = log_p @ counts[trial]
+            i = int(np.argmax(ll))
+            if ll[i] > best_ll[trial]:  # the first maximum wins, as in one argmax
+                best[trial], best_ll[trial] = start + i, ll[i]
+                if anchors is not None:
+                    anchors[trial] = amp[i]
+    if float((p_max - p_min).max()) < FLAT_LIKELIHOOD_TOL:
+        raise NonIdentifiableError(
+            "outcome probabilities are flat over the estimation window; "
+            "theta is not identifiable for this configuration"
+        )
+    return best, anchors
 
 
 def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
@@ -150,41 +242,44 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     """Run `trials` independent maximum-likelihood estimations of theta_true.
 
     Each trial draws `shots` outcomes from p(theta_true) by inverse-CDF
-    sampling and maximizes the log-likelihood on a GRID_POINTS grid over
-    DEFAULT_WINDOW; all trials are then refined together to REFINE_TOL.
+    sampling and maximizes the log-likelihood on a grid over DEFAULT_WINDOW of
+    max(GRID_POINTS, N//2 + 1) points, so that the spacing stays below the
+    likelihood's fringe period of about 2 pi/N; all trials are then refined
+    together to REFINE_TOL.  On the propagated path each refinement rotates
+    from its trial's best grid point.
     """
     if trials < 1 or shots < 1:
         raise ValueError("trials and shots must both be >= 1")
     model = _RotationModel(state, n, tol)
-    grid = np.linspace(*DEFAULT_WINDOW, GRID_POINTS)
-    prob_grid = model.probabilities(grid)
-    spread = float((prob_grid.max(axis=0) - prob_grid.min(axis=0)).max())
-    if spread < FLAT_LIKELIHOOD_TOL:
-        raise NonIdentifiableError(
-            "outcome probabilities are flat over the estimation window; "
-            "theta is not identifiable for this configuration"
-        )
-    log_grid = np.log(np.clip(prob_grid, 1e-300, None, out=prob_grid), out=prob_grid)
-
-    p_true = model.probabilities(theta_true)
+    psi_true = model.amplitudes(theta_true) if state.is_pure else None
+    p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
     p_true = p_true / p_true.sum()
     cdf = np.cumsum(p_true)
     cdf[-1] = 1.0
 
     counts = np.empty((trials, state.dim))
-    best = np.empty(trials, dtype=int)
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
         draws = np.searchsorted(cdf, rng.random(shots), side="right")
         counts[trial] = np.bincount(draws, minlength=state.dim)
-        best[trial] = np.argmax(log_grid @ counts[trial])
-    estimates = _golden_max(model, counts, grid[np.maximum(best - 1, 0)],
-                            grid[np.minimum(best + 1, GRID_POINTS - 1)])
+
+    grid = _estimation_grid(state.n_particles)
+    best, anchors = _grid_maxima(model, grid, counts)
+    if anchors is None:
+        def loglik(theta, rows):
+            return model.log_likelihood(theta, counts[rows])
+    else:
+        def loglik(theta, rows):
+            coef = model.propagator.coefficients(theta - grid[best[rows]])
+            amp = model.propagator.apply(anchors[rows], coef)
+            return _log_likelihood(np.abs(amp) ** 2, counts[rows])
+    estimates = _golden_max(loglik, grid[np.maximum(best - 1, 0)],
+                            grid[np.minimum(best + 1, len(grid) - 1)])
 
     empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
     fisher = (qfi_pure(state, n, tol) if state.is_pure
               else qfi_spectral(state, model.rotation.generator, tol=tol))
-    fisher_cl = model.classical_fisher(theta_true)
+    fisher_cl = model.classical_fisher(theta_true, psi_true)
     qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
     ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
     return EstimationRun(theta_true, n, trials, shots, estimates, empirical_std, qcrb, ccrb, seed,

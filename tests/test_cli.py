@@ -198,6 +198,29 @@ class TestRotateCommand:
         state = state_from_json(state_obj)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
+    def test_fock_state_at_n_1e4_builds_no_dense_matrix(self, capsys, tmp_path):
+        # the dense route's (N+1)^2 complex matrices at N = 10^4 take 1.6 GB each
+        big_n, k, theta = 10_000, 3_000, 0.3
+        n = np.array([0.48, 0.64, 0.6])
+        path = write_json(tmp_path / "fock.json", {"N": big_n, "kind": "fock", "k": k})
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, ["rotate", "--state", path, "--direction",
+                                         ",".join(map(str, n)), "--theta", str(theta)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2 ** 20
+        state = json.loads(out)["state"]
+        p = np.array(state["amplitudes_re"]) ** 2 + np.array(state["amplitudes_im"]) ** 2
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        # <J_z> after exp(i theta J_n): the spin vector (0, 0, (2k - N)/2) turned by -theta about n
+        spin = np.array([0.0, 0.0, (2 * k - big_n) / 2])
+        turned = (spin * math.cos(theta) - np.cross(n, spin) * math.sin(theta)
+                  + n * (n @ spin) * (1 - math.cos(theta)))
+        assert p @ (np.arange(big_n + 1) - big_n / 2) == pytest.approx(turned[2], abs=1e-8)
+
 
 class TestEstimateCommand:
     def test_small_run(self, capsys, twin4):
@@ -284,7 +307,39 @@ class TestSelftest:
         assert code == 0
         assert report["failed"] == 0
         assert report["passed"] >= 5
-        assert "frame-unitarity" in [c["name"] for c in report["checks"]]
+        names = [c["name"] for c in report["checks"]]
+        assert "frame-unitarity" in names and "propagator-vs-dense" in names
+
+
+class TestUsageErrors:
+    def test_negative_direction_without_equals_gives_json_error(self, capsys, twin4):
+        # argparse reads "-1,0,0" as an option, not as the value of --direction
+        with pytest.raises(SystemExit) as exit_info:
+            main(["qfi", "--state", twin4, "--direction", "-1,0,0"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "UsageError"
+        assert "--direction" in error["message"]
+        assert json.loads(captured.out)["schema_version"] == "1"
+        assert "usage:" in captured.err
+        code, out = run_cli(capsys, ["qfi", "--state", twin4, "--direction=-1,0,0"])
+        assert code == 0 and json.loads(out)["fisher"] == pytest.approx(12.0, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["estimate", "--state", "x.json"],
+                                      ["rotate", "--state", "x.json", "--direction", "1,0,0",
+                                       "--theta", "abc"]])
+    def test_every_parser_gives_json_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "UsageError"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rotate", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def test_tolerance_env_override(capsys, tmp_path, monkeypatch, twin4):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from modefisher import (Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, commutator_residual, direction_generator,
                         frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import apply_generator, ladder
+from modefisher.collective import (Propagator, Rotation, _bessel_j, apply_generator, ladder,
+                                   propagate)
 
 
 class TestDirection:
@@ -148,3 +150,82 @@ def test_exp_jz_is_diagonal():
     off = full - np.diag(np.diag(full))
     assert np.abs(off).max() <= 1e-12
     assert np.allclose(np.abs(np.diag(full)), 1.0)
+
+
+def _random_state_and_direction(rng, big_n):
+    c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+    v = rng.normal(size=3)
+    v[2] = math.copysign(max(abs(v[2]), 0.2), v[2])  # n_z != 0: the diagonal band is live
+    return c / np.linalg.norm(c), Direction(*(v / np.linalg.norm(v)))
+
+
+PROPAGATOR_ANGLES = [0.0, 1e-9, 0.3, -2.0, 3.1, 7.5, -20.0]
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 5, 30, 200, 1000])
+    def test_matches_dense_rotation(self, big_n):
+        rng = np.random.default_rng(big_n)
+        c, n = _random_state_and_direction(rng, big_n)
+        rotation = Rotation(big_n, n)
+        in_eigenbasis = rotation.eigenvectors.conj().T @ c
+        many = propagate(big_n, n, c, PROPAGATOR_ANGLES)
+        for theta, row in zip(PROPAGATOR_ANGLES, many):
+            # Rotation.unitary(theta) @ c, without forming the unitary
+            dense = rotation.eigenvectors @ (np.exp(1j * theta * rotation.eigenvalues) * in_eigenbasis)
+            one = propagate(big_n, n, c, theta)
+            assert np.abs(one - dense).max() <= 1e-12
+            assert np.abs(row - dense).max() <= 1e-12
+            assert abs(np.linalg.norm(one) - 1.0) <= 1e-13
+
+    def test_rows_take_their_own_angles(self):
+        rng = np.random.default_rng(3)
+        big_n = 40
+        _, n = _random_state_and_direction(rng, big_n)
+        rows = rng.normal(size=(4, big_n + 1)) + 1j * rng.normal(size=(4, big_n + 1))
+        angles = np.array([0.0, 0.5, -4.0, 9.0])
+        out = propagate(big_n, n, rows, angles)
+        rotation = Rotation(big_n, n)
+        for row, theta, got in zip(rows, angles, out):
+            assert np.abs(got - rotation.unitary(theta) @ row).max() <= 1e-12
+
+    def test_coefficients_reused_across_vectors(self):
+        big_n, n = 25, Direction(0.0, 1.0, 0.0)
+        propagator = Propagator(big_n, n)
+        coef = propagator.coefficients(np.array([0.2, 0.4]))
+        c = np.zeros(big_n + 1, dtype=complex)
+        c[3] = 1.0
+        first = propagator.apply(c, coef)
+        second = propagator.apply(first[0], coef[:1])
+        assert np.abs(second[0] - first[1]).max() <= 1e-13
+
+    def test_full_turn_is_parity(self):
+        # exp(2 pi i J_n) = (-1)^N: the reduction mod 2 pi carries the sign
+        for big_n in (3, 4):
+            c = np.linspace(1.0, 2.0, big_n + 1).astype(complex)
+            out = propagate(big_n, Direction(1.0, 0.0, 0.0), c, 2.0 * math.pi)
+            assert np.abs(out - (-1) ** big_n * c).max() <= 1e-13
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(300, Direction(1.0, 0.0, 0.0), np.ones(301), theta)
+
+    @pytest.mark.parametrize("x", [0.0, 3e-9, 0.05, -0.7, 2.5, -9.0])
+    def test_bessel_matches_power_series(self, x):
+        # the series summed in exact rationals, so its cancellation costs nothing
+        j = _bessel_j(np.array([x]))[0]
+        half = Fraction(x) / 2
+        for k, value in enumerate(j):
+            series = sum((-1) ** m * half ** (2 * m + k) / (math.factorial(m) * math.factorial(m + k))
+                         for m in range(60))
+            assert value == pytest.approx(float(series), abs=2e-16)
+
+    @pytest.mark.parametrize("x", [40.0, -700.0, 5000.0])
+    def test_bessel_large_argument(self, x):
+        j = _bessel_j(np.array([x]))[0]
+        # J_0^2 + 2 sum J_k^2 = 1 is independent of the normalization the recurrence uses
+        assert j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) == pytest.approx(1.0, abs=1e-13)
+        assert len(j) < abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30
+        wider = _bessel_j(np.array([x, 1.2 * x]))[0]  # the second row needs more orders
+        assert np.abs(wider[len(j):]).max() < 1e-17 <= abs(j[-1])

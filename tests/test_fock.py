@@ -97,11 +97,6 @@ class TestExpectation:
         with pytest.raises(ValueError, match="dimension"):
             expectation(make_fock_state(0, 2), np.eye(2))
 
-    def test_frame_mismatch(self):
-        from modefisher import bogolubov_frame
-        with pytest.raises(ValueError, match="frame"):
-            expectation(make_fock_state(0, 2), np.eye(3), frame=bogolubov_frame(0.0))
-
     def test_fock_expectations_factorize(self):
         # <k,N-k|A1 A2|k,N-k> = <k|A1|k> <N-k|A2|N-k> for number-conserving pairs
         for big_n in range(0, 13, 3):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modefisher import (Direction, bogolubov_frame, custom_frame, density_state,
-                        direction_generator, fock_expansion_coefficients,
-                        frame_change_unitary, make_fock_state, schwinger,
+from modefisher import (Direction, bogolubov_frame, collective, custom_frame, density_state,
+                        direction_generator, fock_expansion_coefficients, frames,
+                        frame_change_unitary, make_fock_state, pure_state, schwinger,
                         spatial_frame, transform_state)
 
 SQ2 = math.sqrt(2)
@@ -196,3 +196,37 @@ def test_fock_states_never_diagonal_in_bogolubov_frames():
                                       bogolubov_frame(phi)).density_matrix()
                 off = rho - np.diag(np.diag(rho))
                 assert np.abs(off).max() > 1e-6
+
+
+class TestPropagatedPath:
+    """Pure states from PROPAGATOR_MIN_N on change frames without forming Gamma(U)."""
+
+    @pytest.mark.parametrize("big_n", [1, 40, 200])
+    def test_matches_dense_route(self, big_n, monkeypatch):
+        rng = np.random.default_rng(big_n)
+        old, new = (custom_frame(random_unitary_2x2(rng)) for _ in range(2))
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        state = pure_state(c / np.linalg.norm(c), old)
+        k = big_n // 3
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n + 1)
+        dense_state = transform_state(state, new).amplitudes
+        dense_fock = fock_expansion_coefficients(k, big_n, new)
+        assert np.array_equal(dense_fock, frame_change_unitary(big_n, new)[:, k])
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)
+        assert np.abs(transform_state(state, new).amplitudes - dense_state).max() <= 1e-12
+        assert np.abs(fock_expansion_coefficients(k, big_n, new) - dense_fock).max() <= 1e-12
+
+    def test_from_the_crossover_on_no_eigendecomposition(self, monkeypatch):
+        big_n = collective.PROPAGATOR_MIN_N
+
+        def no_dense(*args):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(frames, "Rotation", no_dense)
+        state = make_fock_state(big_n // 3, big_n)
+        moved = transform_state(state, bogolubov_frame(0.4))
+        assert np.sum(np.abs(moved.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+        back = transform_state(moved, spatial_frame())
+        assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-12
+        column = fock_expansion_coefficients(big_n // 3, big_n, bogolubov_frame(0.4))
+        assert np.abs(column - moved.amplitudes).max() <= 1e-12

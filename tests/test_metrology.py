@@ -7,7 +7,7 @@ from modefisher import (Direction, NonIdentifiableError, classical_fisher, densi
                         diagonal_state, direction_generator, make_fock_state,
                         measurement_probabilities, monte_carlo_estimate,
                         pure_state, qfi_spectral, rotate)
-from modefisher import metrology
+from modefisher import collective, metrology
 from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
 
 
@@ -195,3 +195,59 @@ class TestMonteCarloEstimate:
             lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)]
             assert abs(estimate - _scalar_golden_max(loglik, lo, hi, REFINE_TOL)) <= 2 * REFINE_TOL
         assert 0 < at_edge < trials
+
+
+class TestPropagatedPath:
+    """Pure states from PROPAGATOR_MIN_N on rotate matrix-free; they match the dense route."""
+
+    @staticmethod
+    def _state(big_n, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        return pure_state(c / np.linalg.norm(c)), Direction(0.48, 0.64, 0.6)
+
+    @pytest.mark.parametrize("big_n", [1, 6, 60])
+    def test_model_matches_dense_route(self, big_n, monkeypatch):
+        state, n = self._state(big_n, big_n)
+        angles = np.array([0.0, 0.4, 1.3, -2.0, 8.0])
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n + 1)
+        dense = metrology._RotationModel(state, n)
+        assert dense.propagator is None
+        p_dense, f_dense = dense.probabilities(angles), dense.classical_fisher(0.7)
+        c_dense = rotate(state, n, 1.1).amplitudes
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)
+        model = metrology._RotationModel(state, n)
+        assert model.rotation is None
+        assert np.abs(model.probabilities(angles) - p_dense).max() <= 1e-12
+        assert model.classical_fisher(0.7) == pytest.approx(f_dense, rel=1e-10)
+        assert np.abs(rotate(state, n, 1.1).amplitudes - c_dense).max() <= 1e-12
+
+    def test_estimate_matches_dense_route(self, monkeypatch):
+        # 512 grid points in blocks of GRID_BLOCK, refinements rotated from the best points
+        state, n = make_fock_state(20, 40), Direction(1, 0, 0)
+        args = (0.6, 5, 2000, 11)
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", 41)
+        dense = monte_carlo_estimate(state, n, *args)
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", 40)
+        propagated = monte_carlo_estimate(state, n, *args)
+        assert np.abs(propagated.estimates - dense.estimates).max() <= 2 * REFINE_TOL
+        assert propagated.classical_fisher == pytest.approx(dense.classical_fisher, rel=1e-12)
+        assert propagated.fisher == dense.fisher
+
+    def test_non_identifiable_on_propagated_path(self, monkeypatch):
+        # a Fock state under J_z only picks up phases: p_m is flat in theta
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", 1)
+        with pytest.raises(NonIdentifiableError):
+            monte_carlo_estimate(make_fock_state(3, 8), Direction(0, 0, 1), 0.3, 2, 50, 1)
+
+
+def test_fine_grid_avoids_fringe_lock(monkeypatch):
+    # At N = 2000 the likelihood's fringes are about 2 pi/N = 3e-3 apart, under two steps
+    # of a 512-point grid: golden section then climbs a side fringe inside the bracket.
+    state, n, theta = make_fock_state(1000, 2000), Direction(1, 0, 0), 0.3856
+    fine = monte_carlo_estimate(state, n, theta, 1, 1000, 3)
+    assert abs(fine.estimates[0] - theta) < 5 * fine.ccrb
+    monkeypatch.setattr(metrology, "_estimation_grid",
+                        lambda n_particles: np.linspace(*DEFAULT_WINDOW, GRID_POINTS))
+    coarse = monte_carlo_estimate(state, n, theta, 1, 1000, 3)
+    assert abs(coarse.estimates[0] - theta) > 100 * coarse.ccrb
