@@ -148,7 +148,10 @@ class _RotationModel:
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             p = (c * c.conj()).real
-            dp = -2.0 * (c.conj() * apply_generator(self.state.n_particles, self.direction, c)).imag
+            # the dense path holds J_n already; building its bands again costs more below N ~ 100
+            jc = (apply_generator(self.state.n_particles, self.direction, c)
+                  if self.rotation is None else self.rotation.generator.matrix @ c)
+            dp = -2.0 * (c.conj() * jc).imag
         else:
             rho = self.rotated(theta).rho
             p = np.diag(rho).real
