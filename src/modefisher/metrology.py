@@ -142,13 +142,13 @@ class _RotationModel:
         """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, from the exact derivative of p_m.
 
         A pure state c(theta) (`amplitudes`, when already computed) gives
-        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m) in O(N); a density matrix gives
-        -2 Im (J_n rho(theta))_mm.
+        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho (and is O(N) on the
+        propagated path); a density matrix gives -2 Im (J_n rho(theta))_mm.
         """
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             p = (c * c.conj()).real
-            # the dense path holds J_n already; building its bands again costs more below N ~ 100
+            # the dense path holds J_n already: building its bands again costs more at small N
             jc = (apply_generator(self.state.n_particles, self.direction, c)
                   if self.rotation is None else self.rotation.generator.matrix @ c)
             dp = -2.0 * (c.conj() * jc).imag
