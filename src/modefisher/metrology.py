@@ -219,10 +219,10 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
     trials = len(counts)
     best, best_ll = np.zeros(trials, dtype=int), np.full(trials, -np.inf)
     anchors = np.empty(counts.shape, dtype=complex) if model.propagator is not None else None
-    p_max = p_min = None
+    p_max, p_min = np.full(counts.shape[1], -np.inf), np.full(counts.shape[1], np.inf)
     for start, p, amp in model.grid_blocks(grid):
-        p_max = p.max(axis=0) if p_max is None else np.maximum(p_max, p.max(axis=0))
-        p_min = p.min(axis=0) if p_min is None else np.minimum(p_min, p.min(axis=0))
+        np.maximum(p_max, p.max(axis=0), out=p_max)
+        np.minimum(p_min, p.min(axis=0), out=p_min)
         log_p = np.log(np.clip(p, 1e-300, None, out=p), out=p)
         for trial in range(trials):
             ll = log_p @ counts[trial]
