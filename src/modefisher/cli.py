@@ -210,13 +210,14 @@ def _cmd_sweep(args) -> int:
 
         fisher_spectral = qfi_state(state, direction, tol)
         fisher_closed, _ = _closed_form_fisher(state, direction, tol)
-        fisher_cl = classical_fisher(state, direction, theta, tol)
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
-        ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
         if trials > 0:
+            # the run's rotation model gives F_cl at theta, so no second model is built
             run = monte_carlo_estimate(state, direction, theta, trials, shots, args.seed, tol)
-            empirical_std = run.empirical_std
+            fisher_cl, ccrb, empirical_std = run.classical_fisher, run.ccrb, run.empirical_std
         else:
+            fisher_cl = classical_fisher(state, direction, theta, tol)
+            ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
             empirical_std = math.nan
         rows.append({"param": value, "F_closed": fisher_closed,
                      "F_spectral": fisher_spectral, "F_cl": fisher_cl,

@@ -14,9 +14,10 @@ of 3 trials x 10^4 shots (one BLAS thread, 2-core Xeon) takes 33 ms dense and
 28 ms propagated at N = 250, 785 ms and 72 ms at N = 1000, and about 3 s
 propagated at N = 10^4.
 
-Sampling uses numpy's Philox counter-based generator keyed by
-(seed, trial_index), so runs are reproducible shot for shot and trials are
-independent.
+Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
+Philox counter-based generator keyed by (seed, trial_index), so runs are
+reproducible from the seed, trials are independent, and sampling costs O(N) time
+and memory per trial whatever the number of shots.
 """
 from __future__ import annotations
 
@@ -89,7 +90,7 @@ class _RotationModel:
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c at every angle of `theta` (pure states): theta.shape + (N+1,)."""
-        theta = np.asarray(theta, dtype=float)
+        theta = _angles(theta)
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
@@ -102,7 +103,7 @@ class _RotationModel:
         if self.state.is_pure:
             return SectorState(self.state.n_particles, self.state.frame,
                                amplitudes=self.amplitudes(theta))
-        u = self.rotation.unitary(theta)
+        u = self.rotation.unitary(_angles(theta))
         return SectorState(self.state.n_particles, self.state.frame,
                            rho=u @ self.state.rho @ u.conj().T)
 
@@ -158,6 +159,14 @@ class _RotationModel:
             dp = -2.0 * np.einsum("mj,jm->m", self.rotation.generator.matrix, rho).imag
         keep = p > 1e-12
         return float(np.sum(dp[keep] ** 2 / p[keep]))
+
+
+def _angles(theta) -> np.ndarray:
+    """`theta` as a float array; non-finite angles raise on the dense path as on the propagator's."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError("rotation angles must be finite")
+    return theta
 
 
 def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -239,13 +248,31 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
     return best, anchors
 
 
+def _draw_counts(p: np.ndarray, trials: int, shots: int, seed: int) -> np.ndarray:
+    """(trials, N+1) outcome counts: row t is one multinomial draw of `shots` outcomes from p.
+
+    Row t is what a fresh Generator(Philox(key=[seed, t])) draws, so it depends on neither
+    the other rows nor the number of trials.  One Philox is reset to that state per trial,
+    which skips the entropy read a new one makes.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng, fresh = np.random.Generator(bitgen), bitgen.state
+    counts = np.empty((trials, len(p)))
+    for trial in range(trials):
+        fresh["state"]["key"][1] = trial
+        bitgen.state = fresh  # counter 0 and an empty buffer, as a new Philox has
+        counts[trial] = rng.multinomial(shots, p)
+    return counts
+
+
 def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
                          trials: int, shots: int, seed: int,
                          tol: float = DEFAULT_TOL) -> EstimationRun:
     """Run `trials` independent maximum-likelihood estimations of theta_true.
 
-    Each trial draws `shots` outcomes from p(theta_true) by inverse-CDF
-    sampling and maximizes the log-likelihood on a grid over DEFAULT_WINDOW of
+    Each trial draws its counts of `shots` outcomes from p(theta_true) with one
+    multinomial call, which costs O(N) per trial whatever `shots` is, and
+    maximizes the log-likelihood on a grid over DEFAULT_WINDOW of
     max(GRID_POINTS, N//2 + 1) points, so that the spacing stays below the
     likelihood's fringe period of about 2 pi/N; all trials are then refined
     together to REFINE_TOL.  On the propagated path each refinement rotates
@@ -253,18 +280,14 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     """
     if trials < 1 or shots < 1:
         raise ValueError("trials and shots must both be >= 1")
+    if shots > np.iinfo(np.int64).max:  # multinomial counts are 64-bit integers
+        raise ValueError("shots must be below 2**63")
+    if not 0 <= seed < 2 ** 64:  # the seed is one 64-bit word of the Philox key
+        raise ValueError("seed must be in [0, 2**64)")
     model = _RotationModel(state, n, tol)
     psi_true = model.amplitudes(theta_true) if state.is_pure else None
     p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
-    p_true = p_true / p_true.sum()
-    cdf = np.cumsum(p_true)
-    cdf[-1] = 1.0
-
-    counts = np.empty((trials, state.dim))
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-        draws = np.searchsorted(cdf, rng.random(shots), side="right")
-        counts[trial] = np.bincount(draws, minlength=state.dim)
+    counts = _draw_counts(p_true / p_true.sum(), trials, shots, seed)
 
     grid = _estimation_grid(state.n_particles)
     best, anchors = _grid_maxima(model, grid, counts)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import cli, schwinger
+from modefisher import cli, metrology, schwinger
 from modefisher.cli import main
 
 
@@ -284,6 +284,21 @@ class TestSweepCommand:
             assert row["F_closed"] == pytest.approx(12.0, abs=1e-9)
             assert row["qcrb"] <= row["ccrb"]
 
+    def test_one_rotation_model_per_value(self, capsys, twin4, monkeypatch):
+        built = []
+
+        class CountingModel(metrology._RotationModel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(metrology, "_RotationModel", CountingModel)
+        code, _ = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
+                                   "--values", "0.2,0.4,0.6", "--trials", "2",
+                                   "--shots", "100"])
+        assert code == 0
+        assert len(built) == 3
+
 
 class TestFramesCommand:
     def test_identity_for_spatial(self, capsys, tmp_path):
@@ -348,6 +363,20 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch, twin4):
     monkeypatch.setenv("MODEFISHER_TOL", "10")
     _, out = run_cli(capsys, ["separability", "--state", twin4, "--frame", bogo])
     assert json.loads(out)["separable"] is True
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+@pytest.mark.parametrize("big_n", [240, 260])
+def test_non_finite_angle_exits_2(capsys, tmp_path, big_n, theta):
+    # N = 240 rotates through the dense eigendecomposition, N = 260 through the propagator
+    state = write_json(tmp_path / "fock.json", {"N": big_n, "kind": "fock", "k": big_n // 3})
+    for argv in (["rotate", "--theta", theta],
+                 ["estimate", "--theta", theta, "--trials", "2", "--shots", "100"],
+                 ["sweep", "--param", "theta", "--values", f"0.3,{theta}"],
+                 ["sweep", "--param", "theta", "--values", theta, "--trials", "2"]):
+        code, out = run_cli(capsys, argv + ["--state", state, "--direction", "1,0,0"])
+        assert code == 2, argv
+        assert json.loads(out)["error"]["message"] == "rotation angles must be finite"
 
 
 def test_memory_error_exits_2(capsys, monkeypatch, twin4):

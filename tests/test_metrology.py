@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ def _scalar_golden_max(f, a, b, tol):
             d = a + g * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def _fresh_draw(p, shots, seed, trial):
+    """One trial's counts as a new generator keyed by (seed, trial) draws them."""
+    key = np.array([seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, p)
 
 
 class TestRotate:
@@ -163,9 +170,39 @@ class TestMonteCarloEstimate:
         monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.4, 3, 100, 1)
         assert len(built) == 1
 
+    def test_counts_are_fresh_generator_draws(self):
+        p, shots, seed = np.array([0.1, 0.25, 0.3, 0.25, 0.1]), 10_000, 42
+        counts = metrology._draw_counts(p, 7, shots, seed)
+        for trial, row in enumerate(counts):
+            assert (row == _fresh_draw(p, shots, seed, trial)).all()
+        assert (counts.sum(axis=1) == shots).all()
+        assert (metrology._draw_counts(p, 3, shots, seed) == counts[:3]).all()
+
+    def test_sampling_memory_does_not_grow_with_shots(self):
+        # one uniform and one outcome index per shot would take 160 MB at 10^7 shots
+        tracemalloc.start()
+        try:
+            run = monte_carlo_estimate(make_fock_state(2, 4), Direction(1, 0, 0), 0.5, 2,
+                                       10 ** 7, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert np.all(np.abs(run.estimates - 0.5) < 1e-2)
+
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.3, 0, 10, 1)
+        for trials, shots in ((0, 10), (1, 0), (1, 2 ** 63)):
+            with pytest.raises(ValueError):
+                monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.3, trials,
+                                     shots, 1)
+
+    def test_rejects_seed_outside_the_philox_key(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.3, 2, 10, seed)
+        run = monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0), 0.3, 2, 10,
+                                   2 ** 64 - 1)
+        assert len(run.estimates) == 2
 
     @pytest.mark.parametrize("theta_true", [0.02, math.pi / 2 - 0.02])
     def test_matches_scalar_golden_section(self, theta_true):
@@ -177,14 +214,10 @@ class TestMonteCarloEstimate:
         grid = np.linspace(*DEFAULT_WINDOW, GRID_POINTS)
         log_grid = np.log(np.clip(measurement_probabilities(state, n, grid), 1e-300, None))
         p_true = measurement_probabilities(state, n, theta_true)
-        cdf = np.cumsum(p_true / p_true.sum())
-        cdf[-1] = 1.0
+        p_true = p_true / p_true.sum()
         at_edge = 0
         for trial, estimate in enumerate(run.estimates):
-            key = np.array([seed, trial], dtype=np.uint64)
-            uniforms = np.random.Generator(np.random.Philox(key=key)).random(shots)
-            draws = np.searchsorted(cdf, uniforms, side="right")
-            counts = np.bincount(draws, minlength=state.dim).astype(float)
+            counts = _fresh_draw(p_true, shots, seed, trial).astype(float)
             best = int(np.argmax(log_grid @ counts))
             at_edge += best in (0, GRID_POINTS - 1)
 
@@ -239,6 +272,23 @@ class TestPropagatedPath:
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", 1)
         with pytest.raises(NonIdentifiableError):
             monte_carlo_estimate(make_fock_state(3, 8), Direction(0, 0, 1), 0.3, 2, 50, 1)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("state", [
+    make_fock_state(80, collective.PROPAGATOR_MIN_N - 10),
+    make_fock_state(86, collective.PROPAGATOR_MIN_N + 10),
+    diagonal_state([0.2, 0.3, 0.5]),
+], ids=["dense", "propagated", "mixed"])
+def test_non_finite_angles_rejected_on_every_path(state, theta):
+    n = Direction(0.6, 0.0, 0.8)
+    calls = [lambda: rotate(state, n, theta),
+             lambda: measurement_probabilities(state, n, [0.3, theta]),
+             lambda: classical_fisher(state, n, theta),
+             lambda: monte_carlo_estimate(state, n, theta, 2, 100, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="rotation angles must be finite"):
+            call()
 
 
 def test_fine_grid_avoids_fringe_lock(monkeypatch):
