@@ -29,9 +29,14 @@ from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_jso
 
 def _tolerance(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("MODEFISHER_TOL")
-    return float(env) if env else DEFAULT_TOL
+        tol = args.tol
+    else:
+        env = os.environ.get("MODEFISHER_TOL")
+        tol = float(env) if env else DEFAULT_TOL
+    # a NaN tolerance would make every `> tol` test false and pass any state
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _fmt(x) -> str:
@@ -195,6 +200,12 @@ def _cmd_sweep(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     values = [float(v) for v in args.values.split(",")]
+    if args.param in ("shots", "trials") and not all(v.is_integer() for v in values):
+        raise ValueError(f"{args.param} values must be integers, got {args.values!r}")
+    shot_counts = values if args.param == "shots" else [args.shots]
+    trial_counts = values if args.param == "trials" else [args.trials]
+    if min(shot_counts) < 1 or min(trial_counts) < 0:
+        raise ValueError("sweep needs shots >= 1 and trials >= 0")
     fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
     rows = []
     for value in values:

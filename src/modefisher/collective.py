@@ -1,19 +1,19 @@
 """Schwinger su(2) collective observables and the double-well Bose-Hubbard Hamiltonian.
 
-Every sector operator comes from :func:`ladder`, the band of a monomial; the
-observables are the J_z or number diagonal plus the J_+ band, returned as dense
-(N+1)x(N+1) Hermitian matrices in the ascending Fock basis of :mod:`modefisher.fock`.
-:func:`apply_generator` applies J_n to a vector from the same bands in O(N), and
-:class:`Propagator` applies exp(i theta J_n) from them without forming a matrix.
+Every sector operator comes from :func:`ladder`, the band of a monomial.  The observables
+are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
+:class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
+itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
+:class:`Propagator` applies exp(i theta J_n) from the same bands without forming a matrix.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
 DIRECTION_NORM_TOL = 1e-6
 
 
@@ -22,7 +22,7 @@ class Direction:
     """Unit vector picking the rotation generator n_x Jx + n_y Jy + n_z Jz.
 
     Components within 1e-6 of unit norm are renormalized on construction;
-    anything further off is rejected.
+    anything further off, or any non-finite component, is rejected.
     """
 
     n_x: float
@@ -30,7 +30,12 @@ class Direction:
     n_z: float
 
     def __post_init__(self):
-        norm = math.sqrt(self.n_x ** 2 + self.n_y ** 2 + self.n_z ** 2)
+        if not all(math.isfinite(x) for x in (self.n_x, self.n_y, self.n_z)):
+            raise ValueError("direction components must be finite")
+        try:
+            norm = math.sqrt(self.n_x ** 2 + self.n_y ** 2 + self.n_z ** 2)
+        except OverflowError:  # a component past 1e154, nowhere near unit norm
+            norm = math.inf
         if abs(norm - 1.0) > DIRECTION_NORM_TOL:
             raise ValueError(f"direction must be a unit vector, got norm {norm:.8g}")
         object.__setattr__(self, "n_x", self.n_x / norm)
@@ -53,24 +58,52 @@ class Direction:
 
 @dataclass(frozen=True)
 class CollectiveObservable:
-    """A Hermitian (N+1)x(N+1) matrix with a symbolic tag."""
+    """A Hermitian tridiagonal (N+1)x(N+1) operator held as its two bands.
 
-    matrix: np.ndarray
-    label: str
+    `diagonal` (real, length N+1) is the main diagonal; entry k of `lower` (complex,
+    length N) takes |k> to |k+1>, and the band above is its conjugate, so the operator
+    is Hermitian by construction.  Both are stored read-only.
+    """
+
+    diagonal: np.ndarray
+    lower: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"observable matrix must be square, got {mat.shape}")
-        residual = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-        if residual > HERMITICITY_TOL:
-            raise ValueError(f"observable is not Hermitian (residual {residual:.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        if np.iscomplexobj(self.diagonal):
+            raise ValueError("the diagonal of a Hermitian observable must be real")
+        diagonal = np.array(self.diagonal, dtype=float)
+        lower = np.array(self.lower, dtype=complex)
+        if diagonal.ndim != 1 or lower.shape != (diagonal.size - 1,):
+            raise ValueError(f"bands must have lengths N+1 and N, got {diagonal.shape} "
+                             f"and {lower.shape}")
+        for band in (diagonal, lower):
+            band.setflags(write=False)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n_particles(self) -> int:
-        return self.matrix.shape[0] - 1
+        return self.diagonal.size - 1
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: the two bands placed, built on first read and read-only."""
+        mat = np.diag(self.diagonal.astype(complex))
+        k = np.arange(self.n_particles)
+        mat[k + 1, k] = self.lower
+        mat[k, k + 1] = self.lower.conj()
+        mat.setflags(write=False)
+        return mat
+
+    def apply(self, c) -> np.ndarray:
+        """The operator times c in O(N) from the two bands, without forming the matrix."""
+        c = np.asarray(c, dtype=complex)
+        if c.shape != self.diagonal.shape:
+            raise ValueError(f"vector must have shape ({self.n_particles + 1},), got {c.shape}")
+        out = self.diagonal * c
+        out[1:] += self.lower * c[:-1]
+        out[:-1] += self.lower.conj() * c[1:]
+        return out
 
 
 LADDER_CHUNK = 16
@@ -113,47 +146,17 @@ def su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     return (2 * np.arange(n_particles + 1) - n_particles) / 2.0, raising
 
 
-def _generator_bands(n_particles: int, n_x: float, n_y: float,
-                     n_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two bands of n_x Jx + n_y Jy + n_z Jz: the diagonal n_z J_z and the lower band
-    (n_x - i n_y) J_+ / 2, whose entry k takes |k> to |k+1>; the upper band is its conjugate."""
-    jz, raising = su2_bands(n_particles)
-    return n_z * jz, (n_x - 1j * n_y) * (0.5 * raising)
-
-
-def _generator_matrix(n_particles: int, n_x: float, n_y: float, n_z: float) -> np.ndarray:
-    """n_x Jx + n_y Jy + n_z Jz as a dense matrix: its two bands placed."""
-    diagonal, lower = _generator_bands(n_particles, n_x, n_y, n_z)
-    mat = np.diag(diagonal.astype(complex))
-    k = np.arange(n_particles)
-    mat[k + 1, k] = lower
-    mat[k, k + 1] = lower.conj()
-    return mat
-
-
-def apply_generator(n_particles: int, n: Direction, c) -> np.ndarray:
-    """J_n c in O(N) from the two bands of J_n, without forming the matrix."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (n_particles + 1,):
-        raise ValueError(f"vector must have shape ({n_particles + 1},), got {c.shape}")
-    diagonal, lower = _generator_bands(n_particles, n.n_x, n.n_y, n.n_z)
-    out = diagonal * c
-    out[1:] += lower * c[:-1]
-    out[:-1] += lower.conj() * c[1:]
-    return out
-
-
 def schwinger(n_particles: int):
     """The collective pseudo-spin triple (Jx, Jy, Jz) on the N-particle sector."""
-    return tuple(CollectiveObservable(_generator_matrix(n_particles, *axis), label)
-                 for axis, label in (((1.0, 0.0, 0.0), "Jx"), ((0.0, 1.0, 0.0), "Jy"),
-                                     ((0.0, 0.0, 1.0), "Jz")))
+    return tuple(direction_generator(n_particles, Direction(*axis))
+                 for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
-    """J_n = n_x Jx + n_y Jy + n_z Jz."""
-    mat = _generator_matrix(n_particles, n.n_x, n.n_y, n.n_z)
-    return CollectiveObservable(mat, f"Jn({n.n_x:.6g},{n.n_y:.6g},{n.n_z:.6g})")
+    """J_n = n_x Jx + n_y Jy + n_z Jz: the diagonal n_z J_z and the lower band
+    (n_x - i n_y) J_+ / 2."""
+    jz, raising = su2_bands(n_particles)
+    return CollectiveObservable(n.n_z * jz, (n.n_x - 1j * n.n_y) * (0.5 * raising))
 
 
 class Rotation:
@@ -220,7 +223,7 @@ class Propagator:
     The spectrum of J_n is exactly {-N/2, ..., N/2}, so with A = 2 J_n / N and x = theta N/2
     the Jacobi-Anger series exp(i x A) = J_0(x) + 2 sum_k i^k J_k(x) T_k(A) converges on
     A's spectrum, and each Chebyshev vector T_k(A) c is one banded product with the bands
-    of :func:`apply_generator` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta
+    of `generator` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta
     is first reduced mod 2 pi with exp(2 pi i J_n) = (-1)^N, so a call costs about
     |theta| N/2 + 30 banded products for |theta| <= pi.  Coefficients are computed once
     per set of angles by :meth:`coefficients` and can be reused for every call with
@@ -229,11 +232,11 @@ class Propagator:
 
     def __init__(self, n_particles: int, n: Direction):
         self.n_particles = n_particles
-        diagonal, lower = _generator_bands(n_particles, n.n_x, n.n_y, n.n_z)
+        self.generator = direction_generator(n_particles, n)
         scale = 4.0 / max(n_particles, 1)  # the bands of 2A
         # an in-plane direction has no diagonal, which saves two of six passes per product
-        self._diagonal = diagonal * scale if n.n_z != 0.0 else None
-        self._lower = lower * scale
+        self._diagonal = self.generator.diagonal * scale if n.n_z != 0.0 else None
+        self._lower = self.generator.lower * scale
         self._upper = self._lower.conj()
 
     def coefficients(self, theta) -> np.ndarray:
@@ -310,7 +313,7 @@ def bose_hubbard(n_particles: int, eps1: float, eps2: float, u: float, j: float)
     """
     if not all(math.isfinite(x) for x in (eps1, eps2, u, j)):
         raise ValueError("couplings must be finite")
-    mat = _generator_matrix(n_particles, -2.0 * j, 0.0, 0.0)  # hopping -j (J_+ + J_-)
+    _, raising = su2_bands(n_particles)
     k = np.arange(n_particles + 1)
-    mat[k, k] = eps1 * k + eps2 * (n_particles - k) + u * (k ** 2 + (n_particles - k) ** 2)
-    return CollectiveObservable(mat, f"H_BH({eps1:.6g},{eps2:.6g},{u:.6g},{j:.6g})")
+    diagonal = eps1 * k + eps2 * (n_particles - k) + u * (k ** 2 + (n_particles - k) ** 2)
+    return CollectiveObservable(diagonal, -j * raising)  # hopping -j (J_+ + J_-)

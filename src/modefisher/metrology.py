@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Propagator, Rotation, apply_generator, uses_propagator
+from .collective import Direction, Propagator, Rotation, uses_propagator
 from .fock import DEFAULT_TOL, SectorState, validate_state
 from .qfi import qfi_pure, qfi_spectral
 
@@ -79,12 +79,13 @@ class _RotationModel:
         if violations:
             raise ValueError(f"invalid state: {', '.join(violations)}")
         self.state = state
-        self.direction = n
         self.rotation = self.propagator = self._psi_eig = None
         if state.is_pure and uses_propagator(state.n_particles):
             self.propagator = Propagator(state.n_particles, n)
+            self.generator = self.propagator.generator
         else:
             self.rotation = Rotation(state.n_particles, n)
+            self.generator = self.rotation.generator
             if state.is_pure:
                 self._psi_eig = self.rotation.eigenvectors.conj().T @ state.amplitudes
 
@@ -143,20 +144,17 @@ class _RotationModel:
         """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, from the exact derivative of p_m.
 
         A pure state c(theta) (`amplitudes`, when already computed) gives
-        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho (and is O(N) on the
-        propagated path); a density matrix gives -2 Im (J_n rho(theta))_mm.
+        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho and takes J_n c from
+        the bands in O(N); a density matrix gives -2 Im (J_n rho(theta))_mm.
         """
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             p = (c * c.conj()).real
-            # the dense path holds J_n already: building its bands again costs more at small N
-            jc = (apply_generator(self.state.n_particles, self.direction, c)
-                  if self.rotation is None else self.rotation.generator.matrix @ c)
-            dp = -2.0 * (c.conj() * jc).imag
+            dp = -2.0 * (c.conj() * self.generator.apply(c)).imag
         else:
             rho = self.rotated(theta).rho
             p = np.diag(rho).real
-            dp = -2.0 * np.einsum("mj,jm->m", self.rotation.generator.matrix, rho).imag
+            dp = -2.0 * np.einsum("mj,jm->m", self.generator.matrix, rho).imag
         keep = p > 1e-12
         return float(np.sum(dp[keep] ** 2 / p[keep]))
 
@@ -304,7 +302,7 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
 
     empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
     fisher = (qfi_pure(state, n, tol) if state.is_pure
-              else qfi_spectral(state, model.rotation.generator, tol=tol))
+              else qfi_spectral(state, model.generator, tol=tol))
     fisher_cl = model.classical_fisher(theta_true, psi_true)
     qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
     ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import CollectiveObservable, Direction, apply_generator, direction_generator
+from .collective import CollectiveObservable, Direction, direction_generator
 from .fock import DEFAULT_TOL, SectorState, expectation, validate_state
 
 SPECTRAL_CUTOFF = 1e-12
@@ -83,7 +83,7 @@ def qfi_pure(state: SectorState, n: Direction, tol: float = DEFAULT_TOL) -> floa
     if violations:
         raise ValueError(f"invalid state: {', '.join(violations)}")
     c = state.amplitudes
-    jc = apply_generator(state.n_particles, n, c)
+    jc = direction_generator(state.n_particles, n).apply(c)
     norm_sq = np.vdot(c, c).real
     # a zero vector passes only a tolerance >= 1; its spectral sum is 0, and so is this
     mean = np.vdot(c, jc).real / norm_sq if norm_sq > 0.0 else 0.0
@@ -140,6 +140,8 @@ def variance_bound(state: SectorState, observable) -> tuple[float, float, float]
 
 def classify(fisher: float, n_particles: int, tol: float = CLASSIFY_TOL) -> QfiReport:
     """Phase bound and shot-noise/Heisenberg class of F; against N^2, tol is relative (tol N^2)."""
+    if math.isnan(fisher):
+        raise ValueError("Fisher information is NaN")
     if fisher < -tol:
         raise ValueError(f"Fisher information must be nonnegative, got {fisher:.6g}")
     fisher = max(fisher, 0.0)

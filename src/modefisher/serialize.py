@@ -1,4 +1,4 @@
-"""JSON schemas for states, frames and observables, shared with the CLI.
+"""JSON schemas for states and frames, shared with the CLI.
 
 State object:
   {"N": int, "kind": "fock"|"pure"|"diagonal"|"density",
@@ -11,10 +11,6 @@ State object:
 Frame object:
   {"kind": "spatial"} | {"kind": "bogolubov", "phi": real}
   | {"kind": "unitary", "u_re": [[..]], "u_im": [[..]]}
-
-Observable object:
-  {"N": int, "kind": "jx"|"jy"|"jz"|"jn"|"bose_hubbard",
-   "n": [nx, ny, nz]?, "couplings": {"eps1":..,"eps2":..,"U":..,"J":..}?}
 """
 from __future__ import annotations
 
@@ -22,7 +18,6 @@ import json
 
 import numpy as np
 
-from .collective import CollectiveObservable, Direction, bose_hubbard, direction_generator, schwinger
 from .fock import SectorState, diagonal_state, density_state, make_fock_state, pure_state
 from .frames import ModeFrame, bogolubov_frame, custom_frame, spatial_frame
 
@@ -88,21 +83,6 @@ def state_from_json(obj: dict) -> SectorState:
             raise ValueError(f"rho must be (N+1)x(N+1) = {big_n + 1}x{big_n + 1}")
         return density_state(rho, frame)
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def observable_from_json(obj: dict) -> CollectiveObservable:
-    big_n = int(obj["N"])
-    kind = obj.get("kind")
-    if kind in ("jx", "jy", "jz"):
-        jx, jy, jz = schwinger(big_n)
-        return {"jx": jx, "jy": jy, "jz": jz}[kind]
-    if kind == "jn":
-        nx, ny, nz = (float(x) for x in obj["n"])
-        return direction_generator(big_n, Direction(nx, ny, nz))
-    if kind == "bose_hubbard":
-        c = obj["couplings"]
-        return bose_hubbard(big_n, float(c["eps1"]), float(c["eps2"]), float(c["U"]), float(c["J"]))
-    raise ValueError(f"unknown observable kind {kind!r}")
 
 
 def load_json(path: str) -> dict:

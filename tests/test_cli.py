@@ -52,6 +52,14 @@ class TestQfiCommand:
         assert report["classification"] == "sub-shot-noise"
         assert report["schema_version"] == "1"
 
+    @pytest.mark.parametrize("direction", ["nan,0,0", "0,nan,1", "inf,0,0"])
+    def test_non_finite_direction_exits_2(self, capsys, twin4, direction):
+        # a NaN direction would give F = NaN, which every classification test lets through
+        for argv in (["qfi"], ["estimate", "--theta", "0.3", "--trials", "2", "--shots", "50"]):
+            code, out = run_cli(capsys, [*argv, "--state", twin4, "--direction", direction])
+            assert code == 2, argv
+            assert json.loads(out)["error"]["message"] == "direction components must be finite"
+
     def test_non_unit_direction_exits_2(self, capsys, twin4):
         code, out = run_cli(capsys, ["qfi", "--state", twin4, "--direction", "0,0,2"])
         assert code == 2
@@ -284,6 +292,23 @@ class TestSweepCommand:
             assert row["F_closed"] == pytest.approx(12.0, abs=1e-9)
             assert row["qcrb"] <= row["ccrb"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--param", "shots", "--values", "0"], ["--param", "shots", "--values", "-5"],
+        ["--param", "shots", "--values", "2.7"], ["--param", "shots", "--values", "100,nan"],
+        ["--param", "trials", "--values", "-3"], ["--param", "trials", "--values", "0,1.5"],
+        ["--param", "trials", "--values", "inf"],
+        ["--param", "theta", "--values", "0.3", "--shots", "0"],
+        ["--param", "theta", "--values", "0.3", "--trials=-1"],
+    ], ids=["shots_0", "shots_negative", "shots_fraction", "shots_nan", "trials_negative",
+            "trials_fraction", "trials_inf", "shots_flag_0", "trials_flag_negative"])
+    def test_bad_counts_exit_2_before_any_bound(self, capsys, twin4, argv):
+        # shots = 0 would divide by zero in qcrb, and 2.7 would run as 2 under the label 2.7
+        code, out = run_cli(capsys, ["sweep", "--state", twin4, *argv])
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert "shots" in error["message"] or "trials" in error["message"]
+
     def test_one_rotation_model_per_value(self, capsys, twin4, monkeypatch):
         built = []
 
@@ -357,6 +382,23 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_non_finite_or_negative_tolerance_exits_2(capsys, tmp_path, monkeypatch, tol):
+    # a coherent N = 4 state: with a NaN tolerance every `> tol` test is false, so its
+    # coherences would pass as diagonal and the closed form would read 1.0 against F = 2.55
+    path = write_json(tmp_path / "coherent4.json",
+                      {"N": 4, "kind": "pure", "amplitudes_re": [0.5, 0.5, 0.5, 0.5, 0.0],
+                       "amplitudes_im": [0.0] * 5})
+    argv = ["qfi", "--state", path, "--direction", "1,0,0"]
+    code, out = run_cli(capsys, [*argv, f"--tol={tol}"])
+    assert code == 2
+    assert "tolerance" in json.loads(out)["error"]["message"]
+    monkeypatch.setenv("MODEFISHER_TOL", tol)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert "tolerance" in json.loads(out)["error"]["message"]
+
+
 def test_tolerance_env_override(capsys, tmp_path, monkeypatch, twin4):
     # with a huge tolerance every state looks diagonal, hence separable
     bogo = write_json(tmp_path / "b.json", {"kind": "bogolubov", "phi": 0.0})
@@ -388,3 +430,124 @@ def test_memory_error_exits_2(capsys, monkeypatch, twin4):
                                  "--theta", "0.3"])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "MemoryError"
+
+
+# Values every fuzzed argv draws from: non-finite, zero, negative and non-integral ones
+# beside ordinary ones.  Options take the `--flag=value` form, so "-1" is not read as a flag.
+FUZZ_REALS = ["nan", "inf", "-inf", "0", "-1", "0.3", "2.7", "-7.1", "1e300"]
+FUZZ_COUNTS = ["nan", "inf", "0", "-3", "1", "2", "2.7"]
+FUZZ_DIRECTIONS = ["1,0,0", "0.6,0,0.8", "0,0,1", "0.48,0.64,0.6", "nan,0,0", "0,inf,0",
+                   "0,0,0", "1,1,1", "1e300,0,0", "0.6,0.8", "a,b,c"]
+FUZZ_TOLS = [None, None, None, "nan", "inf", "-1e-3", "0", "1e-5", "10"]
+# fields NaN by design: no closed form off the diagonal, no spectral value under
+# --method closed-form, no sample std without trials, no N^2 fraction at N = 0
+NAN_BY_DESIGN = {"fisher_closed_form", "F_closed", "fisher_spectral", "empirical_std",
+                 "heisenberg_fraction"}
+# bounds that are infinite by design where their Fisher information is 0
+BOUND_OF = {"qcrb": ("fisher", "F_spectral"), "ccrb": ("classical_fisher", "F_cl"),
+            "phase_bound": ("fisher",)}
+
+
+def _fuzz_states(tmp_path, rng):
+    states = [write_json(tmp_path / f"fock{n}.json", {"N": n, "kind": "fock", "k": n // 2})
+              for n in (0, 1, 4, 8)]
+    states.append(write_json(tmp_path / "bogo_fock6.json",
+                             {"N": 6, "kind": "fock", "k": 2,
+                              "frame": {"kind": "bogolubov", "phi": 0.4}}))
+    c = rng.normal(size=6) + 1j * rng.normal(size=6)
+    c /= np.linalg.norm(c)
+    states.append(write_json(tmp_path / "pure5.json",
+                             {"N": 5, "kind": "pure", "amplitudes_re": c.real.tolist(),
+                              "amplitudes_im": c.imag.tolist()}))
+    states.append(write_json(tmp_path / "diag3.json",
+                             {"N": 3, "kind": "diagonal", "p": [0.1, 0.2, 0.3, 0.4]}))
+    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    states.append(write_json(tmp_path / "dens2.json",
+                             {"N": 2, "kind": "density", "rho_re": rho.real.tolist(),
+                              "rho_im": rho.imag.tolist()}))
+    return states
+
+
+def _fuzz_argv(rng, states, frames):
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def opt(name, options):
+        value = pick(options)
+        return [] if value is None else [f"--{name}={value}"]
+
+    sub = pick(["qfi", "separability", "rotate", "estimate", "sweep", "frames"])
+    if sub == "frames":
+        return ["frames", f"--n={pick(['-1', '0', '1', '4', '8'])}", *opt("tol", FUZZ_TOLS),
+                *([f"--frame={pick(frames)}"] if rng.random() < 0.5
+                  else [f"--phi={pick(['0', '0.4', '-7.1'])}"]),
+                f"--format={pick(['json', 'csv'])}"]
+    argv = [sub, f"--state={pick(states)}", *opt("tol", FUZZ_TOLS)]
+    if sub == "separability":
+        return argv + [f"--frame={pick(frames)}", *(["--witnesses"] if rng.random() < 0.5 else [])]
+    argv.append(f"--direction={pick(FUZZ_DIRECTIONS)}")
+    if sub == "qfi":
+        return argv + [f"--method={pick(['both', 'spectral', 'closed-form'])}",
+                       f"--format={pick(['json', 'csv'])}"]
+    argv.append(f"--theta={pick(FUZZ_REALS)}")
+    if sub == "rotate":
+        return argv
+    argv += [f"--format={pick(['json', 'csv'])}", *opt("seed", [None, "0", "-1", "7"])]
+    if sub == "estimate":
+        return argv + [f"--trials={pick(FUZZ_COUNTS)}", f"--shots={pick(FUZZ_COUNTS + ['40'])}"]
+    param = pick(["theta", "phi", "shots", "trials"])
+    values = ",".join(pick(FUZZ_REALS + FUZZ_COUNTS + ["40"]) for _ in range(rng.integers(1, 4)))
+    return argv + [f"--param={param}", f"--values={values}", *opt("trials", [None, *FUZZ_COUNTS]),
+                   *opt("shots", [None, *FUZZ_COUNTS, "40"])]
+
+
+def _numbers(node, parent=None, key=None):
+    """(key, value, enclosing dict) for every number in a report, CSV cells included."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _numbers(v, node, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _numbers(v, parent, key)
+    elif isinstance(node, str):
+        try:
+            yield key, float(node), parent
+        except ValueError:
+            pass
+    elif isinstance(node, float) or (isinstance(node, int) and not isinstance(node, bool)):
+        yield key, float(node), parent
+
+
+def _check_numbers(argv, report):
+    for key, value, row in _numbers(report):
+        if math.isfinite(value) or (key in NAN_BY_DESIGN and math.isnan(value)):
+            continue
+        fishers = [float(row[f]) for f in BOUND_OF.get(key, ()) if f in row]
+        assert value == math.inf and fishers == [0.0], (argv, key, value)
+
+
+def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
+    """Exit 0 with no NaN or infinity outside the fields that carry them by design, or
+    exit 2 with the JSON error object; no exception escapes `main`."""
+    rng = np.random.default_rng(20261018)
+    states = _fuzz_states(tmp_path, rng)
+    frames = [write_json(tmp_path / "spatial.json", {"kind": "spatial"}),
+              write_json(tmp_path / "bogo.json", {"kind": "bogolubov", "phi": 0.4})]
+    exits = {0: 0, 2: 0}
+    for _ in range(400):
+        argv = _fuzz_argv(rng, states, frames)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 2), (argv, code, captured.out)
+        exits[code] += 1
+        if code == 2:
+            assert "error" in json.loads(captured.out), argv
+        elif "--format=csv" in argv:
+            _check_numbers(argv, list(csv.DictReader(io.StringIO(captured.out))))
+        else:
+            _check_numbers(argv, json.loads(captured.out))
+    assert min(exits.values()) >= 50, exits

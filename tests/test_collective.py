@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from modefisher import (Direction, MonomialOp, bogolubov_frame,
+from modefisher import (CollectiveObservable, Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, commutator_residual, direction_generator,
                         frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import (Propagator, Rotation, _bessel_j, apply_generator, ladder,
-                                   propagate)
+from modefisher.collective import Propagator, Rotation, _bessel_j, ladder, propagate
 
 
 class TestDirection:
@@ -19,11 +19,22 @@ class TestDirection:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             Direction(0.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="unit"):
+            Direction(1e300, 0.0, 0.0)  # its square overflows
 
     def test_in_plane(self):
         d = Direction.in_plane(0.7)
         assert d.n_z == 0.0
         assert d.in_plane_weight == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("components", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0),
+                                            (math.inf, 0.0, 0.0), (0.0, 0.0, -math.inf)])
+    def test_rejects_non_finite(self, components):
+        # NaN fails every comparison, so a NaN norm would pass the unit-norm test
+        with pytest.raises(ValueError, match="finite"):
+            Direction(*components)
+        with pytest.raises(ValueError, match="finite"):
+            Direction.in_plane(math.nan)
 
 
 class TestSchwinger:
@@ -99,14 +110,67 @@ class TestDirectionGenerator:
         rng = np.random.default_rng(big_n)
         for _ in range(5):
             v = rng.normal(size=3)
-            n = Direction(*(v / np.linalg.norm(v)))
+            g = direction_generator(big_n, Direction(*(v / np.linalg.norm(v))))
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
-            dense = direction_generator(big_n, n).matrix @ c
-            assert np.abs(apply_generator(big_n, n, c) - dense).max() <= 1e-12 * max(1, big_n)
+            assert np.abs(g.apply(c) - g.matrix @ c).max() <= 1e-12 * max(1, big_n)
 
     def test_apply_generator_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="shape"):
-            apply_generator(3, Direction(1, 0, 0), np.ones(3))
+            direction_generator(3, Direction(1, 0, 0)).apply(np.ones(3))
+
+
+class TestBandedObservable:
+    def test_generator_allocates_o_n_until_matrix_is_read(self):
+        # the dense (N+1)^2 complex matrix at N = 10^4 is 1.6 GB; the bands are 0.24 MB
+        big_n = 10_000
+        tracemalloc.start()
+        try:
+            g = direction_generator(big_n, Direction(0.48, 0.64, 0.6))
+            g.apply(np.ones(big_n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        assert "matrix" not in vars(g)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: direction_generator(n, Direction(0.6, 0.0, 0.8)),
+        lambda n: schwinger(n)[1],
+        lambda n: bose_hubbard(n, 0.1, -0.2, 0.3, 0.4),
+    ], ids=["direction_generator", "schwinger", "bose_hubbard"])
+    @pytest.mark.parametrize("big_n", [0, 1, 6])
+    def test_matrix_places_the_read_only_bands(self, build, big_n):
+        obs = build(big_n)
+        assert obs.n_particles == big_n
+        assert obs.diagonal.dtype == float and obs.lower.dtype == complex
+        assert obs.diagonal.shape == (big_n + 1,) and obs.lower.shape == (big_n,)
+        placed = (np.diag(obs.diagonal) + np.diag(obs.lower, -1)
+                  + np.diag(obs.lower.conj(), 1))
+        assert np.array_equal(obs.matrix, placed)
+        assert obs.matrix is obs.matrix  # built once
+        for array in (obs.diagonal, obs.lower, obs.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_bose_hubbard_bands(self):
+        h = bose_hubbard(3, 0.3, -0.2, 0.9, 1.7)
+        k = np.arange(4)
+        assert np.array_equal(h.diagonal, 0.3 * k - 0.2 * (3 - k) + 0.9 * (k ** 2 + (3 - k) ** 2))
+        assert np.array_equal(h.lower, -1.7 * np.sqrt((k[:-1] + 1.0) * (3 - k[:-1])))
+
+    def test_bands_are_copied(self):
+        diagonal, lower = np.zeros(3), np.ones(2, dtype=complex)
+        obs = CollectiveObservable(diagonal, lower)
+        lower[0] = 5.0
+        assert obs.lower[0] == 1.0 and lower.flags.writeable
+
+    @pytest.mark.parametrize("diagonal, lower", [
+        (np.zeros(3), np.zeros(3)), (np.zeros(0), np.zeros(0)), (np.zeros((2, 2)), np.zeros(1)),
+        (np.zeros(3, dtype=complex), np.zeros(2)),
+    ], ids=["long_lower", "empty", "square", "complex_diagonal"])
+    def test_rejects_malformed_bands(self, diagonal, lower):
+        with pytest.raises(ValueError):
+            CollectiveObservable(diagonal, lower)
 
 
 class TestBoseHubbard:

@@ -217,6 +217,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-1.0, 4)
 
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so it would fall through to at-or-below-shot-noise
+        with pytest.raises(ValueError, match="NaN"):
+            classify(math.nan, 4)
+
     def test_exceeds_n_squared_rejected(self):
         with pytest.raises(ValueError, match="N\\^2"):
             classify(17.1, 4)
