@@ -241,6 +241,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_frames(args) -> int:
+    _tolerance(args)  # no step takes a tolerance, but a bad one exits 2 as elsewhere
     if args.frame:
         frame = frame_from_json(load_json(args.frame))
     else:
@@ -338,6 +339,7 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args) -> int:
+    _tolerance(args)  # the checks keep their own bounds, but a bad tolerance exits 2
     checks = [{"name": name, "passed": bool(passed)} for name, passed in _selftest_checks()]
     passed = sum(1 for c in checks if c["passed"])
     failed = len(checks) - passed

@@ -160,28 +160,70 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
 
 
 class Rotation:
-    """exp(i theta J_n) = Q e^{i theta Lambda} Q^dag from one eigendecomposition of J_n.
+    """exp(i theta J_n) = Q e^{i theta Lambda} Q^dag, with J_n's eigenbasis built from 2x2 data.
+
+    J_n = W J_z W^dag for W = e^{-i phi J_z} e^{-i beta J_y}, with beta and phi the polar and
+    azimuthal angles of n, so Lambda is exactly k - N/2 (ascending) and Q is W up to a global
+    phase.  With J_y = P J_x P^dag, P = diag((-i)^k), and the real eigenbasis
+    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag: two real
+    (N+1)^3 products and no complex eigensolve.  V depends on N alone and is cached below
+    PROPAGATOR_MIN_N.
 
     The dense path: O(N^3) time and O(N^2) memory, unitary to rounding at any N.  Density
     matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it; pure
-    states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  One
-    rotation of a pure state (theta = pi/2, one BLAS thread, 2-core Xeon) takes 2.3 ms
-    both ways at N = 100, and 608 ms dense against 21 ms propagated at N = 1000.
+    states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one BLAS
+    thread on a 2-core Xeon, building one takes 0.3-0.7 ms at N = 100 with V cached and
+    0.3-0.4 s at N = 1000, where V is solved per call; one rotation of a pure state at
+    theta = pi/2 takes 0.6 ms dense against 2.0 ms propagated at N = 100.
     """
 
     def __init__(self, n_particles: int, n: Direction):
         self.generator = direction_generator(n_particles, n)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.generator.matrix)
+        k = np.arange(n_particles + 1)
+        self.eigenvalues = k - n_particles / 2.0
+        basis = _jx_eigenvectors if uses_propagator(n_particles) else _cached_jx_eigenvectors
+        v = basis(n_particles)
+        # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
+        beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
+        phi = math.atan2(n.n_y, n.n_x)
+        angle = beta * self.eigenvalues
+        # e^{-i beta J_x} = V e^{-i beta Lambda} V^T; P (.) P^dag makes it e^{-i beta J_y}
+        rot = (v * np.cos(angle)) @ v.T - 1j * ((v * np.sin(angle)) @ v.T)
+        p = np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
+        rot *= (np.exp(-1j * phi * k) * p)[:, None]
+        rot *= p.conj()
+        self.eigenvectors = rot
 
     def unitary(self, theta: float) -> np.ndarray:
         phase = np.exp(1j * theta * self.eigenvalues)
         return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
 
 
+def _jx_eigenvectors(n_particles: int) -> np.ndarray:
+    """Read-only real orthogonal V with J_x = V diag(k - N/2) V^T, from one real `eigh`.
+
+    J_x commutes with the mode swap k -> N - k, under which column k has parity (-1)^(N-k);
+    imposing it exactly removes the rounding of the other parity, about half of
+    max|J_n Q - Q Lambda|.
+    """
+    _, raising = su2_bands(n_particles)
+    v = np.linalg.eigh(np.diag(0.5 * raising, -1))[1]
+    parity = (-1.0) ** (n_particles - np.arange(n_particles + 1))
+    v = 0.5 * (v + parity * v[::-1])
+    v.setflags(write=False)
+    return v
+
+
+# V for N < PROPAGATOR_MIN_N is at most 0.5 MB, so the cache holds at most 4 MB
+_cached_jx_eigenvectors = functools.lru_cache(maxsize=8)(_jx_eigenvectors)
+
+
 # Pure states of at least this many particles are rotated by the Propagator rather than
-# the dense eigendecomposition.  A 3 x 10^4-shot estimate takes 23 ms dense against 33 ms
-# propagated at N = 200 and 33 against 28 ms at N = 250 (one BLAS thread, 2-core Xeon);
-# a rotation crosses over below N = 200.  The full table is in CHANGES.md.
+# the dense eigenbasis.  A 3 x 10^4-shot estimate takes 14-17 ms dense against 26-28 ms
+# propagated at N = 200, 25 against 20-30 ms at N = 250 and 31-35 against 30-34 ms at
+# N = 300 (one BLAS thread, 2-core Xeon, V cached); one rotation at theta = pi/2 takes
+# 1.6-2.3 against 3.3-3.7 ms at N = 200 and 4.2-4.4 against 3.0-4.0 ms at N = 250.
+# The full table is in CHANGES.md.
 PROPAGATOR_MIN_N = 250
 BESSEL_CUTOFF = 1e-17
 CHEBYSHEV_CHUNK = 64

@@ -90,7 +90,14 @@ def density_state(rho, frame: ModeFrame | None = None) -> SectorState:
 
 
 def validate_state(state: SectorState, tol: float = DEFAULT_TOL) -> list[str]:
-    """Names of violated SectorState invariants; empty when the state is valid."""
+    """Names of violated SectorState invariants; empty when the state is valid.
+
+    A NaN or infinite entry is reported as "finiteness" alone: NaN fails every `> tol`
+    test, so the other checks would pass it.
+    """
+    data = state.amplitudes if state.amplitudes is not None else state.rho
+    if not np.isfinite(data).all():
+        return ["finiteness"]
     violations = []
     if state.amplitudes is not None:
         norm = float(np.sum(np.abs(state.amplitudes) ** 2))

@@ -58,8 +58,10 @@ def spatial_frame() -> ModeFrame:
 def bogolubov_frame(phi: float) -> ModeFrame:
     """Frame with b_1 = (a_1 + e^{-i phi} a_2)/sqrt(2), b_2 = (a_1 - e^{-i phi} a_2)/sqrt(2).
 
-    phi = 0 is the symmetric/antisymmetric ("energy") mode pair.
+    phi = 0 is the symmetric/antisymmetric ("energy") mode pair.  A non-finite phi raises.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"bogolubov phi must be finite, got {phi!r}")
     w = np.exp(-1j * phi)
     u = np.array([[1.0, w], [1.0, -w]], dtype=complex) / math.sqrt(2.0)
     return ModeFrame(u, label="bogolubov", phi=float(phi))

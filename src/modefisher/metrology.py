@@ -7,12 +7,14 @@ multinomial log-likelihood over a grid on (0, pi/2), refined by golden-section
 search for all trials together; one rotation model per estimate gives them all.
 
 The model has two paths.  Density matrices and pure states below
-``collective.PROPAGATOR_MIN_N`` (250) rotate through one dense eigendecomposition
-of J_n; pure states from there on use the matrix-free propagator, stream the
-grid block by block and refine each trial from its best grid point.  An estimate
-of 3 trials x 10^4 shots (one BLAS thread, 2-core Xeon) takes 33 ms dense and
-28 ms propagated at N = 250, 785 ms and 72 ms at N = 1000, and about 3 s
-propagated at N = 10^4.
+``collective.PROPAGATOR_MIN_N`` (250) rotate through J_n's dense eigenbasis, which
+``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N; one
+product of the counts with the log-probabilities gives every trial's best grid
+point.  Pure states from there on use the matrix-free propagator, stream the grid
+block by block and refine each trial from its best grid point.  An estimate of
+3 trials x 10^4 shots (one BLAS thread, 2-core Xeon) takes 14-17 ms dense and
+26-28 ms propagated at N = 200, about 25 and 20-30 ms at N = 250, 71 ms propagated
+at N = 1000 and about 3 s at N = 10^4.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -218,7 +220,8 @@ def _estimation_grid(n_particles: int) -> np.ndarray:
 
 
 def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
-    """Each trial's grid index of largest log-likelihood, streamed block by block.
+    """Each trial's grid index of largest log-likelihood: one product over the dense path's
+    single block, streamed block by block on the propagated path.
 
     Also returns the amplitudes at those indices on the propagated path (else None), and
     raises NonIdentifiableError when no p_m moves over the grid.
@@ -231,6 +234,9 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
         np.maximum(p_max, p.max(axis=0), out=p_max)
         np.minimum(p_min, p.min(axis=0), out=p_min)
         log_p = np.log(np.clip(p, 1e-300, None, out=p), out=p)
+        if amp is None:  # the dense path's one block is the whole grid
+            best = np.argmax(counts @ log_p.T, axis=1)  # the first maximum wins
+            continue
         for trial in range(trials):
             ll = log_p @ counts[trial]
             i = int(np.argmax(ll))

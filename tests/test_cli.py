@@ -339,6 +339,14 @@ class TestFramesCommand:
         v = np.array(report["v_re"]) + 1j * np.array(report["v_im"])
         assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
 
+    def test_non_finite_phi_exits_2(self, capsys, tmp_path):
+        nan_frame = tmp_path / "nan_frame.json"
+        nan_frame.write_text('{"kind": "bogolubov", "phi": NaN}')
+        for argv in (["--phi", "nan"], ["--phi", "inf"], ["--frame", str(nan_frame)]):
+            code, out = run_cli(capsys, ["frames", "--n", "3", *argv])
+            assert code == 2, argv
+            assert "finite" in json.loads(out)["error"]["message"]
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
@@ -551,3 +559,24 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
         else:
             _check_numbers(argv, json.loads(captured.out))
     assert min(exits.values()) >= 50, exits
+
+
+@pytest.mark.parametrize("argv", [["frames", "--n", "3"], ["selftest"]])
+def test_frames_and_selftest_check_the_tolerance(capsys, argv):
+    code, out = run_cli(capsys, [*argv, "--tol=nan"])
+    assert code == 2
+    assert "tolerance" in json.loads(out)["error"]["message"]
+
+
+def test_states_with_non_finite_entries_exit_2(capsys, tmp_path):
+    # NaN fails every `> tol` test: without an explicit check these exit 0 with F = 0 or NaN
+    diagonal = tmp_path / "nan_diagonal.json"
+    diagonal.write_text('{"N": 2, "kind": "diagonal", "p": [NaN, 0.5, 0.5]}')
+    pure = tmp_path / "nan_pure.json"
+    pure.write_text('{"N": 2, "kind": "pure", "amplitudes_re": [NaN, 0.6, 0.8], '
+                    '"amplitudes_im": [0, 0, 0]}')
+    for argv in (["qfi", "--state", str(diagonal), "--direction", "1,0,0"],
+                 ["rotate", "--state", str(pure), "--direction", "1,0,0", "--theta", "0.3"]):
+        code, out = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert "finiteness" in json.loads(out)["error"]["message"]

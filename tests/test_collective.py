@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from modefisher import (CollectiveObservable, Direction, MonomialOp, bogolubov_frame,
-                        bose_hubbard, commutator_residual, direction_generator,
-                        frame_change_unitary, monomial_matrix, schwinger)
+                        bose_hubbard, collective, commutator_residual, custom_frame,
+                        direction_generator, frame_change_unitary, monomial_matrix, schwinger)
 from modefisher.collective import Propagator, Rotation, _bessel_j, ladder, propagate
 
 
@@ -293,3 +293,64 @@ class TestPropagator:
         assert len(j) < abs(x) + 12.0 * abs(x) ** (1.0 / 3.0) + 30
         wider = _bessel_j(np.array([x, 1.2 * x]))[0]  # the second row needs more orders
         assert np.abs(wider[len(j):]).max() < 1e-17 <= abs(j[-1])
+
+
+def _rotation_directions(rng, count):
+    """The poles and the x axis both ways, two in-plane ones, one a hair off +z, and
+    `count` random ones."""
+    near_pole = np.array([-8e-4, 1.2e-2, 1.0])
+    dirs = [Direction(0.0, 0.0, 1.0), Direction(0.0, 0.0, -1.0), Direction(1.0, 0.0, 0.0),
+            Direction(-1.0, 0.0, 0.0), Direction.in_plane(0.7), Direction.in_plane(-2.9),
+            Direction(*(near_pole / np.linalg.norm(near_pole)))]
+    for _ in range(count):
+        v = rng.normal(size=3)
+        dirs.append(Direction(*(v / np.linalg.norm(v))))
+    return dirs
+
+
+class TestRotation:
+    """J_n's eigenbasis from the real J_x eigenbasis and the angles of n."""
+
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 1000])
+    def test_eigenpairs(self, big_n):
+        rng = np.random.default_rng(big_n)
+        for n in _rotation_directions(rng, 8 if big_n < 1000 else 2):
+            rotation = Rotation(big_n, n)
+            assert np.array_equal(rotation.eigenvalues, np.arange(big_n + 1) - big_n / 2)
+            q = rotation.eigenvectors
+            residual = np.abs(direction_generator(big_n, n).matrix @ q - q * rotation.eigenvalues)
+            assert residual.max() <= 1e-16 * (big_n + 1) ** 2, n
+
+    @pytest.mark.parametrize("big_n", [1, 7, 60, 249])
+    def test_unitary_matches_complex_eigh(self, big_n):
+        rng = np.random.default_rng(big_n + 1)
+        for n in _rotation_directions(rng, 3):
+            lam, vec = np.linalg.eigh(direction_generator(big_n, n).matrix)
+            rotation = Rotation(big_n, n)
+            for theta in (0.3, -2.0, 7.5):
+                oracle = (vec * np.exp(1j * theta * lam)) @ vec.conj().T
+                assert np.abs(rotation.unitary(theta) - oracle).max() <= 1e-12, (n, theta)
+
+    @pytest.mark.parametrize("big_n", [0, 1, 7, 200, 2000])
+    def test_frame_change_unitary_to_rounding(self, big_n):
+        rng = np.random.default_rng(big_n + 2)
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        frames = [custom_frame(np.linalg.qr(z)[0])]
+        if big_n < 2000:
+            frames += [bogolubov_frame(0.4), custom_frame([[0.6, 0.8j], [0.8j, 0.6]])]
+        for frame in frames:
+            v = frame_change_unitary(big_n, frame)
+            assert np.abs(v.conj().T @ v - np.eye(big_n + 1)).max() <= 1e-14
+
+    def test_cache_holds_small_n_only_read_only(self):
+        cached = collective._cached_jx_eigenvectors
+        cached.cache_clear()
+        Rotation(collective.PROPAGATOR_MIN_N, Direction(1.0, 0.0, 0.0))
+        assert cached.cache_info().currsize == 0
+        Rotation(10, Direction(1.0, 0.0, 0.0))
+        Rotation(10, Direction(0.0, 0.6, 0.8))
+        assert cached.cache_info().currsize == 1 and cached.cache_info().hits == 1
+        v = cached(10)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0

@@ -138,6 +138,15 @@ class TestValidateState:
         s = pure_state([1.0, 1.0])
         assert validate_state(s) == ["normalization"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        # NaN fails every `> tol` test, so only an explicit check catches it
+        assert validate_state(pure_state([bad, 0.6, 0.8])) == ["finiteness"]
+        assert validate_state(diagonal_state([bad, 0.5, 0.5])) == ["finiteness"]
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = complex(0.0, bad)
+        assert validate_state(density_state(rho)) == ["finiteness"]
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10), st.integers(0, 10))
     def test_fock_states_always_valid(self, big_n, k):

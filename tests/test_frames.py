@@ -39,6 +39,11 @@ class TestBogolubovFrame:
         with pytest.raises(ValueError, match="unitary"):
             custom_frame(np.array([[1, 1], [1, 1]]) / SQ2)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            bogolubov_frame(phi)
+
 
 class TestFrameChangeUnitary:
     def test_spatial_is_identity(self):

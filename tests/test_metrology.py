@@ -204,6 +204,21 @@ class TestMonteCarloEstimate:
                                    2 ** 64 - 1)
         assert len(run.estimates) == 2
 
+    def test_dense_grid_maxima_match_per_trial_loop(self):
+        # one product gives every trial's grid maximum; a row of ties keeps the first index
+        state, n = make_fock_state(2, 4), Direction(1, 0, 0)
+        model = metrology._RotationModel(state, n)
+        grid = metrology._estimation_grid(4)
+        counts = np.random.default_rng(8).integers(0, 50, size=(30, 5)).astype(float)
+        counts[0] = 0.0
+        best, anchors = metrology._grid_maxima(model, grid, counts)
+        log_p = np.log(np.clip(model.probabilities(grid), 1e-300, None))
+        assert anchors is None and best[0] == 0
+        for trial, row in enumerate(counts):
+            ll = log_p @ row  # the per-trial loop the product replaced
+            near_top = np.flatnonzero(ll >= ll.max() - 1e-13 * abs(ll.max()))
+            assert best[trial] == near_top[0]
+
     @pytest.mark.parametrize("theta_true", [0.02, math.pi / 2 - 0.02])
     def test_matches_scalar_golden_section(self, theta_true):
         # near a window edge some grid maxima sit on the edge, so their brackets are one
