@@ -141,9 +141,21 @@ def ladder(n_particles: int, m: int, n: int, r: int, s: int) -> np.ndarray:
 
 
 def su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
-    """The J_z diagonal (2k-N)/2 and the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k))."""
+    """The J_z diagonal (2k-N)/2 and the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k)),
+    read-only; cached below PROPAGATOR_MIN_N."""
+    return (_su2_bands if uses_propagator(n_particles) else _cached_su2_bands)(n_particles)
+
+
+def _su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     raising = ladder(n_particles, 1, 0, 0, 1)[:-1]
-    return (2 * np.arange(n_particles + 1) - n_particles) / 2.0, raising
+    jz = (2 * np.arange(n_particles + 1) - n_particles) / 2.0
+    for band in (jz, raising):
+        band.setflags(write=False)
+    return jz, raising
+
+
+# an entry is two bands of at most 250 doubles, about 4 kB
+_cached_su2_bands = functools.lru_cache(maxsize=8)(_su2_bands)
 
 
 def schwinger(n_particles: int):
@@ -165,16 +177,18 @@ class Rotation:
     J_n = W J_z W^dag for W = e^{-i phi J_z} e^{-i beta J_y}, with beta and phi the polar and
     azimuthal angles of n, so Lambda is exactly k - N/2 (ascending) and Q is W up to a global
     phase.  With J_y = P J_x P^dag, P = diag((-i)^k), and the real eigenbasis
-    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag: two real
-    (N+1)^3 products and no complex eigensolve.  V depends on N alone and is cached below
-    PROPAGATOR_MIN_N.
+    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  V depends on
+    N alone and is cached below PROPAGATOR_MIN_N.  A rotation holds V and the diagonal phases
+    only: :meth:`apply` rotates one vector with four real matrix-vector products in O(N^2),
+    and `eigenvectors` forms Q, with two real (N+1)^3 products, on first read.
 
-    The dense path: O(N^3) time and O(N^2) memory, unitary to rounding at any N.  Density
-    matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it; pure
-    states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one BLAS
-    thread on a 2-core Xeon, building one takes 0.3-0.7 ms at N = 100 with V cached and
-    0.3-0.4 s at N = 1000, where V is solved per call; one rotation of a pure state at
-    theta = pi/2 takes 0.6 ms dense against 2.0 ms propagated at N = 100.
+    The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
+    Density matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it;
+    pure states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one
+    BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at theta = pi/2 through
+    :meth:`apply` takes 0.06-0.09 ms at N = 100 and 0.11-0.16 ms at N = 249; forming Q
+    takes 0.4-0.6 ms at N = 100 with V cached and about 0.36 s at N = 1000, where V is
+    solved per call.
     """
 
     def __init__(self, n_particles: int, n: Direction):
@@ -182,21 +196,48 @@ class Rotation:
         k = np.arange(n_particles + 1)
         self.eigenvalues = k - n_particles / 2.0
         basis = _jx_eigenvectors if uses_propagator(n_particles) else _cached_jx_eigenvectors
-        v = basis(n_particles)
+        self._v = basis(n_particles)
         # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
         beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
         phi = math.atan2(n.n_y, n.n_x)
         angle = beta * self.eigenvalues
+        self._cos, self._sin = np.cos(angle), np.sin(angle)  # e^{-i beta Lambda}
+        self._p = np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
+        self._outer = np.exp(-1j * phi * k) * self._p  # the rows of Q: diag(e^{-ik phi}) P
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Q, formed on first read."""
+        v = self._v
         # e^{-i beta J_x} = V e^{-i beta Lambda} V^T; P (.) P^dag makes it e^{-i beta J_y}
-        rot = (v * np.cos(angle)) @ v.T - 1j * ((v * np.sin(angle)) @ v.T)
-        p = np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
-        rot *= (np.exp(-1j * phi * k) * p)[:, None]
-        rot *= p.conj()
-        self.eigenvectors = rot
+        rot = (v * self._cos) @ v.T - 1j * ((v * self._sin) @ v.T)
+        rot *= self._outer[:, None]
+        rot *= self._p.conj()
+        return rot
 
     def unitary(self, theta: float) -> np.ndarray:
         phase = np.exp(1j * theta * self.eigenvalues)
         return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
+
+    def apply(self, c, theta: float) -> np.ndarray:
+        """exp(i theta J_n) c = Q e^{i theta Lambda} Q^dag c for one vector c, in O(N^2)
+        without forming Q.
+
+        Q = diag(e^{-ik phi}) P M P^dag with M = V e^{-i beta Lambda} V^T, so the P^dag of Q
+        and the P of Q^dag meet around the diagonal e^{i theta Lambda} and cancel exactly.
+        What is left is four real products of V or V^T with c's real and imaginary parts,
+        and diagonal phases.
+        """
+        tilt = self._cos - 1j * self._sin
+        x = self._outer.conj() * np.asarray(c, dtype=complex)
+        x = _real_times(self._v, _real_times(self._v.T, x) * tilt.conj())
+        x *= np.exp(1j * theta * self.eigenvalues)
+        return self._outer * _real_times(self._v, _real_times(self._v.T, x) * tilt)
+
+
+def _real_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The real matrix m times the complex vector x, as one real product over x's two parts."""
+    return (m @ x.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
 def _jx_eigenvectors(n_particles: int) -> np.ndarray:
@@ -219,11 +260,12 @@ _cached_jx_eigenvectors = functools.lru_cache(maxsize=8)(_jx_eigenvectors)
 
 
 # Pure states of at least this many particles are rotated by the Propagator rather than
-# the dense eigenbasis.  A 3 x 10^4-shot estimate takes 14-17 ms dense against 26-28 ms
-# propagated at N = 200, 25 against 20-30 ms at N = 250 and 31-35 against 30-34 ms at
-# N = 300 (one BLAS thread, 2-core Xeon, V cached); one rotation at theta = pi/2 takes
-# 1.6-2.3 against 3.3-3.7 ms at N = 200 and 4.2-4.4 against 3.0-4.0 ms at N = 250.
-# The full table is in CHANGES.md.
+# the dense eigenbasis.  An estimate forms Q for its grid: 3 trials x 10^4 shots take
+# 15-21 ms dense against 18-23 ms propagated at N = 200, 26 against 18-31 ms at N = 250 and
+# 26-35 against 21-33 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a noisy host).
+# One rotation at theta = pi/2 forms no Q and takes 0.11-0.16 ms dense at N = 249 against
+# 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
+# open question in ROADMAP.md.  The full tables are in CHANGES.md.
 PROPAGATOR_MIN_N = 250
 BESSEL_CUTOFF = 1e-17
 CHEBYSHEV_CHUNK = 64

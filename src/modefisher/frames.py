@@ -40,6 +40,8 @@ class ModeFrame:
 
     def __post_init__(self):
         u = _as_frozen_complex(self.mixing, (2, 2))
+        if not np.isfinite(u).all():  # NaN passes the unitarity test below
+            raise ValueError("mode mixing must be finite")
         residual = np.abs(u.conj().T @ u - np.eye(2)).max()
         if residual > UNITARITY_TOL:
             raise ValueError(f"mode mixing is not unitary (residual {residual:.3e})")

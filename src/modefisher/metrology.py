@@ -10,11 +10,14 @@ The model has two paths.  Density matrices and pure states below
 ``collective.PROPAGATOR_MIN_N`` (250) rotate through J_n's dense eigenbasis, which
 ``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N; one
 product of the counts with the log-probabilities gives every trial's best grid
-point.  Pure states from there on use the matrix-free propagator, stream the grid
-block by block and refine each trial from its best grid point.  An estimate of
-3 trials x 10^4 shots (one BLAS thread, 2-core Xeon) takes 14-17 ms dense and
-26-28 ms propagated at N = 200, about 25 and 20-30 ms at N = 250, 71 ms propagated
-at N = 1000 and about 3 s at N = 10^4.
+point.  A pure state at one angle (`rotate`, `classical_fisher`,
+`measurement_probabilities` at a scalar angle, an estimate's true-angle state) is
+rotated through the real eigenbasis without forming J_n's, in 0.06-0.09 ms at
+N = 100 and 0.11-0.16 ms at N = 249.  Pure states from PROPAGATOR_MIN_N on use the
+matrix-free propagator, stream the grid block by block and refine each trial from
+its best grid point.  An estimate of 3 trials x 10^4 shots (one BLAS thread, 2-core
+Xeon, a noisy host) takes 15-21 ms dense and 18-23 ms propagated at N = 200, 26 and
+18-31 ms at N = 250 and about 3 s propagated at N = 10^4.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -71,9 +74,11 @@ class EstimationRun:
 class _RotationModel:
     """exp(i theta J_n) for repeated rotations of one state.
 
-    Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N keep one dense
-    eigendecomposition of J_n; pure states from PROPAGATOR_MIN_N on use the matrix-free
-    :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.
+    Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N use J_n's dense
+    eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
+    :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
+    path a pure state at one angle is rotated in O(N^2) without forming the eigenbasis; an
+    array of angles forms it once and reuses the state's coefficients in it.
     """
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
@@ -88,8 +93,6 @@ class _RotationModel:
         else:
             self.rotation = Rotation(state.n_particles, n)
             self.generator = self.rotation.generator
-            if state.is_pure:
-                self._psi_eig = self.rotation.eigenvectors.conj().T @ state.amplitudes
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c at every angle of `theta` (pure states): theta.shape + (N+1,)."""
@@ -97,6 +100,10 @@ class _RotationModel:
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
+        if theta.ndim == 0:
+            return self.rotation.apply(self.state.amplitudes, theta)
+        if self._psi_eig is None:
+            self._psi_eig = self.rotation.eigenvectors.conj().T @ self.state.amplitudes
         # exp in place: at most two (angles, N+1) complex arrays live at once
         amp = np.multiply.outer(theta, 1j * self.rotation.eigenvalues)
         amp = np.exp(amp, out=amp) * self._psi_eig

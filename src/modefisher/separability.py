@@ -18,6 +18,8 @@ from .collective import su2_bands
 from .fock import DEFAULT_TOL, MonomialOp, SectorState, expectation, monomial_matrix, validate_state
 from .frames import ModeFrame, spatial_frame, transform_state
 
+# relative gap under which two coherences count as tied when the witness is picked
+WITNESS_TIE_TOL = 1e-12
 SPIN_SQUEEZING_CAVEAT = (
     "witness derived for distinguishable particles; for identical bosons a "
     "violation does not reliably certify mode entanglement"
@@ -57,7 +59,10 @@ def is_separable(state: SectorState, frame: ModeFrame, tol: float = DEFAULT_TOL)
     if max_off <= tol:
         return SeparabilityVerdict(True, frame, max_off)
     lower = np.tril(off, k=-1)
-    row, col = (int(i) for i in np.unravel_index(int(np.argmax(lower)), lower.shape))
+    # coherences equal in exact arithmetic differ in their last bits: take the first, in
+    # row-major order, within WITNESS_TIE_TOL of the largest, as an exact argmax would
+    first = np.flatnonzero(lower >= (1.0 - WITNESS_TIE_TOL) * lower.max())[0]
+    row, col = (int(i) for i in np.unravel_index(first, lower.shape))
     # coherence rho_{row,col}, row > col, is picked out by the proof's monomial
     op = MonomialOp(col, row, big_n - col, big_n - row)
     residual = expectation(moved, monomial_matrix(op, big_n))

@@ -43,9 +43,16 @@ def frame_from_json(obj: dict) -> ModeFrame:
     if kind == "bogolubov":
         return bogolubov_frame(float(obj["phi"]))
     if kind == "unitary":
-        u = np.array(obj["u_re"], dtype=float) + 1j * np.array(obj["u_im"], dtype=float)
-        return custom_frame(u)
+        return custom_frame(_complex_array(obj["u_re"], obj["u_im"]))
     raise ValueError(f"unknown frame kind {kind!r}")
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """re + i im, set part by part: 1j * inf would make a NaN real part and a numpy warning."""
+    re, im = np.broadcast_arrays(np.array(re, dtype=float), np.array(im, dtype=float))
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
 def state_to_json(state: SectorState) -> dict:
@@ -68,7 +75,7 @@ def state_from_json(obj: dict) -> SectorState:
     if kind == "fock":
         return make_fock_state(int(obj["k"]), big_n, frame)
     if kind == "pure":
-        c = np.array(obj["amplitudes_re"], dtype=float) + 1j * np.array(obj["amplitudes_im"], dtype=float)
+        c = _complex_array(obj["amplitudes_re"], obj["amplitudes_im"])
         if c.shape != (big_n + 1,):
             raise ValueError(f"amplitudes must have length N+1 = {big_n + 1}")
         return pure_state(c, frame)
@@ -78,7 +85,7 @@ def state_from_json(obj: dict) -> SectorState:
             raise ValueError(f"p must have length N+1 = {big_n + 1}")
         return diagonal_state(p, frame)
     if kind == "density":
-        rho = np.array(obj["rho_re"], dtype=float) + 1j * np.array(obj["rho_im"], dtype=float)
+        rho = _complex_array(obj["rho_re"], obj["rho_im"])
         if rho.shape != (big_n + 1, big_n + 1):
             raise ValueError(f"rho must be (N+1)x(N+1) = {big_n + 1}x{big_n + 1}")
         return density_state(rho, frame)

@@ -477,7 +477,7 @@ def _fuzz_states(tmp_path, rng):
     return states
 
 
-def _fuzz_argv(rng, states, frames):
+def _fuzz_argv(rng, states, frames, phis=("0", "0.4", "-7.1")):
     def pick(options):
         return options[rng.integers(len(options))]
 
@@ -489,7 +489,7 @@ def _fuzz_argv(rng, states, frames):
     if sub == "frames":
         return ["frames", f"--n={pick(['-1', '0', '1', '4', '8'])}", *opt("tol", FUZZ_TOLS),
                 *([f"--frame={pick(frames)}"] if rng.random() < 0.5
-                  else [f"--phi={pick(['0', '0.4', '-7.1'])}"]),
+                  else [f"--phi={pick(phis)}"]),
                 f"--format={pick(['json', 'csv'])}"]
     argv = [sub, f"--state={pick(states)}", *opt("tol", FUZZ_TOLS)]
     if sub == "separability":
@@ -544,21 +544,71 @@ def test_fuzzed_argv_keep_the_exit_contract(capsys, tmp_path):
               write_json(tmp_path / "bogo.json", {"kind": "bogolubov", "phi": 0.4})]
     exits = {0: 0, 2: 0}
     for _ in range(400):
-        argv = _fuzz_argv(rng, states, frames)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code in (0, 2), (argv, code, captured.out)
-        exits[code] += 1
-        if code == 2:
-            assert "error" in json.loads(captured.out), argv
-        elif "--format=csv" in argv:
-            _check_numbers(argv, list(csv.DictReader(io.StringIO(captured.out))))
-        else:
-            _check_numbers(argv, json.loads(captured.out))
+        exits[_run_fuzzed(capsys, _fuzz_argv(rng, states, frames))] += 1
     assert min(exits.values()) >= 50, exits
+
+
+def _run_fuzzed(capsys, argv):
+    """Run `main(argv)` and check the exit contract; returns the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 2), (argv, code, captured.out)
+    if code == 2:
+        assert "error" in json.loads(captured.out), argv
+    elif "--format=csv" in argv:
+        _check_numbers(argv, list(csv.DictReader(io.StringIO(captured.out))))
+    else:
+        _check_numbers(argv, json.loads(captured.out))
+    return code
+
+
+# JSON's NaN and Infinity, in every kind of state and in frames by angle and by matrix
+NON_FINITE_STATES = {
+    "nan_pure": '{"N": 2, "kind": "pure", "amplitudes_re": [NaN, 0.6, 0.8], '
+                '"amplitudes_im": [0, 0, 0]}',
+    "inf_pure": '{"N": 2, "kind": "pure", "amplitudes_re": [0, 0.6, 0.8], '
+                '"amplitudes_im": [0, -Infinity, 0]}',
+    "inf_diagonal": '{"N": 2, "kind": "diagonal", "p": [Infinity, 0.5, 0.5]}',
+    "nan_density": '{"N": 1, "kind": "density", "rho_re": [[0.5, NaN], [NaN, 0.5]], '
+                   '"rho_im": [[0, 0], [0, 0]]}',
+    "nan_fock_k": '{"N": 3, "kind": "fock", "k": NaN}',
+    "nan_phi_fock": '{"N": 3, "kind": "fock", "k": 1, "frame": {"kind": "bogolubov", "phi": NaN}}',
+    "inf_phi_fock": '{"N": 3, "kind": "fock", "k": 1, '
+                    '"frame": {"kind": "bogolubov", "phi": -Infinity}}',
+    "nan_mixing_fock": '{"N": 3, "kind": "fock", "k": 1, "frame": {"kind": "unitary", '
+                       '"u_re": [[NaN, 0], [0, 1]], "u_im": [[0, 0], [0, 0]]}}',
+}
+NON_FINITE_FRAMES = {
+    "inf_phi": '{"kind": "bogolubov", "phi": Infinity}',
+    "nan_mixing": '{"kind": "unitary", "u_re": [[1, 0], [0, 1]], "u_im": [[0, NaN], [0, 0]]}',
+}
+FUZZ_PHIS = ["nan", "inf", "-inf", "0", "0.4", "-7.1"]
+
+
+def test_fuzzed_non_finite_inputs_keep_the_exit_contract(capsys, tmp_path):
+    """A second batch: `frames --phi` drawn from non-finite values too, and state and frame
+    files with a NaN or infinite entry.  Every argv that reads one exits 2."""
+    def write_text(name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        return str(path)
+
+    rng = np.random.default_rng(20261020)
+    states = [write_text(name, text) for name, text in NON_FINITE_STATES.items()]
+    bad_frames = [write_text(name, text) for name, text in NON_FINITE_FRAMES.items()]
+    frames = [write_json(tmp_path / "spatial.json", {"kind": "spatial"}), *bad_frames]
+    bad, seen = {*states, *bad_frames, "nan", "inf", "-inf"}, set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, states, frames, phis=FUZZ_PHIS)
+        code = _run_fuzzed(capsys, argv)
+        values = dict(arg.partition("=")[::2] for arg in argv[1:])
+        read = {values.get("--state"), values.get("--frame"), values.get("--phi")} & bad
+        assert code == 2 or not read, (argv, code)
+        seen |= read
+    assert seen == bad
 
 
 @pytest.mark.parametrize("argv", [["frames", "--n", "3"], ["selftest"]])

@@ -73,6 +73,22 @@ class TestLadder:
             assert np.array_equal(band[:-1], np.sqrt((k + 1.0) * (big_n - k)))
             assert band[-1] == 0.0
 
+    def test_su2_bands_cached_below_propagator_min_n_read_only(self):
+        cached = collective._cached_su2_bands
+        cached.cache_clear()
+        for big_n in (collective.PROPAGATOR_MIN_N, collective.PROPAGATOR_MIN_N + 50):
+            jz, raising = collective.su2_bands(big_n)
+            assert not jz.flags.writeable and not raising.flags.writeable
+        assert cached.cache_info().currsize == 0
+        jz, raising = collective.su2_bands(10)
+        assert collective.su2_bands(10)[1] is raising
+        assert cached.cache_info().currsize == 1 and cached.cache_info().hits == 1
+        assert np.array_equal(raising, ladder(10, 1, 0, 0, 1)[:-1])
+        assert np.array_equal(jz, np.arange(11) - 5.0)
+        for band in (jz, raising):
+            with pytest.raises(ValueError):
+                band[0] = 1.0
+
     @pytest.mark.parametrize("build", [
         lambda n: schwinger(n),
         lambda n: direction_generator(n, Direction(0.6, 0.0, 0.8)),
@@ -330,6 +346,19 @@ class TestRotation:
             for theta in (0.3, -2.0, 7.5):
                 oracle = (vec * np.exp(1j * theta * lam)) @ vec.conj().T
                 assert np.abs(rotation.unitary(theta) - oracle).max() <= 1e-12, (n, theta)
+
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249])
+    def test_apply_matches_unitary(self, big_n):
+        rng = np.random.default_rng(big_n + 3)
+        for n in _rotation_directions(rng, 3):
+            rotation = Rotation(big_n, n)
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            c /= np.linalg.norm(c)
+            thetas = (0.0, 0.3, -2.0, 7.5)
+            applied = [rotation.apply(c, theta) for theta in thetas]
+            assert "eigenvectors" not in rotation.__dict__  # apply forms no Q
+            for theta, got in zip(thetas, applied):
+                assert np.abs(got - rotation.unitary(theta) @ c).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 7, 200, 2000])
     def test_frame_change_unitary_to_rounding(self, big_n):

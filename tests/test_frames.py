@@ -44,6 +44,12 @@ class TestBogolubovFrame:
         with pytest.raises(ValueError, match="finite"):
             bogolubov_frame(phi)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_rejects_non_finite_mixing(self, entry):
+        # a NaN mixing passes the unitarity test, since NaN > tol is false
+        with pytest.raises(ValueError, match="finite"):
+            custom_frame([[entry, 0.0], [0.0, 1.0]])
+
 
 class TestFrameChangeUnitary:
     def test_spatial_is_identity(self):

@@ -289,6 +289,32 @@ class TestPropagatedPath:
             monte_carlo_estimate(make_fock_state(3, 8), Direction(0, 0, 1), 0.3, 2, 50, 1)
 
 
+def test_one_angle_forms_no_eigenbasis(monkeypatch):
+    # one angle on the dense path rotates the state through V in O(N^2): J_n's eigenbasis,
+    # an (N+1)^2 complex array of 1 MB at N = 249, is never formed
+    big_n = collective.PROPAGATOR_MIN_N - 1
+    made = []
+
+    class RecordingRotation(collective.Rotation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(metrology, "Rotation", RecordingRotation)
+    state, n = make_fock_state(big_n // 3, big_n), Direction(0.48, 0.64, 0.6)
+    rotate(state, n, 0.3)  # caches V
+    for call in (rotate, measurement_probabilities, classical_fisher):
+        tracemalloc.start()
+        try:
+            call(state, n, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (big_n + 1) ** 2 * 16, (call.__name__, peak)
+    assert len(made) == 4
+    assert not any("eigenvectors" in rotation.__dict__ for rotation in made)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("state", [
     make_fock_state(80, collective.PROPAGATOR_MIN_N - 10),

@@ -65,6 +65,17 @@ class TestIsSeparable:
         with pytest.raises(ValueError, match="double range"):
             is_separable(make_fock_state(66, 200), bogolubov_frame(0.4))
 
+    @pytest.mark.parametrize("k, big_n", [(1, 4), (3, 9)])
+    def test_tied_coherences_give_one_witness(self, k, big_n):
+        # four |c_j| are equal in exact arithmetic, so six coherences tie; frames one and
+        # more doubles of phi apart round them differently, and the first tie still wins
+        phis = [0.4]
+        while len(phis) < 40:
+            phis.append(float(np.nextafter(phis[-1], 1.0)))
+        ops = {is_separable(make_fock_state(k, big_n), bogolubov_frame(phi)).witness_details.op
+               for phi in phis}
+        assert ops == {MonomialOp(0, 1, big_n, big_n - 1)}  # the coherence rho_10
+
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             is_separable(density_state(np.diag([0.2, 0.2])), spatial_frame())
