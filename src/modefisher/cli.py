@@ -206,7 +206,13 @@ def _cmd_sweep(args) -> int:
     trial_counts = values if args.param == "trials" else [args.trials]
     if min(shot_counts) < 1 or min(trial_counts) < 0:
         raise ValueError("sweep needs shots >= 1 and trials >= 0")
+
+    def fishers(direction):
+        return qfi_state(state, direction, tol), _closed_form_fisher(state, direction, tol)[0]
+
+    # both Fisher values depend on the direction alone, so only a phi sweep recomputes them
     fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
+    fixed_fishers = None if fixed_direction is None else fishers(fixed_direction)
     rows = []
     for value in values:
         theta, trials, shots, direction = args.theta, args.trials, args.shots, fixed_direction
@@ -218,9 +224,7 @@ def _cmd_sweep(args) -> int:
             shots = int(value)
         else:
             trials = int(value)
-
-        fisher_spectral = qfi_state(state, direction, tol)
-        fisher_closed, _ = _closed_form_fisher(state, direction, tol)
+        fisher_spectral, fisher_closed = fixed_fishers or fishers(direction)
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
         if trials > 0:
             # the run's rotation model gives F_cl at theta, so no second model is built

@@ -260,9 +260,10 @@ _cached_jx_eigenvectors = functools.lru_cache(maxsize=8)(_jx_eigenvectors)
 
 
 # Pure states of at least this many particles are rotated by the Propagator rather than
-# the dense eigenbasis.  An estimate forms Q for its grid: 3 trials x 10^4 shots take
-# 15-21 ms dense against 18-23 ms propagated at N = 200, 26 against 18-31 ms at N = 250 and
-# 26-35 against 21-33 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a noisy host).
+# the dense eigenbasis.  An estimate forms Q for its grid: 3 trials x 10^4 shots about x
+# take 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms at
+# N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
+# noisy host).
 # One rotation at theta = pi/2 forms no Q and takes 0.11-0.16 ms dense at N = 249 against
 # 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
 # open question in ROADMAP.md.  The full tables are in CHANGES.md.

@@ -89,11 +89,13 @@ def density_state(rho, frame: ModeFrame | None = None) -> SectorState:
     return SectorState(rho.shape[0] - 1, frame or spatial_frame(), rho=rho)
 
 
-def validate_state(state: SectorState, tol: float = DEFAULT_TOL) -> list[str]:
+def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
+                   positivity: bool = True) -> list[str]:
     """Names of violated SectorState invariants; empty when the state is valid.
 
     A NaN or infinite entry is reported as "finiteness" alone: NaN fails every `> tol`
-    test, so the other checks would pass it.
+    test, so the other checks would pass it.  `positivity=False` skips the eigenvalue
+    check of rho, for a caller that decomposes rho itself and checks its own eigenvalues.
     """
     data = state.amplitudes if state.amplitudes is not None else state.rho
     if not np.isfinite(data).all():
@@ -109,8 +111,7 @@ def validate_state(state: SectorState, tol: float = DEFAULT_TOL) -> list[str]:
         violations.append("hermiticity")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
         violations.append("trace")
-    herm = 0.5 * (rho + rho.conj().T)
-    if np.linalg.eigvalsh(herm).min() < -tol:
+    if positivity and np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
         violations.append("positivity")
     return violations
 

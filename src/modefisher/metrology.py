@@ -7,17 +7,26 @@ multinomial log-likelihood over a grid on (0, pi/2), refined by golden-section
 search for all trials together; one rotation model per estimate gives them all.
 
 The model has two paths.  Density matrices and pure states below
-``collective.PROPAGATOR_MIN_N`` (250) rotate through J_n's dense eigenbasis, which
-``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N; one
-product of the counts with the log-probabilities gives every trial's best grid
-point.  A pure state at one angle (`rotate`, `classical_fisher`,
-`measurement_probabilities` at a scalar angle, an estimate's true-angle state) is
-rotated through the real eigenbasis without forming J_n's, in 0.06-0.09 ms at
-N = 100 and 0.11-0.16 ms at N = 249.  Pure states from PROPAGATOR_MIN_N on use the
-matrix-free propagator, stream the grid block by block and refine each trial from
-its best grid point.  An estimate of 3 trials x 10^4 shots (one BLAS thread, 2-core
-Xeon, a noisy host) takes 15-21 ms dense and 18-23 ms propagated at N = 200, 26 and
-18-31 ms at N = 250 and about 3 s propagated at N = 10^4.
+``collective.PROPAGATOR_MIN_N`` (250) use J_n's dense eigenbasis Q, which
+``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N.  A pure
+state at one angle (`rotate`, `classical_fisher`, `measurement_probabilities` at a
+scalar angle, an estimate's true-angle state) is rotated through the real eigenbasis
+without forming Q, in 0.06-0.09 ms at N = 100 and 0.11-0.16 ms at N = 249.  Every other
+dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
+p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
+model.  The estimation grid, each golden-section step, `measurement_probabilities` at an
+array of angles and a density matrix's F_cl are then one real matrix product each, and
+one product of the counts with the log-probabilities gives every trial's best grid
+point.  Pure states from PROPAGATOR_MIN_N on use the matrix-free propagator, stream the
+grid block by block and refine each trial from its best grid point.
+
+Estimates of a twin-Fock state in the plane (one BLAS thread, 2-core Xeon, in-process
+medians over three runs on a noisy host) take 3.2-5.3 ms at N = 4 with 200 trials x 10^4
+shots, 2.2-3.6 ms at N = 20 with 50 x 2000, 6.0-7.6 ms at N = 100 with 20 x 1000 and
+22-25 ms at N = 249 with 20 x 10^4: 0.85-0.87, 0.68-0.71, 0.60-0.72 and 0.73-0.86 of the
+time with one complex exponential per angle and eigenvalue.  A diagonal state at N = 600
+(20 x 1000) takes 0.8-0.9 s, 0.5-0.7 s of it building W.  3 trials x 10^4 shots take
+about 3 s propagated at N = 10^4.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -26,6 +35,7 @@ and memory per trial whatever the number of shots.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +87,12 @@ class _RotationModel:
     Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N use J_n's dense
     eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
-    path a pure state at one angle is rotated in O(N^2) without forming the eigenbasis; an
-    array of angles forms it once and reuses the state's coefficients in it.
+    path a pure state at one angle is rotated in O(N^2) without forming the eigenbasis.
+    Any other dense call evaluates :attr:`fourier`, the coefficients of p(theta) in the
+    powers of e^{i theta}.  It is built once per model: in 0.9 ms for a pure state (two
+    FFTs) and 3 ms for a density matrix (O(N^3)) at N = 100, and in 0.5-0.7 s for a
+    density matrix at N = 600.  A 512-point grid then takes one (512 x 2(N+1)) @
+    (2(N+1) x (N+1)) real product, 1.6-1.9 ms at N = 100.
     """
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
@@ -86,7 +100,7 @@ class _RotationModel:
         if violations:
             raise ValueError(f"invalid state: {', '.join(violations)}")
         self.state = state
-        self.rotation = self.propagator = self._psi_eig = None
+        self.rotation = self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
             self.propagator = Propagator(state.n_particles, n)
             self.generator = self.propagator.generator
@@ -95,19 +109,13 @@ class _RotationModel:
             self.generator = self.rotation.generator
 
     def amplitudes(self, theta) -> np.ndarray:
-        """exp(i theta J_n) c at every angle of `theta` (pure states): theta.shape + (N+1,)."""
+        """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
+        `theta` (shape theta.shape + (N+1,)) on the propagated path."""
         theta = _angles(theta)
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
-        if theta.ndim == 0:
-            return self.rotation.apply(self.state.amplitudes, theta)
-        if self._psi_eig is None:
-            self._psi_eig = self.rotation.eigenvectors.conj().T @ self.state.amplitudes
-        # exp in place: at most two (angles, N+1) complex arrays live at once
-        amp = np.multiply.outer(theta, 1j * self.rotation.eigenvalues)
-        amp = np.exp(amp, out=amp) * self._psi_eig
-        return amp @ self.rotation.eigenvectors.T
+        return self.rotation.apply(self.state.amplitudes, theta)
 
     def rotated(self, theta: float) -> SectorState:
         if self.state.is_pure:
@@ -117,14 +125,54 @@ class _RotationModel:
         return SectorState(self.state.n_particles, self.state.frame,
                            rho=u @ self.state.rho @ u.conj().T)
 
-    def probabilities(self, theta) -> np.ndarray:
-        """p_m at every angle of `theta` (shape theta.shape + (N+1,)); mixed states loop."""
-        theta = np.asarray(theta, dtype=float)
+    @functools.cached_property
+    def fourier(self) -> np.ndarray:
+        """W, shape (2(N+1), N+1), with p(theta) = T(theta) @ W for T(theta) the real view of
+        (1, z, ..., z^N), z = e^{i theta}; built on first read (dense path only).
+
+        J_n's eigenvalues are k - N/2, so p_m(theta) = Re sum_d w_d C_md z^d with w_0 = 1,
+        w_d = 2 for d > 0 and C_md = sum_k Q_m,k+d r_k+d,k Q*_mk, r = Q^dag rho Q; W holds
+        the real view of w_d conj(C_md).  A pure state's C_m. is the autocorrelation of the
+        row A_m. = Q_m. * (Q^dag c), taken with two FFTs: O(N^2 log N).  A density matrix
+        sums each diagonal of r: O(N^3), once.
+        """
+        q, dim = self.rotation.eigenvectors, self.state.dim
         if self.state.is_pure:
+            a = q * (q.conj().T @ self.state.amplitudes)
+            size = 1 << (2 * dim - 2).bit_length()  # at least 2N + 1: no lag wraps around
+            f = np.fft.fft(a, size, axis=1)
+            coef = np.fft.rfft(f.real ** 2 + f.imag ** 2, axis=1)[:, :dim] / size
+        else:
+            q_conj = q.conj()
+            r = q_conj.T @ self.state.rho @ q
+            coef = np.empty((dim, dim), dtype=complex)
+            for d in range(dim):  # conj(C_md) = sum_k Q*_m,k+d r_k,k+d Q_mk
+                coef[:, d] = np.einsum("mk,k,mk->m", q_conj[:, d:], np.diagonal(r, d),
+                                       q[:, :dim - d])
+        coef[:, 1:] *= 2.0
+        return np.ascontiguousarray(coef.view(float).T)
+
+    def series(self, theta: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """T(theta) @ W, p (or dp/dtheta) at every finite angle of `theta`: one complex exp
+        per angle and one real matrix product."""
+        powers = np.empty(theta.shape + (self.state.dim,), dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.exp(1j * theta)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        if derivative:  # d z^d / d theta = i d z^d
+            powers *= 1j * np.arange(self.state.dim)
+        return powers.view(float) @ self.fourier
+
+    def probabilities(self, theta) -> np.ndarray:
+        """p_m at every angle of `theta` (shape theta.shape + (N+1,)).
+
+        A pure state at one angle, or on the propagated path, is rotated; every other call
+        evaluates the series :attr:`fourier`.
+        """
+        if self.state.is_pure and (self.propagator is not None or np.ndim(theta) == 0):
             p = np.abs(self.amplitudes(theta)) ** 2
         else:
-            p = np.array([np.diag(self.rotated(t).rho).real for t in theta.ravel()])
-            p = p.reshape(theta.shape + (self.state.dim,))
+            p = self.series(_angles(theta))
         np.clip(p, 0.0, None, out=p)
         return p
 
@@ -145,25 +193,20 @@ class _RotationModel:
             amp = self.propagator.apply(amp[-1], steps[:len(grid) - start])
             yield start, np.abs(amp) ** 2, amp
 
-    def log_likelihood(self, theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """sum_m counts[i, m] log p_m(theta[i]) for each row i."""
-        return _log_likelihood(self.probabilities(theta), counts)
-
     def classical_fisher(self, theta: float, amplitudes: np.ndarray | None = None) -> float:
         """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, from the exact derivative of p_m.
 
         A pure state c(theta) (`amplitudes`, when already computed) gives
         dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho and takes J_n c from
-        the bands in O(N); a density matrix gives -2 Im (J_n rho(theta))_mm.
+        the bands in O(N); a density matrix differentiates the series :attr:`fourier`.
         """
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             p = (c * c.conj()).real
             dp = -2.0 * (c.conj() * self.generator.apply(c)).imag
         else:
-            rho = self.rotated(theta).rho
-            p = np.diag(rho).real
-            dp = -2.0 * np.einsum("mj,jm->m", self.generator.matrix, rho).imag
+            theta = _angles(theta)
+            p, dp = self.series(theta), self.series(theta, derivative=True)
         keep = p > 1e-12
         return float(np.sum(dp[keep] ** 2 / p[keep]))
 
@@ -304,7 +347,7 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     best, anchors = _grid_maxima(model, grid, counts)
     if anchors is None:
         def loglik(theta, rows):
-            return model.log_likelihood(theta, counts[rows])
+            return _log_likelihood(model.series(theta), counts[rows])
     else:
         def loglik(theta, rows):
             coef = model.propagator.coefficients(theta - grid[best[rows]])

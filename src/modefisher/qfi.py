@@ -56,10 +56,14 @@ def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF
     a = _observable_matrix(observable)
     if a.shape != (state.dim, state.dim):
         raise ValueError(f"observable shape {a.shape} does not match sector dimension {state.dim}")
-    violations = validate_state(state, tol)
+    # rho is decomposed once: positivity is read from the eigenvalues the sum uses
+    violations = validate_state(state, tol, positivity=False)
+    if violations != ["finiteness"]:
+        lam, vec = np.linalg.eigh(state.density_matrix())
+        if not state.is_pure and lam.min() < -tol:
+            violations.append("positivity")
     if violations:
         raise ValueError(f"invalid state: {', '.join(violations)}")
-    lam, vec = np.linalg.eigh(state.density_matrix())
     a_eig = vec.conj().T @ a @ vec
     li = lam[:, None]
     lj = lam[None, :]

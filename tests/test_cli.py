@@ -324,6 +324,22 @@ class TestSweepCommand:
         assert code == 0
         assert len(built) == 3
 
+    def test_fixed_direction_computes_fisher_once(self, capsys, twin4, monkeypatch):
+        # F and the closed form depend on the direction alone, not on theta
+        calls, qfi_state = [], cli.qfi_state
+
+        def counting_qfi_state(*args):
+            calls.append(args)
+            return qfi_state(*args)
+
+        monkeypatch.setattr(cli, "qfi_state", counting_qfi_state)
+        code, out = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
+                                     "--values", "0.2,0.4,0.6", "--format", "json"])
+        assert code == 0
+        assert len(calls) == 1
+        assert all(r["F_spectral"] == pytest.approx(12.0, abs=1e-8)
+                   for r in json.loads(out)["rows"])
+
 
 class TestFramesCommand:
     def test_identity_for_spatial(self, capsys, tmp_path):

@@ -245,6 +245,64 @@ class TestMonteCarloEstimate:
         assert 0 < at_edge < trials
 
 
+def _per_angle(state, n, theta):
+    """p and dp/dtheta at one angle from the formed unitary and the dense J_n: the per-angle
+    route the trigonometric series replaced."""
+    rotation = collective.Rotation(state.n_particles, n)
+    u = rotation.unitary(theta)
+    rho = u @ state.density_matrix() @ u.conj().T
+    dp = -2.0 * np.einsum("mj,jm->m", rotation.generator.matrix, rho).imag
+    return np.diag(rho).real, dp
+
+
+class TestTrigonometricSeries:
+    """On the dense path p(theta) = T(theta) @ W, from the powers of e^{i theta}."""
+
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249])
+    def test_pure_state_matches_unitary(self, big_n):
+        rng = np.random.default_rng(big_n)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        state = pure_state(c / np.linalg.norm(c))
+        angles = np.array([[0.0, 0.4, 1.3], [-8.0, 8.0, -2.0]])
+        for n in (Direction(0.48, 0.64, 0.6), Direction(1, 0, 0)):
+            p = measurement_probabilities(state, n, angles)
+            assert p.shape == angles.shape + (big_n + 1,)
+            rotation = collective.Rotation(big_n, n)
+            for theta, row in zip(angles.ravel(), p.reshape(-1, big_n + 1)):
+                oracle = np.abs(rotation.unitary(theta) @ state.amplitudes) ** 2
+                assert np.abs(row - oracle).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-3", "diagonal"])
+    @pytest.mark.parametrize("big_n", [1, 6, 40, 200])
+    def test_density_matrix_matches_per_angle_route(self, kind, big_n):
+        rng = np.random.default_rng(big_n)
+        if kind == "diagonal":
+            rho = np.diag(rng.dirichlet(np.ones(big_n + 1)))
+        else:
+            rank = big_n + 1 if kind == "full-rank" else 3
+            a = rng.normal(size=(big_n + 1, rank)) + 1j * rng.normal(size=(big_n + 1, rank))
+            rho = a @ a.conj().T
+        state, n = density_state(rho / np.trace(rho).real), Direction(0.48, 0.64, 0.6)
+        angles = np.array([0.0, 0.7, -8.0, 8.0])
+        p = measurement_probabilities(state, n, angles)
+        for theta, row in zip(angles, p):
+            p_ref, dp_ref = _per_angle(state, n, theta)
+            assert np.abs(row - p_ref).max() <= 1e-14
+            keep = p_ref > 1e-12
+            assert classical_fisher(state, n, theta) == pytest.approx(
+                np.sum(dp_ref[keep] ** 2 / p_ref[keep]), rel=1e-12)
+
+    def test_mixed_estimate_forms_no_unitary(self, monkeypatch):
+        def no_unitary(self, theta):
+            raise AssertionError("a per-angle unitary was formed")
+
+        monkeypatch.setattr(collective.Rotation, "unitary", no_unitary)
+        state = diagonal_state(np.random.default_rng(3).dirichlet(np.ones(31)))
+        run = monte_carlo_estimate(state, Direction(1, 0, 0), 0.6, 5, 2000, 9)
+        assert run.classical_fisher > 0.0
+        assert np.all(np.abs(run.estimates - 0.6) < 0.2)
+
+
 class TestPropagatedPath:
     """Pure states from PROPAGATOR_MIN_N on rotate matrix-free; they match the dense route."""
 

@@ -41,6 +41,30 @@ class TestQfiSpectral:
         with pytest.raises(ValueError, match="dimension"):
             qfi_spectral(make_fock_state(0, 1), np.eye(5))
 
+    def test_one_eigendecomposition_of_rho(self, monkeypatch):
+        # the positivity check reads the eigenvalues of the spectral sum's own eigh
+        calls = []
+
+        def counting(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return call
+
+        for solver in (np.linalg.eigh, np.linalg.eigvalsh):
+            monkeypatch.setattr(np.linalg, solver.__name__, counting(solver))
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        rho = a @ a.conj().T
+        g = direction_generator(6, Direction(0.6, 0.0, 0.8))
+        assert qfi_spectral(density_state(rho / np.trace(rho)), g) > 0.0
+        assert calls == ["eigh"]
+        calls.clear()
+        with pytest.raises(ValueError, match="^invalid state: positivity$"):
+            qfi_spectral(density_state(np.diag([1.2, -0.2])),
+                         direction_generator(1, Direction(1, 0, 0)))
+        assert calls == ["eigh"]
+
 
 class TestQfiPure:
     @pytest.mark.parametrize("big_n", [0, 1, 2, 5, 30, 200])
