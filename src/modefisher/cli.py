@@ -22,7 +22,7 @@ from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
 from .metrology import NonIdentifiableError, classical_fisher, monte_carlo_estimate, rotate
 from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral, qfi_state
-from .separability import is_separable
+from .separability import is_separable, largest_coherence
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
 
@@ -71,21 +71,12 @@ def _load_state(path: str, tol: float):
 
 
 def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
-    """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol.
-
-    A pure state forms no rho: p = |c|^2, and its largest off-diagonal is the
-    product of the two largest |c_k|.
-    """
-    if state.is_pure:
-        c = state.amplitudes
-        p = (c * c.conj()).real
-        off = float(np.prod(np.partition(np.abs(c), -2)[-2:])) if state.dim > 1 else 0.0
-    else:
-        rho = state.rho
-        p = np.diag(rho).real
-        off = np.abs(rho - np.diag(np.diag(rho))).max()
+    """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
+    off = largest_coherence(state)[0]
     if off > tol:
         return math.nan, off
+    c = state.amplitudes
+    p = np.diag(state.rho).real if c is None else (c * c.conj()).real
     return qfi_diagonal_closed_form(p, state.n_particles, direction, tol), off
 
 
@@ -145,9 +136,10 @@ def _cmd_separability(args) -> int:
     }
     if args.witnesses and verdict.witness_details is not None:
         w = verdict.witness_details
+        residual = w.residual
         report["witness"] = {
             "m": w.op.m, "n": w.op.n, "r": w.op.r, "s": w.op.s,
-            "residual_re": w.residual.real, "residual_im": w.residual.imag,
+            "residual_re": residual.real, "residual_im": residual.imag,
         }
     _emit_json(report)
     return 0

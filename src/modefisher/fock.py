@@ -133,9 +133,6 @@ class MonomialOp:
     def conserves_number(self) -> bool:
         return self.m - self.n == self.s - self.r
 
-    def adjoint(self) -> "MonomialOp":
-        return MonomialOp(self.n, self.m, self.s, self.r)
-
 
 def monomial_matrix(op: MonomialOp, n_particles: int) -> np.ndarray:
     """Matrix of (a1^dag)^m a1^n (a2^dag)^r a2^s on the N-particle sector: its ladder band.

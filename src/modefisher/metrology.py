@@ -198,8 +198,11 @@ class _RotationModel:
 
         A pure state c(theta) (`amplitudes`, when already computed) gives
         dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho and takes J_n c from
-        the bands in O(N); a density matrix differentiates the series :attr:`fourier`.
+        the bands in O(N); a density matrix differentiates the series :attr:`fourier`.  A
+        diagonal J_n (n = ±z) leaves every p_m constant, so F_cl is exactly 0 there.
         """
+        if not self.generator.lower.any():
+            return 0.0
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             p = (c * c.conj()).real

@@ -2,20 +2,21 @@
 
 For N identical bosons in two modes, a state is separable with respect to
 the bipartition induced by a mode frame iff its density matrix is diagonal
-in that frame's Fock basis.  The diagonality test is therefore the decision
-procedure; nonzero expectations of witness monomials
+in that frame's Fock basis.  The verdict therefore reads only the state's
+largest coherence in that basis.  Witness monomials
 (a1^dag)^m a1^n (a2^dag)^r a2^s with m < n, s < r, m + r = n + s provide
-independent certificates of entanglement.
+independent certificates of entanglement; each has one ladder band, so its
+expectation is read from that band and the state's matching coherences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .collective import su2_bands
-from .fock import DEFAULT_TOL, MonomialOp, SectorState, expectation, monomial_matrix, validate_state
+from .collective import ladder, su2_bands
+from .fock import DEFAULT_TOL, MonomialOp, SectorState, validate_state
 from .frames import ModeFrame, spatial_frame, transform_state
 
 # relative gap under which two coherences count as tied when the witness is picked
@@ -28,10 +29,18 @@ SPIN_SQUEEZING_CAVEAT = (
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """The monomial and residual that certified entanglement."""
+    """The monomial that certifies entanglement, and the state it is read in.
+
+    `residual` is evaluated when read, so a verdict never fails on a witness
+    coefficient outside double range; reading the residual then raises ValueError.
+    """
 
     op: MonomialOp
-    residual: complex
+    state: SectorState = field(compare=False, repr=False)
+
+    @property
+    def residual(self) -> complex:
+        return factorization_residual(self.state, self.op)
 
 
 @dataclass(frozen=True)
@@ -42,31 +51,50 @@ class SeparabilityVerdict:
     witness_details: WitnessRecord | None = None
 
 
+def largest_coherence(state: SectorState) -> tuple[float, tuple[int, int] | None]:
+    """(max |rho_rc| over r != c, witness pick) in the state's own Fock basis.
+
+    The pick is the first (row, col), row > col, in row-major order within
+    WITNESS_TIE_TOL of the largest: coherences equal in exact arithmetic differ
+    in their last bits, and this takes the one an exact argmax would; None for
+    N = 0.  A pure state forms no rho: |rho_rc| = |c_r| |c_c|, so row r's largest
+    coherence is |c_r| times the largest |c_c|, c < r, and the whole pick is O(N).
+    """
+    if state.dim == 1:
+        return 0.0, None
+    if state.is_pure:
+        a = np.abs(state.amplitudes)
+        rows = a[1:] * np.maximum.accumulate(a[:-1])
+        largest = float(rows.max())
+        cut = (1.0 - WITNESS_TIE_TOL) * largest
+        row = int(np.argmax(rows >= cut)) + 1
+        return largest, (row, int(np.argmax(a[row] * a[:row] >= cut)))
+    off = np.abs(state.rho)
+    np.fill_diagonal(off, 0.0)
+    largest = float(off.max())
+    off *= np.tri(state.dim, k=-1, dtype=bool)  # keep the lower triangle
+    first = np.flatnonzero(off >= (1.0 - WITNESS_TIE_TOL) * off.max())[0]
+    return largest, divmod(int(first), state.dim)
+
+
 def is_separable(state: SectorState, frame: ModeFrame, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     """Separable iff every off-diagonal element vanishes in the frame's Fock basis.
 
-    When entangled, the largest coherence is also certified through the
-    corresponding witness monomial, evaluated in the frame basis.
+    When entangled, the verdict names the witness monomial of the largest
+    coherence, in the frame basis; its residual is evaluated when read.
     """
     violations = validate_state(state, tol if tol > 0 else DEFAULT_TOL)
     if violations:
         raise ValueError(f"invalid state: {', '.join(violations)}")
     moved = transform_state(state, frame)
-    rho = moved.density_matrix()
-    big_n = state.n_particles
-    off = np.abs(rho - np.diag(np.diag(rho)))
-    max_off = float(off.max()) if off.size else 0.0
-    if max_off <= tol:
+    max_off, pick = largest_coherence(moved)
+    if max_off <= tol or pick is None:
         return SeparabilityVerdict(True, frame, max_off)
-    lower = np.tril(off, k=-1)
-    # coherences equal in exact arithmetic differ in their last bits: take the first, in
-    # row-major order, within WITNESS_TIE_TOL of the largest, as an exact argmax would
-    first = np.flatnonzero(lower >= (1.0 - WITNESS_TIE_TOL) * lower.max())[0]
-    row, col = (int(i) for i in np.unravel_index(first, lower.shape))
+    row, col = pick
+    big_n = state.n_particles
     # coherence rho_{row,col}, row > col, is picked out by the proof's monomial
     op = MonomialOp(col, row, big_n - col, big_n - row)
-    residual = expectation(moved, monomial_matrix(op, big_n))
-    return SeparabilityVerdict(False, frame, max_off, WitnessRecord(op, residual))
+    return SeparabilityVerdict(False, frame, max_off, WitnessRecord(op, moved))
 
 
 def factorization_residual(state: SectorState, op: MonomialOp) -> complex:
@@ -74,13 +102,22 @@ def factorization_residual(state: SectorState, op: MonomialOp) -> complex:
 
     The witness family is m < n, s < r, m + r = n + s: every state separable
     with respect to the state's own frame has vanishing expectation of these
-    monomials.
+    monomials.  The monomial's ladder band takes |k> to |k - d>, d = n - m, so
+    Tr[rho M] = sum_k band_k rho_{k,k-d}, O(N) for a pure state.
     """
     if not (op.m < op.n and op.s < op.r and op.m + op.r == op.n + op.s):
         raise ValueError(
             "monomial outside the witness family (need m < n, s < r, m + r = n + s)"
         )
-    return expectation(state, monomial_matrix(op, state.n_particles))
+    big_n, d = state.n_particles, op.n - op.m
+    k = np.arange(op.n, big_n - op.s + 1)
+    band = ladder(big_n, op.m, op.n, op.r, op.s)[k]
+    if state.is_pure:
+        c = state.amplitudes
+        # np.dot rounds like `fock.expectation`; an elementwise complex product may fuse
+        # its multiply-adds and differ from it in the last bit
+        return complex(np.dot(c[k - d].conj() * band, c[k]))
+    return complex(np.sum(state.rho[k, k - d] * band))
 
 
 def witness_monomials(n_particles: int) -> Iterator[MonomialOp]:

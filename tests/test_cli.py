@@ -187,6 +187,15 @@ class TestSeparabilityCommand:
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError" and "double range" in error["message"]
 
+    def test_verdict_past_double_range_exits_0(self, capsys, tmp_path):
+        # the witness coefficient leaves double range here; the verdict does not need it
+        state = write_json(tmp_path / "fock200.json", {"N": 200, "kind": "fock", "k": 66})
+        frame = write_json(tmp_path / "bogo.json", {"kind": "bogolubov", "phi": 0.4})
+        code, out = run_cli(capsys, ["separability", "--state", state, "--frame", frame])
+        assert code == 0
+        report = json.loads(out)
+        assert report["separable"] is False and "witness" not in report
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -279,6 +288,18 @@ class TestSweepCommand:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert all(r["F_spectral"] == pytest.approx(12.0, abs=1e-8) for r in rows)
+
+    def test_z_direction_has_no_classical_fisher(self, capsys, tmp_path):
+        amp = [0.6, 0.0, 0.8]
+        state = write_json(tmp_path / "pure.json", {"N": 2, "kind": "pure",
+                                                    "amplitudes_re": amp,
+                                                    "amplitudes_im": [0.0, 0.0, 0.0]})
+        code, out = run_cli(capsys, ["sweep", "--state", state, "--direction", "0,0,1",
+                                     "--param", "theta", "--values", "0.3",
+                                     "--format", "json"])
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["F_cl"] == 0.0 and row["ccrb"] == math.inf
 
     def test_non_spatial_frame_bounds_in_own_frame(self, capsys, tmp_path):
         state = write_json(tmp_path / "bogo_twin4.json",

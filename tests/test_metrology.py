@@ -94,6 +94,13 @@ class TestClassicalFisher:
         state = diagonal_state([0.3, 0.3, 0.4])
         assert classical_fisher(state, Direction(0, 0, 1), 0.5) == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("nz", [1.0, -1.0])
+    def test_z_direction_is_exactly_zero(self, nz):
+        rng = np.random.default_rng(40)
+        c = rng.normal(size=31) + 1j * rng.normal(size=31)
+        for state in (pure_state(c / np.linalg.norm(c)), diagonal_state(rng.dirichlet(np.ones(31)))):
+            assert classical_fisher(state, Direction(0, 0, nz), 0.7) == 0.0
+
     def test_single_particle_fringe_saturates(self):
         state = make_fock_state(0, 1)
         f_cl = classical_fisher(state, Direction(1, 0, 0), 0.4)

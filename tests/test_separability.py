@@ -1,15 +1,31 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modefisher import (Direction, MonomialOp, bogolubov_frame, density_state,
-                        diagonal_state, factorization_residual, is_separable,
-                        make_fock_state, pure_state, rotate,
+                        diagonal_state, expectation, factorization_residual, is_separable,
+                        make_fock_state, monomial_matrix, pure_state, rotate,
                         spatial_frame, spin_squeezing_witness, transform_state,
                         witness_monomials)
+from modefisher.separability import WITNESS_TIE_TOL, largest_coherence
 
 SQ2 = math.sqrt(2)
+
+
+def random_pure(rng, big_n):
+    c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+    return pure_state(c / np.linalg.norm(c))
+
+
+def dense_pick(state):
+    """The largest coherence and its witness pick, read from the formed rho."""
+    rho = state.density_matrix()
+    off = np.abs(rho - np.diag(np.diag(rho)))
+    lower = np.tril(off, k=-1)
+    first = np.flatnonzero(lower >= (1.0 - WITNESS_TIE_TOL) * lower.max())[0]
+    return off.max(), tuple(int(i) for i in np.unravel_index(first, lower.shape))
 
 
 def random_density(rng, big_n):
@@ -62,8 +78,26 @@ class TestIsSeparable:
         assert 0.0 < abs(verdict.witness_details.residual) < math.inf
 
     def test_witness_past_double_range_raises(self):
+        verdict = is_separable(make_fock_state(66, 200), bogolubov_frame(0.4))
+        assert not verdict.separable
         with pytest.raises(ValueError, match="double range"):
-            is_separable(make_fock_state(66, 200), bogolubov_frame(0.4))
+            verdict.witness_details.residual
+
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_pure_verdict_at_n2000_forms_no_square_array(self, separable):
+        # one (N+1)^2 complex array is 64 MB at N = 2000
+        big_n, frame = 2000, bogolubov_frame(0.4)
+        state = make_fock_state(big_n // 3, big_n, frame if separable else spatial_frame())
+        if separable:
+            state = transform_state(state, spatial_frame())
+        tracemalloc.start()
+        try:
+            verdict = is_separable(state, frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.separable == separable
+        assert peak < 16e6
 
     @pytest.mark.parametrize("k, big_n", [(1, 4), (3, 9)])
     def test_tied_coherences_give_one_witness(self, k, big_n):
@@ -81,7 +115,49 @@ class TestIsSeparable:
             is_separable(density_state(np.diag([0.2, 0.2])), spatial_frame())
 
 
+class TestLargestCoherence:
+    def test_pure_pick_matches_dense_pick(self):
+        rng = np.random.default_rng(31)
+        states = []
+        for big_n in range(1, 40):
+            states.append(random_pure(rng, big_n))
+            c = random_pure(rng, big_n).amplitudes.copy()
+            c[rng.random(big_n + 1) < 0.7] = 0.0
+            c[big_n // 2] = 1.0
+            states.append(pure_state(c / np.linalg.norm(c)))
+        # the tied cases of test_tied_coherences_give_one_witness, moved into their frames
+        phi = 0.4
+        for _ in range(40):
+            for k, big_n in ((1, 4), (3, 9)):
+                states.append(transform_state(make_fock_state(k, big_n), bogolubov_frame(phi)))
+            phi = float(np.nextafter(phi, 1.0))
+        for state in states:
+            largest, pick = largest_coherence(state)
+            dense_largest, dense = dense_pick(state)
+            assert largest == pytest.approx(dense_largest, rel=1e-15)
+            if dense_largest > 0.0:  # a Fock vector has no coherence to pick
+                assert pick == dense
+
+    def test_density_matches_dense_pick(self):
+        rng = np.random.default_rng(32)
+        for big_n in range(1, 9):
+            state = random_density(rng, big_n)
+            assert largest_coherence(state) == dense_pick(state)
+
+    def test_vacuum_has_no_coherence(self):
+        assert largest_coherence(make_fock_state(0, 0)) == (0.0, None)
+
+
 class TestFactorizationResidual:
+    def test_band_matches_dense_expectation(self):
+        rng = np.random.default_rng(33)
+        for big_n in range(1, 8):
+            for state in (random_pure(rng, big_n), random_density(rng, big_n)):
+                for op in witness_monomials(big_n):
+                    dense = expectation(state, monomial_matrix(op, big_n))
+                    assert factorization_residual(state, op) == pytest.approx(
+                        dense, rel=1e-12, abs=0.0)
+
     def test_diagonal_states_have_zero_residuals(self):
         rng = np.random.default_rng(6)
         for big_n in (2, 4, 7):
