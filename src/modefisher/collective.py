@@ -96,13 +96,17 @@ class CollectiveObservable:
         return mat
 
     def apply(self, c) -> np.ndarray:
-        """The operator times c in O(N) from the two bands, without forming the matrix."""
+        """The operator times c in O(N) from the two bands, without forming the matrix.
+
+        c is one vector of shape (N+1,) or rows of shape (..., N+1), each multiplied.
+        """
         c = np.asarray(c, dtype=complex)
-        if c.shape != self.diagonal.shape:
-            raise ValueError(f"vector must have shape ({self.n_particles + 1},), got {c.shape}")
+        if c.shape[-1:] != self.diagonal.shape:
+            raise ValueError(f"vectors must have shape (..., {self.n_particles + 1}), "
+                             f"got {c.shape}")
         out = self.diagonal * c
-        out[1:] += self.lower * c[:-1]
-        out[:-1] += self.lower.conj() * c[1:]
+        out[..., 1:] += self.lower * c[..., :-1]
+        out[..., :-1] += self.lower.conj() * c[..., 1:]
         return out
 
 

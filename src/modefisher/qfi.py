@@ -56,10 +56,12 @@ def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF
     a = _observable_matrix(observable)
     if a.shape != (state.dim, state.dim):
         raise ValueError(f"observable shape {a.shape} does not match sector dimension {state.dim}")
-    # rho is decomposed once: positivity is read from the eigenvalues the sum uses
+    # rho is decomposed once: positivity is read from the eigenvalues the sum uses, of the
+    # Hermitian part that `validate_state` checks
     violations = validate_state(state, tol, positivity=False)
     if violations != ["finiteness"]:
-        lam, vec = np.linalg.eigh(state.density_matrix())
+        rho = state.density_matrix()
+        lam, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
         if not state.is_pure and lam.min() < -tol:
             violations.append("positivity")
     if violations:

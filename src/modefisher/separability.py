@@ -145,12 +145,18 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     """Check N (Delta Jz)^2 >= <Jx>^2 + <Jy>^2 on the spatial modes.
 
     The result carries a caveat flag: the inequality is an entanglement
-    witness for distinguishable particles only.
+    witness for distinguishable particles only.  It reads rho's diagonal and
+    first superdiagonal, which a pure state gives in O(N) as |c_k|^2 and
+    c_k conj(c_{k+1}) without forming rho.
     """
-    rho = transform_state(state, spatial_frame()).density_matrix()
-    p = np.diag(rho).real
+    moved = transform_state(state, spatial_frame())
+    if moved.is_pure:
+        c = moved.amplitudes
+        p, coherence = (c * c.conj()).real, c[:-1] * c[1:].conj()
+    else:
+        p, coherence = np.diag(moved.rho).real, np.diag(moved.rho, 1)
     jz, raising = su2_bands(state.n_particles)
     lhs = state.n_particles * (p @ jz ** 2 - (p @ jz) ** 2)
     # <J_+> = <Jx> + i <Jy> = sum_k J_+[k+1, k] rho[k, k+1]
-    rhs = abs(raising @ np.diag(rho, 1)) ** 2
+    rhs = abs(raising @ coherence) ** 2
     return SpinSqueezingWitness(lhs, rhs, lhs < rhs - tol)

@@ -7,7 +7,7 @@ import pytest
 from modefisher import (Direction, NonIdentifiableError, classical_fisher, density_state,
                         diagonal_state, direction_generator, make_fock_state,
                         measurement_probabilities, monte_carlo_estimate,
-                        pure_state, qfi_spectral, rotate)
+                        pure_state, qfi_spectral, rotate, validate_state)
 from modefisher import collective, metrology
 from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
 
@@ -26,6 +26,28 @@ def _scalar_golden_max(f, a, b, tol):
             a, c, fc = c, d, fd
             d = a + g * (b - a)
             fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _golden_max(f, a, b):
+    """Golden section on [a_i, b_i] for every row i in lock-step, to REFINE_TOL: the
+    refinement estimates ran before Newton steps finished it.  `f(theta, rows)` gives the
+    log-likelihoods of trials `rows` at angles `theta`."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    every = np.arange(len(a))
+    fc, fd = f(c, every), f(d, every)
+    active = np.flatnonzero(b - a > REFINE_TOL)
+    while active.size:
+        left = fc[active] > fd[active]  # the maximum lies in [a, d]
+        lt, rt = active[left], active[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - g * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + g * (b[rt] - a[rt])
+        values = f(np.where(left, c[active], d[active]), active)
+        fc[lt], fd[rt] = values[left], values[~left]
+        active = active[b[active] - a[active] > REFINE_TOL]
     return 0.5 * (a + b)
 
 
@@ -299,6 +321,39 @@ class TestTrigonometricSeries:
             assert classical_fisher(state, n, theta) == pytest.approx(
                 np.sum(dp_ref[keep] ** 2 / p_ref[keep]), rel=1e-12)
 
+    def test_mixed_estimate_decomposes_rho_once(self, monkeypatch):
+        # the spectral sum's eigh also checks positivity: no eigvalsh before it
+        calls = []
+
+        def counting(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return call
+
+        state, n = density_state(np.diag([0.1, 0.2, 0.3, 0.4])), Direction(1, 0, 0)
+        collective.Rotation(3, n)  # caches the real eigenbasis of J_x at N = 3
+        for solver in (np.linalg.eigh, np.linalg.eigvalsh):
+            monkeypatch.setattr(np.linalg, solver.__name__, counting(solver))
+        run = monte_carlo_estimate(state, n, 0.6, 3, 500, 2)
+        assert calls == ["eigh"]
+        assert run.fisher == pytest.approx(qfi_spectral(state, direction_generator(3, n)))
+
+    @pytest.mark.parametrize("rho", [
+        np.diag([1.2, -0.2]),  # positivity
+        np.diag([0.6, 0.6]),  # trace
+        [[0.5, 0.0], [1.0, 0.5]],  # hermiticity: the lower triangle alone is not positive
+        [[0.5, 0.0], [1.0, -0.5]],  # hermiticity, trace and positivity
+        [[0.5, math.nan], [0.0, 0.5]],  # finiteness
+    ])
+    def test_invalid_mixed_state_message(self, rho):
+        # the estimate names the violations `validate_state` finds, in its order
+        state = density_state(rho)
+        expected = f"invalid state: {', '.join(validate_state(state))}"
+        with pytest.raises(ValueError) as caught:
+            monte_carlo_estimate(state, Direction(1, 0, 0), 0.3, 2, 10, 1)
+        assert str(caught.value) == expected
+
     def test_mixed_estimate_forms_no_unitary(self, monkeypatch):
         def no_unitary(self, theta):
             raise AssertionError("a per-angle unitary was formed")
@@ -346,6 +401,23 @@ class TestPropagatedPath:
         assert np.abs(propagated.estimates - dense.estimates).max() <= 2 * REFINE_TOL
         assert propagated.classical_fisher == pytest.approx(dense.classical_fisher, rel=1e-12)
         assert propagated.fisher == dense.fisher
+
+    def test_grid_maxima_match_per_trial_loop(self, monkeypatch):
+        # one product per block for every trial; a later block wins only with a larger value
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", 6)
+        state, n = self._state(6, 3)
+        model = metrology._RotationModel(state, n)
+        grid = metrology._estimation_grid(6)
+        counts = np.random.default_rng(9).integers(0, 50, size=(30, 7)).astype(float)
+        counts[0] = 0.0
+        best, anchors = metrology._grid_maxima(model, grid, counts)
+        amplitudes = model.amplitudes(grid)
+        log_p = np.log(np.clip(np.abs(amplitudes) ** 2, 1e-300, None))
+        assert best[0] == 0
+        for trial, row in enumerate(counts):
+            ll = log_p @ row
+            assert best[trial] in np.flatnonzero(ll >= ll.max() - 1e-12 * abs(ll.max()))
+            assert np.abs(anchors[trial] - amplitudes[best[trial]]).max() <= 1e-12
 
     def test_non_identifiable_on_propagated_path(self, monkeypatch):
         # a Fock state under J_z only picks up phases: p_m is flat in theta
@@ -407,3 +479,62 @@ def test_fine_grid_avoids_fringe_lock(monkeypatch):
                         lambda n_particles: np.linspace(*DEFAULT_WINDOW, GRID_POINTS))
     coarse = monte_carlo_estimate(state, n, theta, 1, 1000, 3)
     assert abs(coarse.estimates[0] - theta) > 100 * coarse.ccrb
+
+
+def _sweep_state(kind, big_n):
+    rng = np.random.default_rng(big_n)
+    if kind == "twin-fock":
+        return make_fock_state(big_n // 2, big_n), Direction(1, 0, 0)
+    if kind == "random-pure":
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        return pure_state(c / np.linalg.norm(c)), Direction(0.48, 0.64, 0.6)
+    if kind == "diagonal":
+        return diagonal_state(rng.dirichlet(np.ones(big_n + 1))), Direction(1, 0, 0)
+    a = rng.normal(size=(big_n + 1, 3)) + 1j * rng.normal(size=(big_n + 1, 3))
+    rho = a @ a.conj().T
+    return density_state(rho / np.trace(rho).real), Direction(0.48, 0.64, 0.6)
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("twin-fock", "dense"), ("twin-fock", "propagated"), ("random-pure", "dense"),
+    ("random-pure", "propagated"), ("diagonal", "dense"), ("rank-3", "dense"),
+])
+def test_refinement_ends_no_lower_than_golden_section(kind, path, monkeypatch):
+    # Golden section from the same bracket, on the same log-likelihood, is the reference.  Its
+    # end is resolved to |l'| REFINE_TOL, and l itself to its rounding, 4 eps (|l| + sum n/p).
+    # theta = arccos(1/sqrt(3)) is a zero of p_2 for twin-Fock at N = 4.
+    seen, model_class = {}, metrology._RotationModel
+    grid_maxima, refine_max = metrology._grid_maxima, metrology._refine_max
+
+    def shared_model(state, *args, **kwargs):  # a density matrix's W costs O(N^3): one per state
+        if seen.get("state") is not state:
+            seen.update(state=state, model=model_class(state, *args, **kwargs))
+        return seen["model"]
+
+    def recording_grid_maxima(model, grid, counts):
+        seen["counts"] = counts
+        return grid_maxima(model, grid, counts)
+
+    def recording_refine_max(loglik, a, b, switch):
+        seen.update(loglik=loglik, a=a.copy(), b=b.copy())
+        return refine_max(loglik, a, b, switch)
+
+    monkeypatch.setattr(metrology, "_RotationModel", shared_model)
+    monkeypatch.setattr(metrology, "_grid_maxima", recording_grid_maxima)
+    monkeypatch.setattr(metrology, "_refine_max", recording_refine_max)
+    trials, eps = 4, np.finfo(float).eps
+    rows = np.arange(trials)
+    for big_n in (1, 2, 4, 7, 40, 150, 249, 400):
+        state, n = _sweep_state(kind, big_n)
+        monkeypatch.setattr(collective, "PROPAGATOR_MIN_N",
+                            big_n if path == "propagated" else big_n + 1)
+        for theta in (0.02, math.acos(1 / math.sqrt(3)), math.pi / 2 - 0.02):
+            for shots in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5):
+                run = monte_carlo_estimate(state, n, theta, trials, shots, 7)
+                loglik = seen["loglik"]
+                golden = _golden_max(lambda t, r: loglik(t, r)[0], seen["a"], seen["b"])
+                new, ref = loglik(run.estimates, rows), loglik(golden, rows)
+                p = np.clip(seen["model"].probabilities(golden), 1e-300, None)
+                rounding = 4 * eps * (np.abs(ref[0]) + (seen["counts"] / p).sum(axis=1))
+                slack = np.maximum(np.abs(ref[1]) * REFINE_TOL, rounding)
+                assert (new[0] >= ref[0] - slack).all(), (big_n, theta, shots)

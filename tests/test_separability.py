@@ -262,3 +262,28 @@ class TestSpinSqueezingWitness:
     def test_caveat_is_attached(self):
         w = spin_squeezing_witness(make_fock_state(1, 2))
         assert "identical" in w.caveat
+
+    @pytest.mark.parametrize("big_n", [1, 2, 7, 30, 60])
+    def test_pure_state_matches_dense_route(self, big_n):
+        # a pure state is read from its amplitudes; the same state as rho is read from rho
+        rng = np.random.default_rng(50 + big_n)
+        for frame in (spatial_frame(), bogolubov_frame(0.4)):
+            c = random_pure(rng, big_n).amplitudes
+            w = spin_squeezing_witness(pure_state(c, frame))
+            dense = spin_squeezing_witness(density_state(np.outer(c, c.conj()), frame))
+            scale = 1e-12 * big_n ** 2
+            assert w.lhs == pytest.approx(dense.lhs, rel=1e-12, abs=scale)
+            assert w.rhs == pytest.approx(dense.rhs, rel=1e-12, abs=scale)
+            assert w.violated == dense.violated
+
+    def test_pure_state_at_n2000_forms_no_square_array(self):
+        # one (N+1)^2 complex array is 64 MB at N = 2000
+        state = make_fock_state(2000 // 3, 2000, bogolubov_frame(0.4))
+        tracemalloc.start()
+        try:
+            w = spin_squeezing_witness(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert w.lhs > 0.0
