@@ -63,8 +63,10 @@ def _parse_direction(text: str) -> Direction:
 
 
 def _load_state(path: str, tol: float):
+    """The state in `path`, checked for every invariant but positivity: each subcommand's
+    library call checks that, and a density matrix is decomposed once."""
     state = state_from_json(load_json(path))
-    violations = validate_state(state, tol)
+    violations = validate_state(state, tol, positivity=False)
     if violations:
         raise ValueError(f"invalid state in {path}: {', '.join(violations)}")
     return state

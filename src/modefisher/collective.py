@@ -144,22 +144,60 @@ def ladder(n_particles: int, m: int, n: int, r: int, s: int) -> np.ndarray:
     return band
 
 
+class _Sector:
+    """The direction-free data of the N-particle sector, every array read-only.
+
+    `k` is 0..N; `jz` is the J_z diagonal k - N/2, which is exactly the spectrum of every
+    J_n; `raising` is the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k)).  `phases`,
+    P = diag((-i)^k) with J_y = P J_x P^dag, and `jx_eigenvectors` are built on first read,
+    so a caller that needs only the bands runs no `eigh`.  :func:`_sector` caches one per N
+    below PROPAGATOR_MIN_N and hands the same arrays to every caller.
+    """
+
+    def __init__(self, n_particles: int):
+        self.n_particles = n_particles
+        self.raising = ladder(n_particles, 1, 0, 0, 1)[:-1]
+        self.k = np.arange(n_particles + 1)
+        self.jz = self.k - n_particles / 2.0
+        for band in (self.raising, self.k, self.jz):
+            band.setflags(write=False)
+
+    @functools.cached_property
+    def phases(self) -> np.ndarray:
+        p = np.array([1.0, -1.0j, -1.0, 1.0j])[self.k % 4]
+        p.setflags(write=False)
+        return p
+
+    @functools.cached_property
+    def jx_eigenvectors(self) -> np.ndarray:
+        """Real orthogonal V with J_x = V diag(k - N/2) V^T, from one real `eigh`.
+
+        J_x commutes with the mode swap k -> N - k, under which column k has parity (-1)^(N-k);
+        imposing it exactly removes the rounding of the other parity, about half of
+        max|J_n Q - Q Lambda|.
+        """
+        v = np.linalg.eigh(np.diag(0.5 * self.raising, -1))[1]
+        parity = (-1.0) ** (self.n_particles - self.k)
+        v = 0.5 * (v + parity * v[::-1])
+        v.setflags(write=False)
+        return v
+
+
+# an entry is four arrays of at most 250 entries and, once read, V of at most 0.5 MB, so
+# the cache holds at most 4 MB
+_cached_sector = functools.lru_cache(maxsize=8)(_Sector)
+
+
+def _sector(n_particles: int) -> _Sector:
+    """The sector's data: cached below PROPAGATOR_MIN_N, built per call from it on."""
+    return (_Sector if uses_propagator(n_particles) else _cached_sector)(n_particles)
+
+
 def su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
     """The J_z diagonal (2k-N)/2 and the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k)),
     read-only; cached below PROPAGATOR_MIN_N."""
-    return (_su2_bands if uses_propagator(n_particles) else _cached_su2_bands)(n_particles)
-
-
-def _su2_bands(n_particles: int) -> tuple[np.ndarray, np.ndarray]:
-    raising = ladder(n_particles, 1, 0, 0, 1)[:-1]
-    jz = (2 * np.arange(n_particles + 1) - n_particles) / 2.0
-    for band in (jz, raising):
-        band.setflags(write=False)
-    return jz, raising
-
-
-# an entry is two bands of at most 250 doubles, about 4 kB
-_cached_su2_bands = functools.lru_cache(maxsize=8)(_su2_bands)
+    sector = _sector(n_particles)
+    return sector.jz, sector.raising
 
 
 def schwinger(n_particles: int):
@@ -181,33 +219,39 @@ class Rotation:
     J_n = W J_z W^dag for W = e^{-i phi J_z} e^{-i beta J_y}, with beta and phi the polar and
     azimuthal angles of n, so Lambda is exactly k - N/2 (ascending) and Q is W up to a global
     phase.  With J_y = P J_x P^dag, P = diag((-i)^k), and the real eigenbasis
-    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  V depends on
-    N alone and is cached below PROPAGATOR_MIN_N.  A rotation holds V and the diagonal phases
-    only: :meth:`apply` rotates one vector with four real matrix-vector products in O(N^2),
-    and `eigenvectors` forms Q, with two real (N+1)^3 products, on first read.
+    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  Lambda, P
+    and V depend on N alone and come from the sector's data, cached below PROPAGATOR_MIN_N.
+    A rotation computes only the diagonal phases of n.  :meth:`apply` rotates one vector
+    with four real matrix products in O(N^2); `eigenvectors` forms Q, with two real
+    (N+1)^3 products, and `generator` builds J_n, both on first read.
 
     The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
     Density matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it;
     pure states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one
-    BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at theta = pi/2 through
-    :meth:`apply` takes 0.06-0.09 ms at N = 100 and 0.11-0.16 ms at N = 249; forming Q
-    takes 0.4-0.6 ms at N = 100 with V cached and about 0.36 s at N = 1000, where V is
-    solved per call.
+    BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at one angle through
+    :meth:`apply` takes 0.042-0.045 ms at N = 4, 0.066-0.068 ms at N = 100 and 0.12-0.13 ms
+    at N = 249, with a new n each call; forming Q takes 0.4-0.6 ms at N = 100 with V cached
+    and about 0.36 s at N = 1000, where V is solved per call.
     """
 
     def __init__(self, n_particles: int, n: Direction):
-        self.generator = direction_generator(n_particles, n)
-        k = np.arange(n_particles + 1)
-        self.eigenvalues = k - n_particles / 2.0
-        basis = _jx_eigenvectors if uses_propagator(n_particles) else _cached_jx_eigenvectors
-        self._v = basis(n_particles)
+        sector = _sector(n_particles)
+        self._n_particles, self._direction = n_particles, n
+        self.eigenvalues = sector.jz
+        self._v, self._p = sector.jx_eigenvectors, sector.phases
         # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
         beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
         phi = math.atan2(n.n_y, n.n_x)
         angle = beta * self.eigenvalues
-        self._cos, self._sin = np.cos(angle), np.sin(angle)  # e^{-i beta Lambda}
-        self._p = np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
-        self._outer = np.exp(-1j * phi * k) * self._p  # the rows of Q: diag(e^{-ik phi}) P
+        self._cos, self._sin = np.cos(angle), np.sin(angle)
+        # columns, as `apply` uses them: e^{-i beta Lambda} and the rows of Q, diag(e^{-ik phi}) P
+        self._tilt = (self._cos - 1j * self._sin)[:, None]
+        self._outer = (np.exp(-1j * phi * sector.k) * self._p)[:, None]
+
+    @functools.cached_property
+    def generator(self) -> CollectiveObservable:
+        """J_n, built on first read: `apply`, `eigenvectors` and `unitary` never read it."""
+        return direction_generator(self._n_particles, self._direction)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -215,7 +259,7 @@ class Rotation:
         v = self._v
         # e^{-i beta J_x} = V e^{-i beta Lambda} V^T; P (.) P^dag makes it e^{-i beta J_y}
         rot = (v * self._cos) @ v.T - 1j * ((v * self._sin) @ v.T)
-        rot *= self._outer[:, None]
+        rot *= self._outer
         rot *= self._p.conj()
         return rot
 
@@ -229,38 +273,15 @@ class Rotation:
 
         Q = diag(e^{-ik phi}) P M P^dag with M = V e^{-i beta Lambda} V^T, so the P^dag of Q
         and the P of Q^dag meet around the diagonal e^{i theta Lambda} and cancel exactly.
-        What is left is four real products of V or V^T with c's real and imaginary parts,
-        and diagonal phases.
+        What is left is diagonal phases and four real products of V or V^T with the
+        (N+1, 2) real view of a complex column.
         """
-        tilt = self._cos - 1j * self._sin
-        x = self._outer.conj() * np.asarray(c, dtype=complex)
-        x = _real_times(self._v, _real_times(self._v.T, x) * tilt.conj())
-        x *= np.exp(1j * theta * self.eigenvalues)
-        return self._outer * _real_times(self._v, _real_times(self._v.T, x) * tilt)
-
-
-def _real_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The real matrix m times the complex vector x, as one real product over x's two parts."""
-    return (m @ x.view(float).reshape(-1, 2)).view(complex).ravel()
-
-
-def _jx_eigenvectors(n_particles: int) -> np.ndarray:
-    """Read-only real orthogonal V with J_x = V diag(k - N/2) V^T, from one real `eigh`.
-
-    J_x commutes with the mode swap k -> N - k, under which column k has parity (-1)^(N-k);
-    imposing it exactly removes the rounding of the other parity, about half of
-    max|J_n Q - Q Lambda|.
-    """
-    _, raising = su2_bands(n_particles)
-    v = np.linalg.eigh(np.diag(0.5 * raising, -1))[1]
-    parity = (-1.0) ** (n_particles - np.arange(n_particles + 1))
-    v = 0.5 * (v + parity * v[::-1])
-    v.setflags(write=False)
-    return v
-
-
-# V for N < PROPAGATOR_MIN_N is at most 0.5 MB, so the cache holds at most 4 MB
-_cached_jx_eigenvectors = functools.lru_cache(maxsize=8)(_jx_eigenvectors)
+        v, tilt = self._v, self._tilt
+        x = (self._outer.conj() * np.asarray(c, dtype=complex)[:, None]).view(float)
+        x = (v @ ((v.T @ x).view(complex) * tilt.conj()).view(float)).view(complex)
+        x *= np.exp(1j * theta * self.eigenvalues)[:, None]
+        x = (v.T @ x.view(float)).view(complex) * tilt
+        return (self._outer * (v @ x.view(float)).view(complex)).ravel()
 
 
 # Pure states of at least this many particles are rotated by the Propagator rather than
@@ -268,7 +289,7 @@ _cached_jx_eigenvectors = functools.lru_cache(maxsize=8)(_jx_eigenvectors)
 # take 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms at
 # N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
 # noisy host).
-# One rotation at theta = pi/2 forms no Q and takes 0.11-0.16 ms dense at N = 249 against
+# One rotation at theta = pi/2 forms no Q and takes 0.12-0.13 ms dense at N = 249 against
 # 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
 # open question in ROADMAP.md.  The full tables are in CHANGES.md.
 PROPAGATOR_MIN_N = 250

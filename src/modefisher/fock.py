@@ -6,6 +6,7 @@ of mode 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,19 +95,21 @@ def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
     """Names of violated SectorState invariants; empty when the state is valid.
 
     A NaN or infinite entry is reported as "finiteness" alone: NaN fails every `> tol`
-    test, so the other checks would pass it.  `positivity=False` skips the eigenvalue
-    check of rho, for a caller that decomposes rho itself and checks its own eigenvalues.
+    test, so the other checks would pass it.  A pure state's norm is one `vdot`, and its
+    entries are scanned only when the norm is not finite: finite entries whose norm
+    overflows violate normalization.  `positivity=False` skips the eigenvalue check of rho,
+    for a caller that decomposes rho itself and checks its own eigenvalues.
     """
-    data = state.amplitudes if state.amplitudes is not None else state.rho
-    if not np.isfinite(data).all():
+    if state.amplitudes is not None:
+        c = state.amplitudes
+        norm = np.vdot(c, c).real
+        if not math.isfinite(norm):
+            return ["normalization"] if np.isfinite(c).all() else ["finiteness"]
+        return ["normalization"] if abs(norm - 1.0) > tol else []
+    rho = state.rho
+    if not np.isfinite(rho).all():
         return ["finiteness"]
     violations = []
-    if state.amplitudes is not None:
-        norm = float(np.sum(np.abs(state.amplitudes) ** 2))
-        if abs(norm - 1.0) > tol:
-            violations.append("normalization")
-        return violations
-    rho = state.rho
     if np.abs(rho - rho.conj().T).max() > tol:
         violations.append("hermiticity")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:

@@ -13,7 +13,7 @@ The model has two paths.  Density matrices and pure states below
 ``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N.  A pure
 state at one angle (`rotate`, `classical_fisher`, `measurement_probabilities` at a
 scalar angle, an estimate's true-angle state) is rotated through the real eigenbasis
-without forming Q, in 0.06-0.09 ms at N = 100 and 0.11-0.16 ms at N = 249.  Every other
+without forming Q, in 0.066-0.068 ms at N = 100 and 0.12-0.13 ms at N = 249.  Every other
 dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
 p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
 model.  The estimation grid, `measurement_probabilities` at an array of angles and a
@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Propagator, Rotation, direction_generator, uses_propagator
+from .collective import (CollectiveObservable, Direction, Propagator, Rotation,
+                         direction_generator, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, validate_state
 from .qfi import qfi_pure, qfi_spectral
 
@@ -120,10 +121,13 @@ class _RotationModel:
         self.rotation = self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
             self.propagator = Propagator(state.n_particles, n)
-            self.generator = self.propagator.generator
         else:
             self.rotation = Rotation(state.n_particles, n)
-            self.generator = self.rotation.generator
+
+    @property
+    def generator(self) -> CollectiveObservable:
+        """J_n, from the propagator or the rotation, which builds it on first read."""
+        return (self.propagator if self.rotation is None else self.rotation).generator
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
@@ -173,6 +177,7 @@ class _RotationModel:
         """p and its first `order` theta-derivatives at every finite angle of `theta`, stacked
         on a leading axis (shape (order + 1,) + theta.shape + (N+1,)): one complex exp per
         angle and one real product of the stacked tables T, T', ... with W."""
+        theta = np.asarray(theta)
         powers = np.empty((order + 1,) + theta.shape + (self.state.dim,), dtype=complex)
         powers[0, ..., 0] = 1.0
         powers[0, ..., 1:] = np.exp(1j * theta)[..., None]
@@ -188,9 +193,8 @@ class _RotationModel:
         evaluates the series :attr:`fourier`.
         """
         if self.state.is_pure and (self.propagator is not None or np.ndim(theta) == 0):
-            p = np.abs(self.amplitudes(theta)) ** 2
-        else:
-            p = self.series(_angles(theta))[0]
+            return np.abs(self.amplitudes(theta)) ** 2
+        p = self.series(_angles(theta))[0]
         np.clip(p, 0.0, None, out=p)
         return p
 
@@ -227,13 +231,18 @@ class _RotationModel:
         else:
             p, dp = self.series(_angles(theta), order=1)
         keep = p > 1e-12
-        return float(np.sum(dp[keep] ** 2 / p[keep]))
+        return float((dp[keep] ** 2 / p[keep]).sum())
 
 
-def _angles(theta) -> np.ndarray:
-    """`theta` as a float array; non-finite angles raise on the dense path as on the propagator's."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.isfinite(theta).all():
+def _angles(theta):
+    """A float `theta` as it is, anything else as a float array; non-finite angles raise on
+    the dense path as on the propagator's."""
+    if isinstance(theta, float):
+        finite = math.isfinite(theta)
+    else:
+        theta = np.asarray(theta, dtype=float)
+        finite = np.isfinite(theta).all()
+    if not finite:
         raise ValueError("rotation angles must be finite")
     return theta
 
@@ -274,9 +283,10 @@ def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_
     return _RotationModel(state, n, tol).rotated(theta)
 
 
-def measurement_probabilities(state: SectorState, n: Direction, theta) -> np.ndarray:
+def measurement_probabilities(state: SectorState, n: Direction, theta,
+                              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Number-counting outcome distribution p_m(theta), m = 0..N; one row per angle of an array."""
-    return _RotationModel(state, n).probabilities(theta)
+    return _RotationModel(state, n, tol).probabilities(theta)
 
 
 def classical_fisher(state: SectorState, n: Direction, theta: float,

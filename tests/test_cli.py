@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import cli, metrology, schwinger
+from modefisher import cli, collective, metrology, schwinger
 from modefisher.cli import main
 
 
@@ -268,6 +268,69 @@ class TestEstimateCommand:
                                      "--seed", "1"])
         assert code == 2
         assert "identifiable" in json.loads(out)["error"]["message"]
+
+
+def _count_solvers(monkeypatch):
+    """Record each call of numpy's Hermitian eigensolvers by name."""
+    calls = []
+
+    def counting(solver):
+        def call(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return call
+
+    for solver in (np.linalg.eigh, np.linalg.eigvalsh):
+        monkeypatch.setattr(np.linalg, solver.__name__, counting(solver))
+    return calls
+
+
+def test_mixed_estimate_decomposes_rho_once(capsys, tmp_path, monkeypatch):
+    # the file is checked without its eigenvalues: the spectral sum's eigh checks positivity
+    big_n = 30
+    p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
+    path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
+                                               "p": (p / p.sum()).tolist()})
+    cli.Rotation(big_n, cli.Direction(1, 0, 0))  # caches the real eigenbasis of J_x at N = 30
+    calls = _count_solvers(monkeypatch)
+    code, out = run_cli(capsys, ["estimate", "--state", path, "--direction", "1,0,0",
+                                 "--theta", "0.6", "--trials", "3", "--shots", "500"])
+    assert code == 0, out
+    assert calls == ["eigh"]
+
+
+def test_pure_qfi_runs_no_eigensolver(capsys, tmp_path, monkeypatch):
+    # below PROPAGATOR_MIN_N the sector cache builds J_x's eigenbasis only when a rotation reads it
+    collective._cached_sector.cache_clear()
+    path = write_json(tmp_path / "fock.json", {"N": 40, "kind": "fock", "k": 13})
+    calls = _count_solvers(monkeypatch)
+    code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "0.6,0,0.8"])
+    assert code == 0, out
+    assert calls == []
+
+
+@pytest.mark.parametrize("rho", [[[1.2, 0.0], [0.0, -0.2]], [[0.5, 0.8], [0.8, 0.5]]],
+                         ids=["diagonal", "coherent"])
+def test_non_positive_density_exits_2(capsys, tmp_path, rho):
+    # _load_state leaves positivity to each subcommand's library call
+    path = write_json(tmp_path / "rho.json",
+                      {"N": 1, "kind": "density", "rho_re": rho, "rho_im": [[0, 0], [0, 0]]})
+    frame = write_json(tmp_path / "frame.json", {"kind": "spatial"})
+    for argv in (["qfi", "--direction", "1,0,0", "--method", "spectral"],
+                 ["qfi", "--direction", "1,0,0", "--method", "closed-form"],
+                 ["qfi", "--direction", "1,0,0", "--method", "both"],
+                 ["separability", "--frame", frame],
+                 ["rotate", "--direction", "1,0,0", "--theta", "0.3"],
+                 ["estimate", "--direction", "1,0,0", "--theta", "0.3", "--trials", "2",
+                  "--shots", "50"],
+                 ["sweep", "--direction", "1,0,0", "--param", "theta", "--values", "0.3"],
+                 ["sweep", "--param", "phi", "--values", "0.3", "--trials", "0"]):
+        code, out = run_cli(capsys, [argv[0], "--state", path, *argv[1:]])
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and error["message"], argv
+        if "closed-form" not in argv:
+            assert "positivity" in error["message"], (argv, error)
 
 
 class TestSweepCommand:

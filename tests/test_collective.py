@@ -74,7 +74,7 @@ class TestLadder:
             assert band[-1] == 0.0
 
     def test_su2_bands_cached_below_propagator_min_n_read_only(self):
-        cached = collective._cached_su2_bands
+        cached = collective._cached_sector
         cached.cache_clear()
         for big_n in (collective.PROPAGATOR_MIN_N, collective.PROPAGATOR_MIN_N + 50):
             jz, raising = collective.su2_bands(big_n)
@@ -372,14 +372,16 @@ class TestRotation:
             assert np.abs(v.conj().T @ v - np.eye(big_n + 1)).max() <= 1e-14
 
     def test_cache_holds_small_n_only_read_only(self):
-        cached = collective._cached_jx_eigenvectors
+        cached = collective._cached_sector
         cached.cache_clear()
         Rotation(collective.PROPAGATOR_MIN_N, Direction(1.0, 0.0, 0.0))
         assert cached.cache_info().currsize == 0
         Rotation(10, Direction(1.0, 0.0, 0.0))
         Rotation(10, Direction(0.0, 0.6, 0.8))
         assert cached.cache_info().currsize == 1 and cached.cache_info().hits == 1
-        v = cached(10)
-        assert not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[0, 0] = 1.0
+        sector = cached(10)
+        assert cached.cache_info().maxsize == 8
+        for array in (sector.jx_eigenvectors, sector.phases, sector.k, sector.jz, sector.raising):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0

@@ -9,6 +9,8 @@ from modefisher import (Direction, NonIdentifiableError, classical_fisher, densi
                         measurement_probabilities, monte_carlo_estimate,
                         pure_state, qfi_spectral, rotate, validate_state)
 from modefisher import collective, metrology
+from modefisher.collective import ladder
+from modefisher.fock import DEFAULT_TOL
 from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
 
 
@@ -109,6 +111,18 @@ class TestMeasurementProbabilities:
         p = measurement_probabilities(make_fock_state(1, 2), Direction(1, 0, 0), math.pi / 2)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
         assert p.min() >= 0.0
+
+    def test_tolerance_reaches_validation(self):
+        # a norm off by 1e-8 passes tol = 1e-6 here as it does in rotate and classical_fisher
+        rng = np.random.default_rng(14)
+        c = rng.normal(size=5) + 1j * rng.normal(size=5)
+        state, n = pure_state(c * math.sqrt(1.0 + 1e-8) / np.linalg.norm(c)), Direction(1, 0, 0)
+        for theta in (0.3, np.array([0.3, 1.1])):
+            with pytest.raises(ValueError, match="invalid state: normalization"):
+                measurement_probabilities(state, n, theta)
+        p = measurement_probabilities(state, n, 0.3, tol=1e-6)
+        assert np.array_equal(p, np.abs(rotate(state, n, 0.3, tol=1e-6).amplitudes) ** 2)
+        assert measurement_probabilities(state, n, np.array([0.3, 1.1]), tol=1e-6).shape == (2, 5)
 
 
 class TestClassicalFisher:
@@ -538,3 +552,133 @@ def test_refinement_ends_no_lower_than_golden_section(kind, path, monkeypatch):
                 rounding = 4 * eps * (np.abs(ref[0]) + (seen["counts"] / p).sum(axis=1))
                 slack = np.maximum(np.abs(ref[1]) * REFINE_TOL, rounding)
                 assert (new[0] >= ref[0] - slack).all(), (big_n, theta, shots)
+
+
+# Single-angle pure-state calls against their former implementation: every diagonal of the
+# rotation built per call, and the norm summed from |c_k|^2 after a finiteness scan.
+
+def _reference_validate_pure(state, tol):
+    """The pure-state branch of `validate_state` before its norm became one `vdot`."""
+    if not np.isfinite(state.amplitudes).all():
+        return ["finiteness"]
+    with np.errstate(over="ignore"):  # the former check warned where the norm overflows
+        norm = float(np.sum(np.abs(state.amplitudes) ** 2))
+    return ["normalization"] if abs(norm - 1.0) > tol else []
+
+
+def _reference_v(big_n):
+    """V with J_x = V diag(k - N/2) V^T and the mode-swap parity imposed."""
+    v = np.linalg.eigh(np.diag(0.5 * ladder(big_n, 1, 0, 0, 1)[:-1], -1))[1]
+    parity = (-1.0) ** (big_n - np.arange(big_n + 1))
+    return 0.5 * (v + parity * v[::-1])
+
+
+def _reference_real_times(m, x):
+    return (m @ x.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def _reference_apply(v, n, c, theta):
+    """`Rotation.apply` as it was: k, Lambda, P and the phases of n built per call, and four
+    products of V through 1-D complex vectors."""
+    k = np.arange(len(v))
+    eigenvalues = k - (len(v) - 1) / 2.0
+    beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
+    phi = math.atan2(n.n_y, n.n_x)
+    angle = beta * eigenvalues
+    tilt = np.cos(angle) - 1j * np.sin(angle)
+    outer = np.exp(-1j * phi * k) * np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
+    x = outer.conj() * np.asarray(c, dtype=complex)
+    x = _reference_real_times(v, _reference_real_times(v.T, x) * tilt.conj())
+    x *= np.exp(1j * np.asarray(theta, dtype=float) * eigenvalues)
+    return outer * _reference_real_times(v, _reference_real_times(v.T, x) * tilt)
+
+
+def _reference_single_angle(v, state, n, theta):
+    """(rotated amplitudes, p, F_cl) at one angle, computed as before."""
+    assert not _reference_validate_pure(state, DEFAULT_TOL)
+    c = _reference_apply(v, n, state.amplitudes, theta)
+    p = np.abs(c) ** 2
+    np.clip(p, 0.0, None, out=p)
+    generator = direction_generator(state.n_particles, n)
+    if not generator.lower.any():
+        return c, p, 0.0
+    jc = generator.apply(c)
+    prob, dp = (c * c.conj()).real, -2.0 * (c.conj() * jc).imag
+    keep = prob > 1e-12
+    return c, p, float(np.sum(dp[keep] ** 2 / prob[keep]))
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1])
+def test_single_angle_calls_match_reference_bit_for_bit(big_n):
+    rng = np.random.default_rng(big_n + 40)
+    v = _reference_v(big_n)
+    near = [np.array([1e-9, 0.0, 1.0]), np.array([-3e-10, 7e-10, -1.0])]
+    directions = [Direction(0, 0, 1), Direction(0, 0, -1)]
+    directions += [Direction(*(u / np.linalg.norm(u))) for u in near + list(rng.normal(size=(4, 3)))]
+    for fock_k in (None, big_n // 3):
+        if fock_k is None:
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            state = pure_state(c / np.linalg.norm(c))
+        else:
+            state = make_fock_state(fock_k, big_n)
+        for n in directions:
+            for theta in (0.7, math.pi, -math.pi, 7.5, -13.1, np.float64(-2.2), 2):
+                c, p, f = _reference_single_angle(v, state, n, theta)
+                assert np.array_equal(rotate(state, n, theta).amplitudes, c), (n, theta)
+                assert np.array_equal(measurement_probabilities(state, n, theta), p), (n, theta)
+                assert classical_fisher(state, n, theta) == f, (n, theta)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [math.nan, 0.6, 0.8], [0.6, math.inf, 0.8], [complex(0.6, -math.inf), 0.8, 0.0],
+    [1e200, 0.6, 0.8], [1e200, math.nan, 0.0], [0.6, 0.8, 0.1], [0.0, 0.0, 0.0],
+    [1e-200, 0.0, 0.0], [0.6, 0.8j, 0.0],
+], ids=["nan", "inf", "imag_inf", "overflow", "overflow_nan", "unnormalized", "zero", "tiny",
+        "valid"])
+def test_pure_validation_labels_match_reference(amplitudes):
+    state = pure_state(amplitudes)
+    for tol in (DEFAULT_TOL, 1e-6, 2.0):
+        assert validate_state(state, tol) == _reference_validate_pure(state, tol), tol
+
+
+def test_rotate_and_probabilities_build_no_generator(monkeypatch):
+    # J_n is built on first read, and only F_cl reads it (for J_n c)
+    built = []
+    original = collective.direction_generator
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(collective, "direction_generator", counting)
+    monkeypatch.setattr(metrology, "direction_generator", counting)
+    state, n = make_fock_state(13, 40), Direction(0.48, 0.64, 0.6)
+    rotate(state, n, 0.7)
+    measurement_probabilities(state, n, 0.7)
+    assert built == []
+    classical_fisher(state, n, 0.7)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("big_n, trials, shots", [(4, 200, 10_000), (20, 50, 2000),
+                                                  (100, 20, 1000)])
+def test_estimate_budgets_match_reference_rotation(big_n, trials, shots, monkeypatch):
+    # the benchmark's three budgets: the true-angle state and F_cl come from a single-angle
+    # rotation, and every output is the same bit for bit with the former one
+    state, n, theta = make_fock_state(big_n // 2, big_n), Direction.in_plane(2.1), 0.8
+    run = monte_carlo_estimate(state, n, theta, trials, shots, 5)
+    v = _reference_v(big_n)
+
+    class ReferenceRotation(collective.Rotation):
+        def __init__(self, n_particles, direction):
+            super().__init__(n_particles, direction)
+            self.reference = direction
+
+        def apply(self, c, angle):
+            return _reference_apply(v, self.reference, c, angle)
+
+    monkeypatch.setattr(metrology, "Rotation", ReferenceRotation)
+    reference = monte_carlo_estimate(state, n, theta, trials, shots, 5)
+    assert np.array_equal(run.estimates, reference.estimates)
+    for field in ("empirical_std", "qcrb", "ccrb", "fisher", "classical_fisher"):
+        assert getattr(run, field) == getattr(reference, field), field

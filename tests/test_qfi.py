@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modefisher import collective
 from modefisher import (Direction, classify, custom_frame, density_state,
                         diagonal_state, direction_generator, frame_change_unitary,
                         make_fock_state, pure_state, qfi_diagonal_closed_form, qfi_pure,
@@ -11,6 +12,18 @@ from modefisher import (Direction, classify, custom_frame, density_state,
 from modefisher.qfi import (CLASS_HEISENBERG, CLASS_SHOT_NOISE,
                             CLASS_SUB_SHOT_NOISE, CLASS_ZERO)
 from tests.test_frames import random_unitary_2x2
+
+
+def test_qfi_pure_runs_no_eigensolver(monkeypatch):
+    # the sector cache holds the bands of J_n and builds J_x's eigenbasis only when read
+    collective._cached_sector.cache_clear()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kwargs: calls.append(name))
+    for big_n in (0, 7, collective.PROPAGATOR_MIN_N - 1):
+        assert qfi_pure(make_fock_state(big_n // 3, big_n), Direction(0.6, 0.0, 0.8)) == \
+            pytest.approx(qfi_pure_fock(big_n // 3, big_n, Direction(0.6, 0.0, 0.8)), rel=1e-12)
+    assert calls == []
 
 
 class TestQfiSpectral:
