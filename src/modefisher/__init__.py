@@ -8,8 +8,9 @@ from .fock import (MonomialOp, SectorState, density_state, diagonal_state,
 from .frames import (ModeFrame, bogolubov_frame, custom_frame,
                      fock_expansion_coefficients, frame_change_unitary,
                      spatial_frame, transform_state)
-from .metrology import (EstimationRun, NonIdentifiableError, classical_fisher,
-                        measurement_probabilities, monte_carlo_estimate, rotate)
+from .metrology import (EstimationRun, NonIdentifiableError, PhaseEstimator,
+                        classical_fisher, measurement_probabilities, monte_carlo_estimate,
+                        rotate)
 from .qfi import (QfiReport, classify, qfi_diagonal_closed_form, qfi_pure,
                   qfi_pure_fock, qfi_spectral, variance_bound)
 from .separability import (SeparabilityVerdict, SpinSqueezingWitness,
@@ -18,7 +19,7 @@ from .separability import (SeparabilityVerdict, SpinSqueezingWitness,
 
 __all__ = [
     "CollectiveObservable", "Direction", "EstimationRun", "ModeFrame",
-    "MonomialOp", "NonIdentifiableError", "QfiReport", "SectorState",
+    "MonomialOp", "NonIdentifiableError", "PhaseEstimator", "QfiReport", "SectorState",
     "SeparabilityVerdict", "SpinSqueezingWitness",
     "bogolubov_frame", "bose_hubbard", "classical_fisher", "classify",
     "commutator_residual", "custom_frame", "density_state", "diagonal_state",

@@ -20,7 +20,7 @@ from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
                          direction_generator, propagate, schwinger)
 from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
-from .metrology import NonIdentifiableError, classical_fisher, monte_carlo_estimate, rotate
+from .metrology import NonIdentifiableError, PhaseEstimator, monte_carlo_estimate, rotate
 from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral, qfi_state
 from .separability import is_separable, largest_coherence
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
@@ -201,12 +201,13 @@ def _cmd_sweep(args) -> int:
     if min(shot_counts) < 1 or min(trial_counts) < 0:
         raise ValueError("sweep needs shots >= 1 and trials >= 0")
 
-    def fishers(direction):
-        return qfi_state(state, direction, tol), _closed_form_fisher(state, direction, tol)[0]
+    def per_direction(direction):
+        return PhaseEstimator(state, direction, tol), _closed_form_fisher(state, direction, tol)[0]
 
-    # both Fisher values depend on the direction alone, so only a phi sweep recomputes them
+    # the estimator (one rotation model and F) and the closed form depend on the direction
+    # alone, so only a phi sweep builds them per value
     fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
-    fixed_fishers = None if fixed_direction is None else fishers(fixed_direction)
+    fixed = None if fixed_direction is None else per_direction(fixed_direction)
     rows = []
     for value in values:
         theta, trials, shots, direction = args.theta, args.trials, args.shots, fixed_direction
@@ -218,14 +219,14 @@ def _cmd_sweep(args) -> int:
             shots = int(value)
         else:
             trials = int(value)
-        fisher_spectral, fisher_closed = fixed_fishers or fishers(direction)
+        estimator, fisher_closed = fixed or per_direction(direction)
+        fisher_spectral = estimator.fisher
         qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
         if trials > 0:
-            # the run's rotation model gives F_cl at theta, so no second model is built
-            run = monte_carlo_estimate(state, direction, theta, trials, shots, args.seed, tol)
+            run = estimator.estimate(theta, trials, shots, args.seed)
             fisher_cl, ccrb, empirical_std = run.classical_fisher, run.ccrb, run.empirical_std
         else:
-            fisher_cl = classical_fisher(state, direction, theta, tol)
+            fisher_cl = estimator.classical_fisher(theta)
             ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
             empirical_std = math.nan
         rows.append({"param": value, "F_closed": fisher_closed,

@@ -56,6 +56,21 @@ class Direction:
         return self.n_x ** 2 + self.n_y ** 2
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`.
+
+    An array that owns its data, is read-only and has that dtype is kept as it is: the
+    caller handed it over, as this package's own builders do.  Anything else, a caller's
+    writable array included, is copied, so a later write to it does not reach the copy.
+    """
+    if (isinstance(values, np.ndarray) and values.base is None and not values.flags.writeable
+            and values.dtype == dtype):
+        return values
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class CollectiveObservable:
     """A Hermitian tridiagonal (N+1)x(N+1) operator held as its two bands.
@@ -71,13 +86,10 @@ class CollectiveObservable:
     def __post_init__(self):
         if np.iscomplexobj(self.diagonal):
             raise ValueError("the diagonal of a Hermitian observable must be real")
-        diagonal = np.array(self.diagonal, dtype=float)
-        lower = np.array(self.lower, dtype=complex)
+        diagonal, lower = frozen(self.diagonal, float), frozen(self.lower, complex)
         if diagonal.ndim != 1 or lower.shape != (diagonal.size - 1,):
             raise ValueError(f"bands must have lengths N+1 and N, got {diagonal.shape} "
                              f"and {lower.shape}")
-        for band in (diagonal, lower):
-            band.setflags(write=False)
         object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "lower", lower)
 
@@ -210,7 +222,10 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
     """J_n = n_x Jx + n_y Jy + n_z Jz: the diagonal n_z J_z and the lower band
     (n_x - i n_y) J_+ / 2."""
     jz, raising = su2_bands(n_particles)
-    return CollectiveObservable(n.n_z * jz, (n.n_x - 1j * n.n_y) * (0.5 * raising))
+    bands = n.n_z * jz, (n.n_x - 1j * n.n_y) * (0.5 * raising)
+    for band in bands:  # new arrays, handed over read-only rather than copied
+        band.setflags(write=False)
+    return CollectiveObservable(*bands)
 
 
 class Rotation:
@@ -222,16 +237,19 @@ class Rotation:
     J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  Lambda, P
     and V depend on N alone and come from the sector's data, cached below PROPAGATOR_MIN_N.
     A rotation computes only the diagonal phases of n.  :meth:`apply` rotates one vector
-    with four real matrix products in O(N^2); `eigenvectors` forms Q, with two real
-    (N+1)^3 products, and `generator` builds J_n, both on first read.
+    with four real matrix products in O(N^2); :meth:`projections` gives Q diag(Q^dag c),
+    up to row phases, with one real (N+1) x (N+1) x 2(N+1) product more; `eigenvectors`
+    forms Q, with two real (N+1)^3 products, and `generator` builds J_n, both on first read.
 
     The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
     Density matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it;
     pure states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one
     BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at one angle through
     :meth:`apply` takes 0.042-0.045 ms at N = 4, 0.066-0.068 ms at N = 100 and 0.12-0.13 ms
-    at N = 249, with a new n each call; forming Q takes 0.4-0.6 ms at N = 100 with V cached
-    and about 0.36 s at N = 1000, where V is solved per call.
+    at N = 249, with a new n each call; :meth:`projections` of a Fock state takes 0.25 ms at
+    N = 100 and 2.2 ms at N = 249, where forming Q and then Q diag(Q^dag c) takes 0.33 and
+    3.2 ms, with V cached; forming Q takes about 0.36 s at N = 1000, where V is solved per
+    call.
     """
 
     def __init__(self, n_particles: int, n: Direction):
@@ -244,9 +262,10 @@ class Rotation:
         phi = math.atan2(n.n_y, n.n_x)
         angle = beta * self.eigenvalues
         self._cos, self._sin = np.cos(angle), np.sin(angle)
-        # columns, as `apply` uses them: e^{-i beta Lambda} and the rows of Q, diag(e^{-ik phi}) P
+        # e^{-i beta Lambda} as a column, as `apply` uses it, and the row phases of Q,
+        # diag(e^{-ik phi}) P
         self._tilt = (self._cos - 1j * self._sin)[:, None]
-        self._outer = (np.exp(-1j * phi * sector.k) * self._p)[:, None]
+        self._outer = np.exp(-1j * phi * sector.k) * self._p
 
     @functools.cached_property
     def generator(self) -> CollectiveObservable:
@@ -259,13 +278,20 @@ class Rotation:
         v = self._v
         # e^{-i beta J_x} = V e^{-i beta Lambda} V^T; P (.) P^dag makes it e^{-i beta J_y}
         rot = (v * self._cos) @ v.T - 1j * ((v * self._sin) @ v.T)
-        rot *= self._outer
+        rot *= self._outer[:, None]
         rot *= self._p.conj()
         return rot
 
     def unitary(self, theta: float) -> np.ndarray:
         phase = np.exp(1j * theta * self.eigenvalues)
         return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
+
+    def _coordinates(self, c) -> np.ndarray:
+        """y = P^dag Q^dag c = conj(M) P^dag diag(e^{ik phi}) c as a complex column, from two
+        real products of V or V^T with the (N+1, 2) real view of a complex column."""
+        v = self._v
+        x = (self._outer.conj() * np.asarray(c, dtype=complex))[:, None].view(float)
+        return (v @ ((v.T @ x).view(complex) * self._tilt.conj()).view(float)).view(complex)
 
     def apply(self, c, theta: float) -> np.ndarray:
         """exp(i theta J_n) c = Q e^{i theta Lambda} Q^dag c for one vector c, in O(N^2)
@@ -276,19 +302,31 @@ class Rotation:
         What is left is diagonal phases and four real products of V or V^T with the
         (N+1, 2) real view of a complex column.
         """
-        v, tilt = self._v, self._tilt
-        x = (self._outer.conj() * np.asarray(c, dtype=complex)[:, None]).view(float)
-        x = (v @ ((v.T @ x).view(complex) * tilt.conj()).view(float)).view(complex)
-        x *= np.exp(1j * theta * self.eigenvalues)[:, None]
-        x = (v.T @ x.view(float)).view(complex) * tilt
-        return (self._outer * (v @ x.view(float)).view(complex)).ravel()
+        v = self._v
+        y = self._coordinates(c)
+        y *= np.exp(1j * theta * self.eigenvalues)[:, None]
+        y = (v.T @ y.view(float)).view(complex) * self._tilt
+        return self._outer * (v @ y.view(float)).view(complex)[:, 0]
+
+    def projections(self, c) -> np.ndarray:
+        """A = Q diag(Q^dag c) up to one unit phase per row, without forming Q: column j is
+        c's projection onto J_n's eigenvector j.
+
+        With y = P^dag Q^dag c, A = diag(e^{-ik phi}) P M diag(y), as the P^dag of Q and the
+        P of Q^dag cancel.  The rows' phases diag(e^{-ik phi}) P are dropped, which leaves
+        M diag(y) = V (e^{-i beta Lambda} V^T diag(y)): the two products of `apply` that
+        give y, and one (N+1) x (N+1) x 2(N+1) real product.
+        """
+        y = self._coordinates(c)
+        scaled = np.multiply(self._v.T, self._tilt * y.T, order="C")  # rows of complex pairs
+        return (self._v @ scaled.view(float)).view(complex)
 
 
 # Pure states of at least this many particles are rotated by the Propagator rather than
-# the dense eigenbasis.  An estimate forms Q for its grid: 3 trials x 10^4 shots about x
-# take 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms at
-# N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
-# noisy host).
+# the dense eigenbasis.  An estimate builds the dense W for its grid: 3 trials x 10^4 shots
+# about x took 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms
+# at N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
+# noisy host), with W built from the formed Q.
 # One rotation at theta = pi/2 forms no Q and takes 0.12-0.13 ms dense at N = 249 against
 # 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
 # open question in ROADMAP.md.  The full tables are in CHANGES.md.
@@ -373,7 +411,8 @@ class Propagator:
         rows = c.reshape(-1, self.n_particles + 1)
         shape = coef.shape[:-1] + (self.n_particles + 1,) if c.ndim == 1 else c.shape
         coef = coef.reshape(len(rows), -1, coef.shape[-1])
-        out = np.zeros((len(rows), coef.shape[1], self.n_particles + 1), dtype=complex)
+        result = np.zeros(shape, dtype=complex)
+        out = result.reshape(len(rows), coef.shape[1], self.n_particles + 1)  # a view
         # slots 0 and 1 carry T_{k-2} c and T_{k-1} c into each chunk of Chebyshev vectors
         chunk = np.empty((len(rows), min(CHEBYSHEV_CHUNK, coef.shape[-1]) + 2,
                           self.n_particles + 1), dtype=complex)
@@ -397,7 +436,7 @@ class Propagator:
                     w -= chunk[:, k - start]
             out += coef[..., start:stop] @ chunk[:, 2:stop - start + 2]
             chunk[:, :2] = chunk[:, stop - start:stop - start + 2]
-        return out.reshape(shape)
+        return result
 
 
 def propagate(n_particles: int, n: Direction, c, theta) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import ladder
+from .collective import frozen, ladder
 from .frames import ModeFrame, spatial_frame
 
 DEFAULT_TOL = 1e-10
@@ -22,7 +22,9 @@ class SectorState:
     """State of N bosons in two modes: pure amplitudes or a density matrix.
 
     Exactly one of ``amplitudes`` (length N+1) or ``rho`` ((N+1)x(N+1)) is
-    set; ``frame`` names the mode frame the Fock indices refer to.
+    set; ``frame`` names the mode frame the Fock indices refer to.  The array is
+    stored read-only: a caller's writable array is copied, and one handed over read-only
+    and owning its data is kept (see :func:`~modefisher.collective.frozen`).
     Construction checks shapes only; numerical invariants (normalization,
     hermiticity, trace, positivity) are checked by :func:`validate_state`.
     """
@@ -39,16 +41,14 @@ class SectorState:
             raise ValueError("exactly one of amplitudes or rho must be given")
         dim = self.n_particles + 1
         if self.amplitudes is not None:
-            c = np.array(self.amplitudes, dtype=complex)
+            c = frozen(self.amplitudes, complex)
             if c.shape != (dim,):
                 raise ValueError(f"amplitudes must have shape ({dim},), got {c.shape}")
-            c.setflags(write=False)
             object.__setattr__(self, "amplitudes", c)
         else:
-            r = np.array(self.rho, dtype=complex)
+            r = frozen(self.rho, complex)
             if r.shape != (dim, dim):
                 raise ValueError(f"rho must have shape ({dim}, {dim}), got {r.shape}")
-            r.setflags(write=False)
             object.__setattr__(self, "rho", r)
 
     @property

@@ -9,30 +9,31 @@ Newton steps on the likelihood's exact first and second derivatives finish it.  
 rotation model per estimate gives them all.
 
 The model has two paths.  Density matrices and pure states below
-``collective.PROPAGATOR_MIN_N`` (250) use J_n's dense eigenbasis Q, which
-``collective.Rotation`` builds from the real eigenbasis of J_x, cached per N.  A pure
+``collective.PROPAGATOR_MIN_N`` (250) use J_n's dense eigenbasis, which
+``collective.Rotation`` builds from the real eigenbasis V of J_x, cached per N.  A pure
 state at one angle (`rotate`, `classical_fisher`, `measurement_probabilities` at a
 scalar angle, an estimate's true-angle state) is rotated through the real eigenbasis
 without forming Q, in 0.066-0.068 ms at N = 100 and 0.12-0.13 ms at N = 249.  Every other
 dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
 p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
-model.  The estimation grid, `measurement_probabilities` at an array of angles and a
-density matrix's F_cl are then one real matrix product each, and so is each refinement
-step, which stacks the tables of p, p' and p''.  One product of the counts with the
-log-probabilities gives every trial's best grid point.  Pure states from
-PROPAGATOR_MIN_N on use the matrix-free propagator, stream the grid block by block and
-refine each trial from its best grid point, with p' and p'' from J_n c and J_n^2 c.
+model, for a pure state from V without forming J_n's eigenbasis Q.  The estimation grid,
+whose table T depends on N alone and is cached per N below PROPAGATOR_MIN_N,
+`measurement_probabilities` at an array of angles and a density matrix's F_cl are then
+one real matrix product each, and so is each refinement step, which stacks the tables of
+p, p' and p''.  One product of the counts with the log-probabilities gives every trial's
+best grid point.  Pure states from PROPAGATOR_MIN_N on use the matrix-free propagator,
+stream the grid block by block and refine each trial from its best grid point, with p'
+and p'' from J_n c and J_n^2 c.
 
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
 9 at N = 400 and 11 at N = 1000, where golden section alone made 30; a trial whose
 maximum sits on a window edge still takes golden section's pace, up to 27 calls.
-Estimates of a twin-Fock state in the plane (one BLAS thread, 2-core Xeon, in-process
-medians over three runs on a noisy host) take 1.8-3.0 ms at N = 4 with 200 trials x 10^4
-shots, 1.7-2.2 ms at N = 20 with 50 x 2000, 5.8-6.5 ms at N = 100 with 20 x 1000 and
-24-28 ms at N = 249 with 20 x 10^4, against 4.7-5.1, 3.4-3.8, 7.1-7.9 and 28-32 ms with
-golden section alone.  At N = 1000, 200 x 10^4 take 0.88-0.91 s propagated (was
-1.96-2.13 s).  A diagonal state at N = 600 (20 x 1000) takes 0.9-1.0 s, 0.5-0.7 s of it
-building W.  3 trials x 10^4 shots take about 3 s propagated at N = 10^4.
+Estimates of a twin-Fock state in the plane (one BLAS thread, 2-core Xeon, quartiles of
+in-process medians over 6-12 rounds on a noisy host) take 2.5-2.7 ms at N = 4 with 200
+trials x 10^4 shots, 2.0-2.1 ms at N = 20 with 50 x 2000, 5.1-5.5 ms at N = 100 with
+20 x 1000 and 22-23 ms at N = 249 with 20 x 10^4.  At N = 1000, 200 x 10^4 take
+0.88-0.91 s propagated.  A diagonal state at N = 600 (20 x 1000) takes 0.9-1.0 s,
+0.5-0.7 s of it building W.  3 trials x 10^4 shots take about 3 s propagated at N = 10^4.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -101,10 +102,11 @@ class _RotationModel:
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
     path a pure state at one angle is rotated in O(N^2) without forming the eigenbasis.
     Any other dense call evaluates :attr:`fourier`, the coefficients of p(theta) in the
-    powers of e^{i theta}.  It is built once per model: in 0.9 ms for a pure state (two
-    FFTs) and 3 ms for a density matrix (O(N^3)) at N = 100, and in 0.5-0.7 s for a
-    density matrix at N = 600.  A 512-point grid then takes one (512 x 2(N+1)) @
-    (2(N+1) x (N+1)) real product, 1.6-1.9 ms at N = 100, and a refinement step one
+    powers of e^{i theta}.  It is built once per model: in 0.5-0.9 ms for a pure state
+    (from V without Q, and two FFTs) and 3-5 ms for a density matrix (O(N^3)) at N = 100,
+    and in 0.5-0.7 s for a density matrix at N = 600.  The 512-point estimation grid then
+    takes one (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T,
+    0.5-0.8 ms at N = 100, and a refinement step one
     (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
     finish an estimate at N = 100, where golden section took 30 of a third the size.
 
@@ -139,12 +141,15 @@ class _RotationModel:
         return self.rotation.apply(self.state.amplitudes, theta)
 
     def rotated(self, theta: float) -> SectorState:
+        """The state rotated by theta; its new array is handed over read-only, not copied."""
         if self.state.is_pure:
-            return SectorState(self.state.n_particles, self.state.frame,
-                               amplitudes=self.amplitudes(theta))
+            c = self.amplitudes(theta)
+            c.setflags(write=False)
+            return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
         u = self.rotation.unitary(_angles(theta))
-        return SectorState(self.state.n_particles, self.state.frame,
-                           rho=u @ self.state.rho @ u.conj().T)
+        rho = u @ self.state.rho @ u.conj().T
+        rho.setflags(write=False)
+        return SectorState(self.state.n_particles, self.state.frame, rho=rho)
 
     @functools.cached_property
     def fourier(self) -> np.ndarray:
@@ -154,16 +159,19 @@ class _RotationModel:
         J_n's eigenvalues are k - N/2, so p_m(theta) = Re sum_d w_d C_md z^d with w_0 = 1,
         w_d = 2 for d > 0 and C_md = sum_k Q_m,k+d r_k+d,k Q*_mk, r = Q^dag rho Q; W holds
         the real view of w_d conj(C_md).  A pure state's C_m. is the autocorrelation of the
-        row A_m. = Q_m. * (Q^dag c), taken with two FFTs: O(N^2 log N).  A density matrix
-        sums each diagonal of r: O(N^3), once.
+        row A_m. = Q_m. * (Q^dag c), taken with two FFTs: O(N^2 log N).  A unit phase on a
+        row cancels there, so A comes from :meth:`~modefisher.collective.Rotation.projections`
+        up to such phases, without forming Q.  A density matrix sums each diagonal of r:
+        O(N^3), once.
         """
-        q, dim = self.rotation.eigenvectors, self.state.dim
+        dim = self.state.dim
         if self.state.is_pure:
-            a = q * (q.conj().T @ self.state.amplitudes)
+            a = self.rotation.projections(self.state.amplitudes)
             size = 1 << (2 * dim - 2).bit_length()  # at least 2N + 1: no lag wraps around
             f = np.fft.fft(a, size, axis=1)
             coef = np.fft.rfft(f.real ** 2 + f.imag ** 2, axis=1)[:, :dim] / size
         else:
+            q = self.rotation.eigenvectors
             q_conj = q.conj()
             r = q_conj.T @ self.state.rho @ q
             coef = np.empty((dim, dim), dtype=complex)
@@ -177,14 +185,7 @@ class _RotationModel:
         """p and its first `order` theta-derivatives at every finite angle of `theta`, stacked
         on a leading axis (shape (order + 1,) + theta.shape + (N+1,)): one complex exp per
         angle and one real product of the stacked tables T, T', ... with W."""
-        theta = np.asarray(theta)
-        powers = np.empty((order + 1,) + theta.shape + (self.state.dim,), dtype=complex)
-        powers[0, ..., 0] = 1.0
-        powers[0, ..., 1:] = np.exp(1j * theta)[..., None]
-        np.cumprod(powers[0], axis=-1, out=powers[0])
-        for k in range(1, order + 1):  # d z^d / d theta = i d z^d
-            np.multiply(powers[k - 1], 1j * np.arange(self.state.dim), out=powers[k])
-        return powers.view(float) @ self.fourier
+        return _powers(np.asarray(theta), self.state.dim, order).view(float) @ self.fourier
 
     def probabilities(self, theta) -> np.ndarray:
         """p_m at every angle of `theta` (shape theta.shape + (N+1,)).
@@ -199,14 +200,18 @@ class _RotationModel:
         return p
 
     def grid_blocks(self, grid: np.ndarray):
-        """(first index, p, amplitudes) over consecutive blocks of an evenly spaced grid.
+        """(first index, p, amplitudes) over consecutive blocks of the estimation grid,
+        `grid` = `_estimation_grid(N)`.
 
         The propagated path steps GRID_BLOCK points at a time from the last amplitudes,
         with one set of coefficients for every block; the dense path and mixed states give
-        the whole grid as one block, without amplitudes.
+        the whole grid as one block, without amplitudes: one product of the grid's table T,
+        which depends on N alone, with W, equal to `probabilities(grid)`.
         """
         if self.propagator is None:
-            yield 0, self.probabilities(grid), None
+            p = _grid_table(self.state.n_particles) @ self.fourier
+            np.clip(p, 0.0, None, out=p)
+            yield 0, p, None
             return
         amp = self.amplitudes(grid[:1])
         yield 0, np.abs(amp) ** 2, amp
@@ -245,6 +250,37 @@ def _angles(theta):
     if not finite:
         raise ValueError("rotation angles must be finite")
     return theta
+
+
+def _powers(theta: np.ndarray, dim: int, order: int = 0) -> np.ndarray:
+    """The tables T, T', ... at every angle of `theta`, stacked on a leading axis: (1, z, ...,
+    z^(dim-1)), z = e^{i theta}, and its first `order` theta-derivatives, complex, of shape
+    (order + 1,) + theta.shape + (dim,)."""
+    powers = np.empty((order + 1,) + theta.shape + (dim,), dtype=complex)
+    powers[0, ..., 0] = 1.0
+    powers[0, ..., 1:] = np.exp(1j * theta)[..., None]
+    np.cumprod(powers[0], axis=-1, out=powers[0])
+    for k in range(1, order + 1):  # d z^d / d theta = i d z^d
+        np.multiply(powers[k - 1], 1j * np.arange(dim), out=powers[k])
+    return powers
+
+
+def _build_grid_table(n_particles: int) -> np.ndarray:
+    """The real view of T over `_estimation_grid(N)`, shape (points, 2(N+1)), read-only."""
+    table = _powers(_estimation_grid(n_particles), n_particles + 1)[0].view(float)
+    table.setflags(write=False)
+    return table
+
+
+# below PROPAGATOR_MIN_N the grid has 512 points, so an entry is 512 x 2(N+1) doubles, at
+# most 2 MB (N = 249), and the cache holds at most 8 MB
+_cached_grid_table = functools.lru_cache(maxsize=4)(_build_grid_table)
+
+
+def _grid_table(n_particles: int) -> np.ndarray:
+    """T over the estimation grid: cached below PROPAGATOR_MIN_N, built per call from it on,
+    where only density matrices take the dense path."""
+    return (_build_grid_table if uses_propagator(n_particles) else _cached_grid_table)(n_particles)
 
 
 def _pure_series(generator, c: np.ndarray, order: int = 2) -> list[np.ndarray]:
@@ -393,16 +429,81 @@ def _draw_counts(p: np.ndarray, trials: int, shots: int, seed: int) -> np.ndarra
 
     Row t is what a fresh Generator(Philox(key=[seed, t])) draws, so it depends on neither
     the other rows nor the number of trials.  One Philox is reset to that state per trial,
-    which skips the entropy read a new one makes.
+    which skips the entropy read a new one makes; the state is given as plain Python ints,
+    which the setter converts faster than the arrays `bitgen.state` returns.
     """
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng, fresh = np.random.Generator(bitgen), bitgen.state
+    rng = np.random.Generator(bitgen)
+    # counter 0 and an empty buffer, as a new Philox has
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = np.empty((trials, len(p)))
     for trial in range(trials):
         fresh["state"]["key"][1] = trial
-        bitgen.state = fresh  # counter 0 and an empty buffer, as a new Philox has
+        bitgen.state = fresh
         counts[trial] = rng.multinomial(shots, p)
     return counts
+
+
+class PhaseEstimator:
+    """Monte-Carlo maximum-likelihood estimation of the phase of one state rotated about n.
+
+    It holds what the state and n fix: one rotation model and the quantum Fisher information
+    F.  Estimates at many angles, shot and trial counts (a `modefisher sweep`) share them, so
+    the model's W is built and a density matrix decomposed once.
+    """
+
+    def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
+        self.direction = n
+        if state.is_pure:
+            self.model = _RotationModel(state, n, tol)
+            self.fisher = qfi_pure(state, n, tol)
+        else:  # the spectral sum's eigh also checks positivity, so rho is decomposed once
+            self.fisher = qfi_spectral(state, direction_generator(state.n_particles, n), tol=tol)
+            self.model = _RotationModel(state, n, tol, positivity=False)
+
+    def classical_fisher(self, theta: float) -> float:
+        """F_cl of the number-counting readout at theta, from the exact derivative of p_m."""
+        return self.model.classical_fisher(theta)
+
+    def estimate(self, theta_true: float, trials: int, shots: int, seed: int) -> EstimationRun:
+        """`trials` independent estimates of theta_true from `shots` outcomes each; see
+        :func:`monte_carlo_estimate`."""
+        if trials < 1 or shots < 1:
+            raise ValueError("trials and shots must both be >= 1")
+        if shots > np.iinfo(np.int64).max:  # multinomial counts are 64-bit integers
+            raise ValueError("shots must be below 2**63")
+        if not 0 <= seed < 2 ** 64:  # the seed is one 64-bit word of the Philox key
+            raise ValueError("seed must be in [0, 2**64)")
+        model, n_particles = self.model, self.model.state.n_particles
+        psi_true = model.amplitudes(theta_true) if model.state.is_pure else None
+        p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
+        counts = _draw_counts(p_true / p_true.sum(), trials, shots, seed)
+
+        grid = _estimation_grid(n_particles)
+        best, anchors = _grid_maxima(model, grid, counts)
+        if anchors is None:
+            def loglik(theta, rows):
+                return _log_likelihood(model.series(theta, order=2), counts[rows])
+        else:
+            def loglik(theta, rows):
+                coef = model.propagator.coefficients(theta - grid[best[rows]])
+                amp = model.propagator.apply(anchors[rows], coef)
+                return _log_likelihood(np.stack(_pure_series(model.generator, amp)), counts[rows])
+        # Newton takes over once a bracket is narrower than pi/(20 N), a fortieth of the fringe
+        # period: golden section has then left one hump of the likelihood in it.  From
+        # pi/(4 N), Newton climbed another hump in 2 of the sweep test's 576 configurations
+        # run with 40 trials.
+        estimates = _refine_max(loglik, grid[np.maximum(best - 1, 0)],
+                                grid[np.minimum(best + 1, len(grid) - 1)],
+                                math.pi / (20 * n_particles))
+
+        empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
+        fisher_cl = model.classical_fisher(theta_true, psi_true)
+        qcrb = 1.0 / math.sqrt(shots * self.fisher) if self.fisher > 0 else math.inf
+        ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
+        return EstimationRun(theta_true, self.direction, trials, shots, estimates,
+                             empirical_std, qcrb, ccrb, seed, self.fisher, fisher_cl)
 
 
 def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
@@ -422,42 +523,4 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     A density matrix is decomposed once, by the spectral Fisher information,
     which also checks its positivity.
     """
-    if trials < 1 or shots < 1:
-        raise ValueError("trials and shots must both be >= 1")
-    if shots > np.iinfo(np.int64).max:  # multinomial counts are 64-bit integers
-        raise ValueError("shots must be below 2**63")
-    if not 0 <= seed < 2 ** 64:  # the seed is one 64-bit word of the Philox key
-        raise ValueError("seed must be in [0, 2**64)")
-    if state.is_pure:
-        model = _RotationModel(state, n, tol)
-        fisher = qfi_pure(state, n, tol)
-    else:  # the spectral sum's eigh also checks positivity, so rho is decomposed once
-        fisher = qfi_spectral(state, direction_generator(state.n_particles, n), tol=tol)
-        model = _RotationModel(state, n, tol, positivity=False)
-    psi_true = model.amplitudes(theta_true) if state.is_pure else None
-    p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
-    counts = _draw_counts(p_true / p_true.sum(), trials, shots, seed)
-
-    grid = _estimation_grid(state.n_particles)
-    best, anchors = _grid_maxima(model, grid, counts)
-    if anchors is None:
-        def loglik(theta, rows):
-            return _log_likelihood(model.series(theta, order=2), counts[rows])
-    else:
-        def loglik(theta, rows):
-            coef = model.propagator.coefficients(theta - grid[best[rows]])
-            amp = model.propagator.apply(anchors[rows], coef)
-            return _log_likelihood(np.stack(_pure_series(model.generator, amp)), counts[rows])
-    # Newton takes over once a bracket is narrower than pi/(20 N), a fortieth of the fringe
-    # period: golden section has then left one hump of the likelihood in it.  From pi/(4 N),
-    # Newton climbed another hump in 2 of the sweep test's 576 configurations run with 40 trials.
-    estimates = _refine_max(loglik, grid[np.maximum(best - 1, 0)],
-                            grid[np.minimum(best + 1, len(grid) - 1)],
-                            math.pi / (20 * state.n_particles))
-
-    empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
-    fisher_cl = model.classical_fisher(theta_true, psi_true)
-    qcrb = 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
-    ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
-    return EstimationRun(theta_true, n, trials, shots, estimates, empirical_std, qcrb, ccrb, seed,
-                         fisher, fisher_cl)
+    return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)

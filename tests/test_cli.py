@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import cli, collective, metrology, schwinger
+from modefisher import (Direction, cli, collective, make_fock_state, metrology,
+                        monte_carlo_estimate, schwinger)
 from modefisher.cli import main
 
 
@@ -393,7 +394,11 @@ class TestSweepCommand:
         assert error["type"] == "ValueError"
         assert "shots" in error["message"] or "trials" in error["message"]
 
-    def test_one_rotation_model_per_value(self, capsys, twin4, monkeypatch):
+    @pytest.mark.parametrize("param, values", [("theta", [0.2, 0.4, 0.6]),
+                                               ("shots", [100, 300]), ("trials", [2, 3, 5])],
+                             ids=["theta", "shots", "trials"])
+    def test_one_rotation_model_per_sweep(self, capsys, twin4, monkeypatch, param, values):
+        # one model serves every value, and each row is what its own estimate reports
         built = []
 
         class CountingModel(metrology._RotationModel):
@@ -402,21 +407,47 @@ class TestSweepCommand:
                 super().__init__(*args)
 
         monkeypatch.setattr(metrology, "_RotationModel", CountingModel)
-        code, _ = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
-                                   "--values", "0.2,0.4,0.6", "--trials", "2",
-                                   "--shots", "100"])
+        argv = ["sweep", "--state", twin4, "--param", param,
+                "--values", ",".join(map(str, values)), "--trials", "2", "--shots", "100"]
+        code, out_json = run_cli(capsys, [*argv, "--format", "json"])
         assert code == 0
-        assert len(built) == 3
+        assert len(built) == 1
+        code, out_csv = run_cli(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
+        state = make_fock_state(2, 4)
+        for value, row, csv_row in zip(values, json.loads(out_json)["rows"], csv_rows):
+            setting = {"theta_true": 0.3, "trials": 2, "shots": 100}
+            setting[{"theta": "theta_true"}.get(param, param)] = value
+            run = monte_carlo_estimate(state, Direction(1, 0, 0), seed=0, **setting)
+            expected = {"param": value, "F_spectral": run.fisher, "F_cl": run.classical_fisher,
+                        "qcrb": run.qcrb, "ccrb": run.ccrb, "empirical_std": run.empirical_std}
+            assert {k: row[k] for k in expected} == expected
+            assert {k: float(csv_row[k]) for k in expected} == expected
+
+    def test_mixed_sweep_decomposes_rho_once(self, capsys, tmp_path, monkeypatch):
+        # F's eigh also checks positivity, and one model gives every value's estimate
+        big_n = 30
+        p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
+        path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
+                                                   "p": (p / p.sum()).tolist()})
+        cli.Rotation(big_n, cli.Direction(1, 0, 0))  # caches the real eigenbasis of J_x
+        calls = _count_solvers(monkeypatch)
+        code, out = run_cli(capsys, ["sweep", "--state", path, "--param", "theta",
+                                     "--values", "0.3,0.6,0.9,1.2", "--trials", "3",
+                                     "--shots", "500"])
+        assert code == 0, out
+        assert calls == ["eigh"]
 
     def test_fixed_direction_computes_fisher_once(self, capsys, twin4, monkeypatch):
         # F and the closed form depend on the direction alone, not on theta
-        calls, qfi_state = [], cli.qfi_state
+        calls, qfi_pure = [], metrology.qfi_pure
 
-        def counting_qfi_state(*args):
+        def counting_qfi_pure(*args):
             calls.append(args)
-            return qfi_state(*args)
+            return qfi_pure(*args)
 
-        monkeypatch.setattr(cli, "qfi_state", counting_qfi_state)
+        monkeypatch.setattr(metrology, "qfi_pure", counting_qfi_pure)
         code, out = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
                                      "--values", "0.2,0.4,0.6", "--format", "json"])
         assert code == 0

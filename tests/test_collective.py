@@ -180,6 +180,23 @@ class TestBandedObservable:
         lower[0] = 5.0
         assert obs.lower[0] == 1.0 and lower.flags.writeable
 
+    def test_handed_over_bands_are_kept(self):
+        # an array that owns its data, is read-only and has the band's dtype is not copied
+        diagonal, lower = np.zeros(3), np.ones(2, dtype=complex)
+        for band in (diagonal, lower):
+            band.setflags(write=False)
+        obs = CollectiveObservable(diagonal, lower)
+        assert obs.diagonal is diagonal and obs.lower is lower
+        # a read-only view, another dtype or a writable array is copied
+        view = np.zeros(4)[:3]
+        view.setflags(write=False)
+        for given in (view, np.zeros(3, dtype=np.float32), np.zeros(3)):
+            kept = CollectiveObservable(given, lower).diagonal
+            assert kept is not given and kept.dtype == float and not kept.flags.writeable
+        jn = direction_generator(6, Direction(0.48, 0.64, 0.6))
+        for band in (jn.diagonal, jn.lower):
+            assert band.base is None and not band.flags.writeable
+
     @pytest.mark.parametrize("diagonal, lower", [
         (np.zeros(3), np.zeros(3)), (np.zeros(0), np.zeros(0)), (np.zeros((2, 2)), np.zeros(1)),
         (np.zeros(3, dtype=complex), np.zeros(2)),

@@ -152,3 +152,24 @@ class TestValidateState:
     def test_fock_states_always_valid(self, big_n, k):
         if k <= big_n:
             assert validate_state(make_fock_state(k, big_n)) == []
+
+
+class TestSectorStateArrays:
+    def test_caller_array_is_copied(self):
+        # a later edit of the caller's writable array does not reach the state
+        c = np.array([0.6, 0.8j, 0.0])
+        state = pure_state(c)
+        c[0] = 5.0
+        assert state.amplitudes[0] == 0.6 and not state.amplitudes.flags.writeable
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        mixed = density_state(rho)
+        rho[0, 1] = 1.0
+        assert mixed.rho[0, 1] == 0.0 and not mixed.rho.flags.writeable
+
+    def test_handed_over_array_is_kept(self):
+        c = np.array([0.6, 0.8j, 0.0])
+        c.setflags(write=False)
+        assert pure_state(c).amplitudes is c
+        view = np.array([0.6, 0.8j, 0.0, 0.0])[:3]  # read-only, but a view: copied
+        view.setflags(write=False)
+        assert pure_state(view).amplitudes is not view

@@ -214,12 +214,14 @@ class TestMonteCarloEstimate:
         assert len(built) == 1
 
     def test_counts_are_fresh_generator_draws(self):
-        p, shots, seed = np.array([0.1, 0.25, 0.3, 0.25, 0.1]), 10_000, 42
-        counts = metrology._draw_counts(p, 7, shots, seed)
-        for trial, row in enumerate(counts):
-            assert (row == _fresh_draw(p, shots, seed, trial)).all()
-        assert (counts.sum(axis=1) == shots).all()
-        assert (metrology._draw_counts(p, 3, shots, seed) == counts[:3]).all()
+        # the reset state is plain Python ints: the key's ends 0 and 2**64 - 1 included
+        p, shots = np.array([0.1, 0.25, 0.3, 0.25, 0.1]), 10_000
+        for seed in (42, 0, 2 ** 63, 2 ** 64 - 1):
+            counts = metrology._draw_counts(p, 7, shots, seed)
+            for trial, row in enumerate(counts):
+                assert (row == _fresh_draw(p, shots, seed, trial)).all(), (seed, trial)
+            assert (counts.sum(axis=1) == shots).all()
+            assert (metrology._draw_counts(p, 3, shots, seed) == counts[:3]).all()
 
     def test_sampling_memory_does_not_grow_with_shots(self):
         # one uniform and one outcome index per shot would take 160 MB at 10^7 shots
@@ -682,3 +684,106 @@ def test_estimate_budgets_match_reference_rotation(big_n, trials, shots, monkeyp
     assert np.array_equal(run.estimates, reference.estimates)
     for field in ("empirical_std", "qcrb", "ccrb", "fisher", "classical_fisher"):
         assert getattr(run, field) == getattr(reference, field), field
+
+
+def _sample_states(big_n, rng):
+    """A random pure state, a Fock state, a random density matrix and a diagonal one."""
+    c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+    a = rng.normal(size=(big_n + 1, 3)) + 1j * rng.normal(size=(big_n + 1, 3))
+    rho = a @ a.conj().T
+    return [pure_state(c / np.linalg.norm(c)), make_fock_state(big_n // 3, big_n),
+            density_state(rho / np.trace(rho).real),
+            diagonal_state(rng.dirichlet(np.ones(big_n + 1)))]
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1])
+def test_dense_grid_block_is_probabilities_on_the_grid(big_n):
+    # one product of the cached table with W, the same bit for bit as the series at the grid
+    rng = np.random.default_rng(big_n + 7)
+    grid = metrology._estimation_grid(big_n)
+    for state in _sample_states(big_n, rng):
+        model = metrology._RotationModel(state, Direction(0.48, 0.64, 0.6))
+        (start, p, amplitudes), = model.grid_blocks(grid)
+        assert start == 0 and amplitudes is None
+        assert np.array_equal(p, model.probabilities(grid))
+
+
+def test_grid_table_cached_below_propagator_min_n_read_only():
+    metrology._cached_grid_table.cache_clear()
+    tables = []
+    for state, n in ((make_fock_state(20, 40), Direction(1, 0, 0)),
+                     (diagonal_state(np.full(41, 1 / 41)), Direction(0.48, 0.64, 0.6))):
+        model = metrology._RotationModel(state, n)
+        list(model.grid_blocks(metrology._estimation_grid(40)))
+        tables.append(metrology._grid_table(40))
+    assert tables[0] is tables[1]  # every model at one N reads the same array
+    assert not tables[0].flags.writeable
+    assert tables[0].shape == (GRID_POINTS, 2 * 41)
+    info = metrology._cached_grid_table.cache_info()
+    assert info.currsize == 1 and info.maxsize == 4
+    # from PROPAGATOR_MIN_N on, only density matrices take the dense path: built per call
+    big_n = collective.PROPAGATOR_MIN_N
+    state = diagonal_state(np.random.default_rng(2).dirichlet(np.ones(big_n + 1)))
+    model = metrology._RotationModel(state, Direction(1, 0, 0))
+    grid = metrology._estimation_grid(big_n)
+    (_, p, _), = model.grid_blocks(grid)
+    assert np.array_equal(p, model.probabilities(grid))
+    assert metrology._grid_table(big_n) is not metrology._grid_table(big_n)
+    assert metrology._cached_grid_table.cache_info().currsize == 1
+
+
+def _q_route(rotation, c):
+    """A = Q diag(Q^dag c) from the formed eigenbasis: the route `projections` replaced."""
+    q = rotation.eigenvectors
+    return q * (q.conj().T @ c)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 7, 40, 100, collective.PROPAGATOR_MIN_N - 1])
+def test_projections_match_q_route(big_n, monkeypatch):
+    # equal up to one unit phase per row, so p(theta) agrees to rounding
+    rng = np.random.default_rng(big_n + 11)
+    tilted = np.array([1e-9, 0.0, 1.0])
+    directions = [Direction(0, 0, 1), Direction(0, 0, -1),
+                  Direction(*(tilted / np.linalg.norm(tilted)))]
+    directions += [Direction(*(u / np.linalg.norm(u))) for u in rng.normal(size=(2, 3))]
+    angles = rng.uniform(-4.0, 4.0, size=6)
+    for state in _sample_states(big_n, rng)[:2]:
+        for n in directions:
+            rotation = collective.Rotation(big_n, n)
+            a, a_q = rotation.projections(state.amplitudes), _q_route(rotation, state.amplitudes)
+            assert np.abs(np.abs(a) - np.abs(a_q)).max() <= 1e-14
+            p = measurement_probabilities(state, n, angles)
+            with monkeypatch.context() as patch:
+                patch.setattr(collective.Rotation, "projections", _q_route)
+                p_q = measurement_probabilities(state, n, angles)
+            assert np.abs(p - p_q).max() <= 1e-14, n
+
+
+@pytest.mark.parametrize("big_n, trials, shots", [(4, 200, 10_000), (20, 50, 2000),
+                                                  (100, 20, 1000)])
+def test_estimate_budgets_within_refine_tol_of_q_route(big_n, trials, shots, monkeypatch):
+    # W changes at rounding level only, so each estimate moves by at most REFINE_TOL; F and
+    # F_cl do not read W
+    state = make_fock_state(big_n // 2, big_n)
+    for n, theta, seed in ((Direction.in_plane(2.1), 0.8, 5), (Direction.in_plane(0.4), 0.5, 6)):
+        run = monte_carlo_estimate(state, n, theta, trials, shots, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(collective.Rotation, "projections", _q_route)
+            reference = monte_carlo_estimate(state, n, theta, trials, shots, seed)
+        assert np.abs(run.estimates - reference.estimates).max() <= REFINE_TOL
+        assert run.fisher == reference.fisher
+        assert run.classical_fisher == reference.classical_fisher
+
+
+def test_rotated_state_keeps_its_new_array(monkeypatch):
+    # the rotated amplitudes and rho are handed over read-only, not copied again
+    n = Direction(0.48, 0.64, 0.6)
+    for state in (make_fock_state(13, 40), diagonal_state(np.full(5, 0.2))):
+        model = metrology._RotationModel(state, n)
+        if state.is_pure:
+            fresh = model.amplitudes(0.3)
+            monkeypatch.setattr(model, "amplitudes", lambda theta: fresh)
+            assert model.rotated(0.3).amplitudes is fresh
+        rotated = model.rotated(0.3)
+        array = rotated.amplitudes if state.is_pure else rotated.rho
+        assert array.base is None and not array.flags.writeable
