@@ -5,6 +5,10 @@ order; all numerics are serialized at full double precision (17 significant
 digits) so runs are reproducible byte for byte given the same argv and seed.
 Validation errors exit with status 2 and a machine-readable error object.
 The MODEFISHER_TOL environment variable overrides the default tolerance.
+
+Each subcommand loads only the modules it uses, as ``import modefisher`` is lazy:
+a handler imports its library modules after its inputs are read, so a rejected
+input loads none of them.
 """
 from __future__ import annotations
 
@@ -16,13 +20,8 @@ import sys
 
 import numpy as np
 
-from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
-                         direction_generator, propagate, schwinger)
-from .fock import DEFAULT_TOL, diagonal_state, make_fock_state, validate_state
-from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
-from .metrology import NonIdentifiableError, PhaseEstimator, monte_carlo_estimate, rotate
-from .qfi import classify, qfi_diagonal_closed_form, qfi_spectral, qfi_state
-from .separability import is_separable, largest_coherence
+from .collective import Direction
+from .fock import DEFAULT_TOL, validate_state
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
 
@@ -74,6 +73,9 @@ def _load_state(path: str, tol: float):
 
 def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
     """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
+    from .qfi import qfi_diagonal_closed_form
+    from .separability import largest_coherence
+
     off = largest_coherence(state)[0]
     if off > tol:
         return math.nan, off
@@ -87,6 +89,7 @@ def _cmd_qfi(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
+    from .qfi import classify, qfi_state
 
     fisher_spectral = math.nan
     fisher_closed = math.nan
@@ -127,6 +130,8 @@ def _cmd_separability(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     frame = frame_from_json(load_json(args.frame))
+    from .separability import is_separable
+
     verdict = is_separable(state, frame, tol)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -151,6 +156,8 @@ def _cmd_rotate(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
+    from .metrology import rotate
+
     rotated = rotate(state, direction, args.theta, tol)
     report = {"schema_version": SCHEMA_VERSION, "state": state_to_json(rotated)}
     _emit_json(report)
@@ -161,6 +168,8 @@ def _cmd_estimate(args) -> int:
     tol = _tolerance(args)
     state = _load_state(args.state, tol)
     direction = _parse_direction(args.direction)
+    from .metrology import monte_carlo_estimate
+
     run = monte_carlo_estimate(state, direction, args.theta, args.trials, args.shots, args.seed,
                                tol)
     row = {
@@ -200,13 +209,14 @@ def _cmd_sweep(args) -> int:
     trial_counts = values if args.param == "trials" else [args.trials]
     if min(shot_counts) < 1 or min(trial_counts) < 0:
         raise ValueError("sweep needs shots >= 1 and trials >= 0")
+    fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
+    from .metrology import PhaseEstimator
 
     def per_direction(direction):
         return PhaseEstimator(state, direction, tol), _closed_form_fisher(state, direction, tol)[0]
 
     # the estimator (one rotation model and F) and the closed form depend on the direction
     # alone, so only a phi sweep builds them per value
-    fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
     fixed = None if fixed_direction is None else per_direction(fixed_direction)
     rows = []
     for value in values:
@@ -240,6 +250,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_frames(args) -> int:
+    from .frames import bogolubov_frame, frame_change_unitary
+
     _tolerance(args)  # no step takes a tolerance, but a bad one exits 2 as elsewhere
     if args.frame:
         frame = frame_from_json(load_json(args.frame))
@@ -257,89 +269,11 @@ def _cmd_frames(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    """Condensed invariant suite; yields (name, passed) pairs."""
-    rng = np.random.default_rng(7)
-
-    def random_diagonal(big_n):
-        p = rng.random(big_n + 1)
-        return p / p.sum()
-
-    yield "su2-commutators", all(commutator_residual(n) <= 1e-12 for n in (0, 1, 5, 20))
-
-    ok = True
-    for big_n in (1, 5, 20, 50):
-        jx, jy, jz = (o.matrix for o in schwinger(big_n))
-        casimir = jx @ jx + jy @ jy + jz @ jz
-        expected = (big_n / 2) * (big_n / 2 + 1) * np.eye(big_n + 1)
-        ok = ok and np.abs(casimir - expected).max() <= 1e-10
-    yield "casimir", ok
-
-    ok = True
-    for big_n in (2, 5, 10):
-        for _ in range(10):
-            p = random_diagonal(big_n)
-            n = Direction.in_plane(rng.uniform(0, 2 * math.pi))
-            closed = qfi_diagonal_closed_form(p, big_n, n)
-            spectral = qfi_spectral(diagonal_state(p), direction_generator(big_n, n))
-            ok = ok and abs(closed - spectral) <= 1e-8 * max(1.0, closed)
-    yield "closed-form-vs-spectral", ok
-
-    ok = True
-    for big_n in (2, 4, 8):
-        state = make_fock_state(big_n // 2, big_n)
-        n = Direction(1, 0, 0)
-        f0 = qfi_spectral(state, direction_generator(big_n, n))
-        frame = bogolubov_frame(0.4)
-        v = frame_change_unitary(big_n, frame)
-        moved = transform_state(state, frame)
-        f1 = qfi_spectral(moved, v @ direction_generator(big_n, n).matrix @ v.conj().T)
-        ok = ok and abs(f0 - f1) <= 1e-8 * max(1.0, f0)
-    yield "frame-invariance", ok
-
-    ok = True
-    for big_n in (1, 4, 9):
-        for phi in (0.0, 1.1):
-            frame = bogolubov_frame(phi)
-            v = frame_change_unitary(big_n, frame)
-            u = Rotation(big_n, Direction.in_plane(phi)).unitary(0.7)
-            u_b = v @ u @ v.conj().T
-            ok = ok and np.abs(u_b - np.diag(np.diag(u_b))).max() <= 1e-10
-    yield "exponential-locality", ok
-
-    ok = True
-    for big_n in (1, 3, 6):
-        state = make_fock_state(big_n // 2, big_n)
-        ok = ok and is_separable(state, spatial_frame()).separable
-        ok = ok and not is_separable(state, bogolubov_frame(0.3)).separable
-    yield "bipartition-relativity", ok
-
-    ok = True
-    for big_n in (2, 10):
-        h = bose_hubbard(big_n, 1.0, 1.0, 0.0, 0.7)
-        v = frame_change_unitary(big_n, bogolubov_frame(0.0))
-        h_b = v @ h.matrix @ v.conj().T
-        ok = ok and np.abs(h_b - np.diag(np.diag(h_b))).max() <= 1e-10
-    yield "bose-hubbard-diagonal-frame", ok
-
-    # N = 100 rather than 200 keeps the selftest's peak memory near the other checks'
-    v = frame_change_unitary(100, bogolubov_frame(0.4))
-    yield "frame-unitarity", np.abs(v.conj().T @ v - np.eye(101)).max() <= 1e-12
-
-    # the matrix-free path that serves large N, against the dense one; |theta| > 2 pi
-    ok = True
-    for big_n in (1, 7, 40):
-        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
-        c /= np.linalg.norm(c)
-        for n in (Direction(1.0, 0.0, 0.0), Direction(0.6, 0.0, 0.8)):
-            dense = Rotation(big_n, n).unitary(6.5) @ c
-            ok = ok and np.abs(propagate(big_n, n, c, 6.5) - dense).max() <= 1e-12
-    yield "propagator-vs-dense", ok
-
-
 def _cmd_selftest(args) -> int:
     _tolerance(args)  # the checks keep their own bounds, but a bad tolerance exits 2
-    checks = [{"name": name, "passed": bool(passed)} for name, passed in _selftest_checks()]
+    from .selftest import checks as selftest_checks
+
+    checks = [{"name": name, "passed": bool(passed)} for name, passed in selftest_checks()]
     passed = sum(1 for c in checks if c["passed"])
     failed = len(checks) - passed
     _emit_json({"schema_version": SCHEMA_VERSION, "passed": passed,
@@ -438,8 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NonIdentifiableError, KeyError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         _error_report(type(exc).__name__, str(exc))
         return 2
 

@@ -1,0 +1,93 @@
+"""The invariant checks that ``modefisher selftest`` runs, each against its own bound."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .collective import (Direction, Rotation, bose_hubbard, commutator_residual,
+                         direction_generator, propagate, schwinger)
+from .fock import diagonal_state, make_fock_state
+from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
+from .qfi import qfi_diagonal_closed_form, qfi_spectral
+from .separability import is_separable
+
+
+def checks():
+    """Condensed invariant suite; yields (name, passed) pairs."""
+    rng = np.random.default_rng(7)
+
+    def random_diagonal(big_n):
+        p = rng.random(big_n + 1)
+        return p / p.sum()
+
+    yield "su2-commutators", all(commutator_residual(n) <= 1e-12 for n in (0, 1, 5, 20))
+
+    ok = True
+    for big_n in (1, 5, 20, 50):
+        jx, jy, jz = (o.matrix for o in schwinger(big_n))
+        casimir = jx @ jx + jy @ jy + jz @ jz
+        expected = (big_n / 2) * (big_n / 2 + 1) * np.eye(big_n + 1)
+        ok = ok and np.abs(casimir - expected).max() <= 1e-10
+    yield "casimir", ok
+
+    ok = True
+    for big_n in (2, 5, 10):
+        for _ in range(10):
+            p = random_diagonal(big_n)
+            n = Direction.in_plane(rng.uniform(0, 2 * math.pi))
+            closed = qfi_diagonal_closed_form(p, big_n, n)
+            spectral = qfi_spectral(diagonal_state(p), direction_generator(big_n, n))
+            ok = ok and abs(closed - spectral) <= 1e-8 * max(1.0, closed)
+    yield "closed-form-vs-spectral", ok
+
+    ok = True
+    for big_n in (2, 4, 8):
+        state = make_fock_state(big_n // 2, big_n)
+        n = Direction(1, 0, 0)
+        f0 = qfi_spectral(state, direction_generator(big_n, n))
+        frame = bogolubov_frame(0.4)
+        v = frame_change_unitary(big_n, frame)
+        moved = transform_state(state, frame)
+        f1 = qfi_spectral(moved, v @ direction_generator(big_n, n).matrix @ v.conj().T)
+        ok = ok and abs(f0 - f1) <= 1e-8 * max(1.0, f0)
+    yield "frame-invariance", ok
+
+    ok = True
+    for big_n in (1, 4, 9):
+        for phi in (0.0, 1.1):
+            frame = bogolubov_frame(phi)
+            v = frame_change_unitary(big_n, frame)
+            u = Rotation(big_n, Direction.in_plane(phi)).unitary(0.7)
+            u_b = v @ u @ v.conj().T
+            ok = ok and np.abs(u_b - np.diag(np.diag(u_b))).max() <= 1e-10
+    yield "exponential-locality", ok
+
+    ok = True
+    for big_n in (1, 3, 6):
+        state = make_fock_state(big_n // 2, big_n)
+        ok = ok and is_separable(state, spatial_frame()).separable
+        ok = ok and not is_separable(state, bogolubov_frame(0.3)).separable
+    yield "bipartition-relativity", ok
+
+    ok = True
+    for big_n in (2, 10):
+        h = bose_hubbard(big_n, 1.0, 1.0, 0.0, 0.7)
+        v = frame_change_unitary(big_n, bogolubov_frame(0.0))
+        h_b = v @ h.matrix @ v.conj().T
+        ok = ok and np.abs(h_b - np.diag(np.diag(h_b))).max() <= 1e-10
+    yield "bose-hubbard-diagonal-frame", ok
+
+    # N = 100 rather than 200 keeps the selftest's peak memory near the other checks'
+    v = frame_change_unitary(100, bogolubov_frame(0.4))
+    yield "frame-unitarity", np.abs(v.conj().T @ v - np.eye(101)).max() <= 1e-12
+
+    # the matrix-free path that serves large N, against the dense one; |theta| > 2 pi
+    ok = True
+    for big_n in (1, 7, 40):
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        c /= np.linalg.norm(c)
+        for n in (Direction(1.0, 0.0, 0.0), Direction(0.6, 0.0, 0.8)):
+            dense = Rotation(big_n, n).unitary(6.5) @ c
+            ok = ok and np.abs(propagate(big_n, n, c, 6.5) - dense).max() <= 1e-12
+    yield "propagator-vs-dense", ok

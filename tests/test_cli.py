@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import (Direction, cli, collective, make_fock_state, metrology,
+from modefisher import (Direction, collective, make_fock_state, metrology,
                         monte_carlo_estimate, schwinger)
 from modefisher.cli import main
 
@@ -268,7 +268,9 @@ class TestEstimateCommand:
                                      "--theta", "0.3", "--trials", "2", "--shots", "10",
                                      "--seed", "1"])
         assert code == 2
-        assert "identifiable" in json.loads(out)["error"]["message"]
+        error = json.loads(out)["error"]
+        assert error["type"] == "NonIdentifiableError"
+        assert "identifiable" in error["message"]
 
 
 def _count_solvers(monkeypatch):
@@ -292,7 +294,8 @@ def test_mixed_estimate_decomposes_rho_once(capsys, tmp_path, monkeypatch):
     p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
     path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
                                                "p": (p / p.sum()).tolist()})
-    cli.Rotation(big_n, cli.Direction(1, 0, 0))  # caches the real eigenbasis of J_x at N = 30
+    # caches the real eigenbasis of J_x at N = 30
+    collective.Rotation(big_n, collective.Direction(1, 0, 0))
     calls = _count_solvers(monkeypatch)
     code, out = run_cli(capsys, ["estimate", "--state", path, "--direction", "1,0,0",
                                  "--theta", "0.6", "--trials", "3", "--shots", "500"])
@@ -431,7 +434,8 @@ class TestSweepCommand:
         p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
         path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
                                                    "p": (p / p.sum()).tolist()})
-        cli.Rotation(big_n, cli.Direction(1, 0, 0))  # caches the real eigenbasis of J_x
+        # caches the real eigenbasis of J_x
+        collective.Rotation(big_n, collective.Direction(1, 0, 0))
         calls = _count_solvers(monkeypatch)
         code, out = run_cli(capsys, ["sweep", "--state", path, "--param", "theta",
                                      "--values", "0.3,0.6,0.9,1.2", "--trials", "3",
@@ -564,7 +568,7 @@ def test_memory_error_exits_2(capsys, monkeypatch, twin4):
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate 1.49 GiB")
 
-    monkeypatch.setattr(cli, "rotate", out_of_memory)
+    monkeypatch.setattr(metrology, "rotate", out_of_memory)
     code, out = run_cli(capsys, ["rotate", "--state", twin4, "--direction", "1,0,0",
                                  "--theta", "0.3"])
     assert code == 2
