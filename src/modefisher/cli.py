@@ -1,8 +1,9 @@
 """Command-line interface: qfi, separability, rotate, estimate, sweep, frames, selftest.
 
 Reports go to stdout as JSON (sorted keys) or CSV with a frozen column
-order; all numerics are serialized at full double precision (17 significant
-digits) so runs are reproducible byte for byte given the same argv and seed.
+order: a CSV header lists the JSON row's keys in order.  All numerics are
+serialized at full double precision (17 significant digits) so runs are
+reproducible byte for byte given the same argv and seed.
 Validation errors exit with status 2 and a machine-readable error object.
 The MODEFISHER_TOL environment variable overrides the default tolerance.
 
@@ -21,13 +22,14 @@ import sys
 import numpy as np
 
 from .collective import Direction
-from .fock import DEFAULT_TOL, validate_state
+from .fock import DEFAULT_TOL, largest_coherence, validate_state
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
 
 
 def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
+    """`--tol`, else MODEFISHER_TOL, else DEFAULT_TOL; `main` resolves it for every handler."""
+    if args.tol is not None:
         tol = args.tol
     else:
         env = os.environ.get("MODEFISHER_TOL")
@@ -44,14 +46,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_csv(rows: list[dict], columns: list[str]) -> None:
-    sys.stdout.write(",".join(columns) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+def _emit(args, report: dict, rows=()) -> None:
+    """`report` as JSON; with `--format csv`, `rows` under a header of their keys in order."""
+    if getattr(args, "format", "json") == "json":
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return
+    for i, row in enumerate(rows):
+        if i == 0:
+            sys.stdout.write(",".join(row) + "\n")
+        sys.stdout.write(",".join(_fmt(value) for value in row.values()) + "\n")
 
 
 def _parse_direction(text: str) -> Direction:
@@ -74,7 +77,6 @@ def _load_state(path: str, tol: float):
 def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
     """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
     from .qfi import qfi_diagonal_closed_form
-    from .separability import largest_coherence
 
     off = largest_coherence(state)[0]
     if off > tol:
@@ -86,18 +88,17 @@ def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float,
 
 def _cmd_qfi(args) -> int:
     """F under J_n in the state's own frame, the frame `estimate` rotates it in."""
-    tol = _tolerance(args)
-    state = _load_state(args.state, tol)
+    state = _load_state(args.state, args.tol)
     direction = _parse_direction(args.direction)
     from .qfi import classify, qfi_state
 
     fisher_spectral = math.nan
     fisher_closed = math.nan
     if args.method in ("spectral", "both"):
-        fisher_spectral = qfi_state(state, direction, tol)
+        fisher_spectral = qfi_state(state, direction, args.tol)
     if args.method in ("closed-form", "both"):
-        fisher_closed, off = _closed_form_fisher(state, direction, tol)
-        if args.method == "closed-form" and off > tol:
+        fisher_closed, off = _closed_form_fisher(state, direction, args.tol)
+        if args.method == "closed-form" and off > args.tol:
             raise ValueError(
                 "closed-form method requires a state diagonal in its own "
                 f"Fock basis (max off-diagonal {off:.3e})"
@@ -117,29 +118,23 @@ def _cmd_qfi(args) -> int:
         "classification": report_obj.classification,
         "heisenberg_fraction": report_obj.heisenberg_fraction,
     }
-    if args.format == "json":
-        _emit_json(row)
-    else:
-        _emit_csv([row], ["schema_version", "n_particles", "nx", "ny", "nz", "method",
-                          "fisher", "fisher_spectral", "fisher_closed_form",
-                          "phase_bound", "classification", "heisenberg_fraction"])
+    _emit(args, row, [row])
     return 0
 
 
 def _cmd_separability(args) -> int:
-    tol = _tolerance(args)
-    state = _load_state(args.state, tol)
+    state = _load_state(args.state, args.tol)
     frame = frame_from_json(load_json(args.frame))
     from .separability import is_separable
 
-    verdict = is_separable(state, frame, tol)
+    verdict = is_separable(state, frame, args.tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "n_particles": state.n_particles,
         "separable": verdict.separable,
         "max_offdiagonal": verdict.max_offdiagonal,
         "frame": frame_to_json(frame),
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
     if args.witnesses and verdict.witness_details is not None:
         w = verdict.witness_details
@@ -148,30 +143,27 @@ def _cmd_separability(args) -> int:
             "m": w.op.m, "n": w.op.n, "r": w.op.r, "s": w.op.s,
             "residual_re": residual.real, "residual_im": residual.imag,
         }
-    _emit_json(report)
+    _emit(args, report)
     return 0
 
 
 def _cmd_rotate(args) -> int:
-    tol = _tolerance(args)
-    state = _load_state(args.state, tol)
+    state = _load_state(args.state, args.tol)
     direction = _parse_direction(args.direction)
     from .metrology import rotate
 
-    rotated = rotate(state, direction, args.theta, tol)
-    report = {"schema_version": SCHEMA_VERSION, "state": state_to_json(rotated)}
-    _emit_json(report)
+    rotated = rotate(state, direction, args.theta, args.tol)
+    _emit(args, {"schema_version": SCHEMA_VERSION, "state": state_to_json(rotated)})
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    tol = _tolerance(args)
-    state = _load_state(args.state, tol)
+    state = _load_state(args.state, args.tol)
     direction = _parse_direction(args.direction)
     from .metrology import monte_carlo_estimate
 
     run = monte_carlo_estimate(state, direction, args.theta, args.trials, args.shots, args.seed,
-                               tol)
+                               args.tol)
     row = {
         "schema_version": SCHEMA_VERSION,
         "theta_true": run.theta_true,
@@ -185,23 +177,13 @@ def _cmd_estimate(args) -> int:
         "fisher": run.fisher,
         "classical_fisher": run.classical_fisher,
     }
-    if args.format == "json":
-        row["estimates"] = run.estimates.tolist()
-        _emit_json(row)
-    else:
-        _emit_csv([row], ["schema_version", "theta_true", "trials", "shots_per_trial",
-                          "seed", "mean_estimate", "empirical_std", "qcrb", "ccrb",
-                          "fisher", "classical_fisher"])
+    _emit(args, {**row, "estimates": run.estimates.tolist()}, [row])
     return 0
-
-
-SWEEP_COLUMNS = ["param", "F_closed", "F_spectral", "F_cl", "qcrb", "ccrb", "empirical_std"]
 
 
 def _cmd_sweep(args) -> int:
     """Bounds per value, all on the state in its own frame, where the estimator rotates it."""
-    tol = _tolerance(args)
-    state = _load_state(args.state, tol)
+    state = _load_state(args.state, args.tol)
     values = [float(v) for v in args.values.split(",")]
     if args.param in ("shots", "trials") and not all(v.is_integer() for v in values):
         raise ValueError(f"{args.param} values must be integers, got {args.values!r}")
@@ -210,10 +192,11 @@ def _cmd_sweep(args) -> int:
     if min(shot_counts) < 1 or min(trial_counts) < 0:
         raise ValueError("sweep needs shots >= 1 and trials >= 0")
     fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
-    from .metrology import PhaseEstimator
+    from .metrology import PhaseEstimator, _cramer_rao
 
     def per_direction(direction):
-        return PhaseEstimator(state, direction, tol), _closed_form_fisher(state, direction, tol)[0]
+        return (PhaseEstimator(state, direction, args.tol),
+                _closed_form_fisher(state, direction, args.tol)[0])
 
     # the estimator (one rotation model and F) and the closed form depend on the direction
     # alone, so only a phi sweep builds them per value
@@ -231,59 +214,51 @@ def _cmd_sweep(args) -> int:
             trials = int(value)
         estimator, fisher_closed = fixed or per_direction(direction)
         fisher_spectral = estimator.fisher
-        qcrb = 1.0 / math.sqrt(shots * fisher_spectral) if fisher_spectral > 0 else math.inf
+        qcrb = _cramer_rao(shots, fisher_spectral)
         if trials > 0:
             run = estimator.estimate(theta, trials, shots, args.seed)
             fisher_cl, ccrb, empirical_std = run.classical_fisher, run.ccrb, run.empirical_std
         else:
             fisher_cl = estimator.classical_fisher(theta)
-            ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
+            ccrb = _cramer_rao(shots, fisher_cl)
             empirical_std = math.nan
         rows.append({"param": value, "F_closed": fisher_closed,
                      "F_spectral": fisher_spectral, "F_cl": fisher_cl,
                      "qcrb": qcrb, "ccrb": ccrb, "empirical_std": empirical_std})
-    if args.format == "json":
-        _emit_json({"schema_version": SCHEMA_VERSION, "parameter": args.param, "rows": rows})
-    else:
-        _emit_csv(rows, SWEEP_COLUMNS)
+    _emit(args, {"schema_version": SCHEMA_VERSION, "parameter": args.param, "rows": rows}, rows)
     return 0
 
 
 def _cmd_frames(args) -> int:
     from .frames import bogolubov_frame, frame_change_unitary
 
-    _tolerance(args)  # no step takes a tolerance, but a bad one exits 2 as elsewhere
     if args.frame:
         frame = frame_from_json(load_json(args.frame))
     else:
         frame = bogolubov_frame(args.phi)
     v = frame_change_unitary(args.n, frame)
-    if args.format == "json":
-        _emit_json({"schema_version": SCHEMA_VERSION, "N": args.n,
-                    "frame": frame_to_json(frame),
-                    "v_re": v.real.tolist(), "v_im": v.imag.tolist()})
-    else:
-        rows = [{"row": j, "col": k, "re": v[j, k].real, "im": v[j, k].imag}
-                for j in range(args.n + 1) for k in range(args.n + 1)]
-        _emit_csv(rows, ["row", "col", "re", "im"])
+    # a generator: the (N+1)^2 rows are built only for CSV
+    rows = ({"row": j, "col": k, "re": v[j, k].real, "im": v[j, k].imag}
+            for j in range(args.n + 1) for k in range(args.n + 1))
+    _emit(args, {"schema_version": SCHEMA_VERSION, "N": args.n, "frame": frame_to_json(frame),
+                 "v_re": v.real.tolist(), "v_im": v.imag.tolist()}, rows)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    _tolerance(args)  # the checks keep their own bounds, but a bad tolerance exits 2
     from .selftest import checks as selftest_checks
 
     checks = [{"name": name, "passed": bool(passed)} for name, passed in selftest_checks()]
     passed = sum(1 for c in checks if c["passed"])
     failed = len(checks) - passed
-    _emit_json({"schema_version": SCHEMA_VERSION, "passed": passed,
-                "failed": failed, "checks": checks})
+    _emit(args, {"schema_version": SCHEMA_VERSION, "passed": passed,
+                 "failed": failed, "checks": checks})
     return 0 if failed == 0 else 1
 
 
 def _error_report(error_type: str, message: str) -> None:
-    _emit_json({"schema_version": SCHEMA_VERSION,
-                "error": {"type": error_type, "message": message}})
+    _emit(None, {"schema_version": SCHEMA_VERSION,
+                 "error": {"type": error_type, "message": message}})
 
 
 class _JsonErrorParser(argparse.ArgumentParser):
@@ -371,6 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.tol = _tolerance(args)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         _error_report(type(exc).__name__, str(exc))

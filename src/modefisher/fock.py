@@ -15,6 +15,8 @@ from .collective import frozen, ladder
 from .frames import ModeFrame, spatial_frame
 
 DEFAULT_TOL = 1e-10
+# relative gap under which two coherences count as tied when the witness is picked
+WITNESS_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,32 @@ def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
     if positivity and np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
         violations.append("positivity")
     return violations
+
+
+def largest_coherence(state: SectorState) -> tuple[float, tuple[int, int] | None]:
+    """(max |rho_rc| over r != c, witness pick) in the state's own Fock basis.
+
+    The pick is the first (row, col), row > col, in row-major order within
+    WITNESS_TIE_TOL of the largest: coherences equal in exact arithmetic differ
+    in their last bits, and this takes the one an exact argmax would; None for
+    N = 0.  A pure state forms no rho: |rho_rc| = |c_r| |c_c|, so row r's largest
+    coherence is |c_r| times the largest |c_c|, c < r, and the whole pick is O(N).
+    """
+    if state.dim == 1:
+        return 0.0, None
+    if state.is_pure:
+        a = np.abs(state.amplitudes)
+        rows = a[1:] * np.maximum.accumulate(a[:-1])
+        largest = float(rows.max())
+        cut = (1.0 - WITNESS_TIE_TOL) * largest
+        row = int(np.argmax(rows >= cut)) + 1
+        return largest, (row, int(np.argmax(a[row] * a[:row] >= cut)))
+    off = np.abs(state.rho)
+    np.fill_diagonal(off, 0.0)
+    largest = float(off.max())
+    off *= np.tri(state.dim, k=-1, dtype=bool)  # keep the lower triangle
+    first = np.flatnonzero(off >= (1.0 - WITNESS_TIE_TOL) * off.max())[0]
+    return largest, divmod(int(first), state.dim)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Rotation, propagate, uses_propagator
+from .collective import Direction, Rotation, frozen, propagate, uses_propagator
 
 UNITARITY_TOL = 1e-12
-
-
-def _as_frozen_complex(a, shape):
-    arr = np.array(a, dtype=complex)
-    if arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,9 @@ class ModeFrame:
     phi: float | None = None
 
     def __post_init__(self):
-        u = _as_frozen_complex(self.mixing, (2, 2))
+        u = frozen(self.mixing, complex)
+        if u.shape != (2, 2):
+            raise ValueError(f"expected array of shape (2, 2), got {u.shape}")
         if not np.isfinite(u).all():  # NaN passes the unitarity test below
             raise ValueError("mode mixing must be finite")
         residual = np.abs(u.conj().T @ u - np.eye(2)).max()

@@ -445,6 +445,11 @@ def _draw_counts(p: np.ndarray, trials: int, shots: int, seed: int) -> np.ndarra
     return counts
 
 
+def _cramer_rao(shots: int, fisher: float) -> float:
+    """The Cramer-Rao bound 1/sqrt(shots F) on the phase; infinite when F is not positive."""
+    return 1.0 / math.sqrt(shots * fisher) if fisher > 0 else math.inf
+
+
 class PhaseEstimator:
     """Monte-Carlo maximum-likelihood estimation of the phase of one state rotated about n.
 
@@ -500,10 +505,9 @@ class PhaseEstimator:
 
         empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
         fisher_cl = model.classical_fisher(theta_true, psi_true)
-        qcrb = 1.0 / math.sqrt(shots * self.fisher) if self.fisher > 0 else math.inf
-        ccrb = 1.0 / math.sqrt(shots * fisher_cl) if fisher_cl > 0 else math.inf
-        return EstimationRun(theta_true, self.direction, trials, shots, estimates,
-                             empirical_std, qcrb, ccrb, seed, self.fisher, fisher_cl)
+        return EstimationRun(theta_true, self.direction, trials, shots, estimates, empirical_std,
+                             _cramer_rao(shots, self.fisher), _cramer_rao(shots, fisher_cl),
+                             seed, self.fisher, fisher_cl)
 
 
 def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,

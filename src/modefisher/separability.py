@@ -16,11 +16,11 @@ from typing import Iterator
 import numpy as np
 
 from .collective import ladder, su2_bands
-from .fock import DEFAULT_TOL, MonomialOp, SectorState, validate_state
+# the verdict's coherence pick lives in fock, which `modefisher qfi` loads without this module
+from .fock import (DEFAULT_TOL, WITNESS_TIE_TOL, MonomialOp, SectorState, largest_coherence,
+                   validate_state)
 from .frames import ModeFrame, spatial_frame, transform_state
 
-# relative gap under which two coherences count as tied when the witness is picked
-WITNESS_TIE_TOL = 1e-12
 SPIN_SQUEEZING_CAVEAT = (
     "witness derived for distinguishable particles; for identical bosons a "
     "violation does not reliably certify mode entanglement"
@@ -49,32 +49,6 @@ class SeparabilityVerdict:
     frame: ModeFrame
     max_offdiagonal: float
     witness_details: WitnessRecord | None = None
-
-
-def largest_coherence(state: SectorState) -> tuple[float, tuple[int, int] | None]:
-    """(max |rho_rc| over r != c, witness pick) in the state's own Fock basis.
-
-    The pick is the first (row, col), row > col, in row-major order within
-    WITNESS_TIE_TOL of the largest: coherences equal in exact arithmetic differ
-    in their last bits, and this takes the one an exact argmax would; None for
-    N = 0.  A pure state forms no rho: |rho_rc| = |c_r| |c_c|, so row r's largest
-    coherence is |c_r| times the largest |c_c|, c < r, and the whole pick is O(N).
-    """
-    if state.dim == 1:
-        return 0.0, None
-    if state.is_pure:
-        a = np.abs(state.amplitudes)
-        rows = a[1:] * np.maximum.accumulate(a[:-1])
-        largest = float(rows.max())
-        cut = (1.0 - WITNESS_TIE_TOL) * largest
-        row = int(np.argmax(rows >= cut)) + 1
-        return largest, (row, int(np.argmax(a[row] * a[:row] >= cut)))
-    off = np.abs(state.rho)
-    np.fill_diagonal(off, 0.0)
-    largest = float(off.max())
-    off *= np.tri(state.dim, k=-1, dtype=bool)  # keep the lower triangle
-    first = np.flatnonzero(off >= (1.0 - WITNESS_TIE_TOL) * off.max())[0]
-    return largest, divmod(int(first), state.dim)
 
 
 def is_separable(state: SectorState, frame: ModeFrame, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:

@@ -216,6 +216,28 @@ class TestRotateCommand:
         state = state_from_json(state_obj)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
+    def test_custom_unitary_frame_round_trips(self, capsys, tmp_path):
+        # a frame that is neither spatial nor Bogolubov is written as its mixing matrix
+        from modefisher.serialize import state_from_json
+        rng = np.random.default_rng(17)
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        c /= np.linalg.norm(c)
+        obj = {"N": 3, "kind": "pure", "amplitudes_re": c.real.tolist(),
+               "amplitudes_im": c.imag.tolist(),
+               "frame": {"kind": "unitary", "u_re": u.real.tolist(), "u_im": u.imag.tolist()}}
+        path = write_json(tmp_path / "custom.json", obj)
+        code, out = run_cli(capsys, ["rotate", "--state", path, "--direction", "0.6,0,0.8",
+                                     "--theta", "0.7"])
+        assert code == 0
+        report = json.loads(out)["state"]
+        assert report["frame"]["kind"] == "unitary"
+        state, back = state_from_json(obj), state_from_json(report)
+        assert (back.frame.label, back.frame.phi) == (state.frame.label, state.frame.phi)
+        assert np.array_equal(back.frame.mixing, state.frame.mixing)
+        expected = metrology.rotate(state, Direction(0.6, 0.0, 0.8), 0.7)
+        assert np.array_equal(back.amplitudes, expected.amplitudes)
+
     def test_fock_state_at_n_1e4_builds_no_dense_matrix(self, capsys, tmp_path):
         # the dense route's (N+1)^2 complex matrices at N = 10^4 take 1.6 GB each
         big_n, k, theta = 10_000, 3_000, 0.3
@@ -473,6 +495,19 @@ class TestFramesCommand:
         report = json.loads(out)
         v = np.array(report["v_re"]) + 1j * np.array(report["v_im"])
         assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
+
+    def test_csv_lists_every_entry(self, capsys):
+        _, out_json = run_cli(capsys, ["frames", "--n", "2", "--phi", "0.4"])
+        _, out_csv = run_cli(capsys, ["frames", "--n", "2", "--phi", "0.4", "--format", "csv"])
+        report = json.loads(out_json)
+        assert out_csv.splitlines()[0] == "row,col,re,im"
+        rows = list(csv.DictReader(io.StringIO(out_csv)))
+        assert [(int(r["row"]), int(r["col"])) for r in rows] == [(j, k) for j in range(3)
+                                                                  for k in range(3)]
+        for r in rows:
+            j, k = int(r["row"]), int(r["col"])
+            assert (float(r["re"]), float(r["im"])) == (report["v_re"][j][k],
+                                                        report["v_im"][j][k])
 
     def test_non_finite_phi_exits_2(self, capsys, tmp_path):
         nan_frame = tmp_path / "nan_frame.json"
@@ -744,6 +779,58 @@ def test_fuzzed_non_finite_inputs_keep_the_exit_contract(capsys, tmp_path):
         assert code == 2 or not read, (argv, code)
         seen |= read
     assert seen == bad
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["qfi", "--direction", "1,0,0"],
+     "schema_version,n_particles,nx,ny,nz,method,fisher,fisher_spectral,fisher_closed_form,"
+     "phase_bound,classification,heisenberg_fraction"),
+    (["estimate", "--direction", "1,0,0", "--theta", "0.3", "--trials", "2", "--shots", "100"],
+     "schema_version,theta_true,trials,shots_per_trial,seed,mean_estimate,empirical_std,qcrb,"
+     "ccrb,fisher,classical_fisher"),
+    (["sweep", "--param", "theta", "--values", "0.2,0.4"],
+     "param,F_closed,F_spectral,F_cl,qcrb,ccrb,empirical_std"),
+], ids=["qfi", "estimate", "sweep"])
+def test_csv_header_lists_the_json_row_keys_in_frozen_order(capsys, twin4, argv, header):
+    _, out_json = run_cli(capsys, [argv[0], "--state", twin4, *argv[1:]])
+    _, out_csv = run_cli(capsys, [argv[0], "--state", twin4, *argv[1:], "--format", "csv"])
+    assert out_csv.splitlines()[0] == header
+    report = json.loads(out_json)
+    rows = report["rows"] if argv[0] == "sweep" else [report]
+    assert len(out_csv.splitlines()) == len(rows) + 1
+    # `estimate` adds its per-trial estimates to the JSON report only
+    assert all(set(row) - {"estimates"} == set(header.split(",")) for row in rows)
+
+
+def test_bad_tolerance_gives_one_error_in_every_subcommand(capsys, twin4, bogo0, monkeypatch):
+    error = {"type": "ValueError", "message": "tolerance must be finite and >= 0, got nan"}
+    state = ["--state", twin4]
+    for argv in (["qfi", *state, "--direction", "1,0,0"],
+                 ["separability", *state, "--frame", bogo0],
+                 ["rotate", *state, "--direction", "1,0,0", "--theta", "0.3"],
+                 ["estimate", *state, "--direction", "1,0,0", "--theta", "0.3"],
+                 ["sweep", *state, "--param", "theta", "--values", "0.3"],
+                 ["frames", "--n", "3"], ["selftest"]):
+        code, out = run_cli(capsys, [*argv, "--tol=nan"])
+        assert (code, json.loads(out)["error"]) == (2, error), argv
+        monkeypatch.setenv("MODEFISHER_TOL", "nan")
+        code, out = run_cli(capsys, argv)
+        monkeypatch.delenv("MODEFISHER_TOL")
+        assert (code, json.loads(out)["error"]) == (2, error), argv
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"N": 3, "kind": "pure", "amplitudes_re": [1, 0], "amplitudes_im": [0, 0]},
+     "amplitudes must have length N+1 = 4"),
+    ({"N": 3, "kind": "diagonal", "p": [0.5, 0.5]}, "p must have length N+1 = 4"),
+    ({"N": 1, "kind": "density", "rho_re": [[1, 0, 0]] * 3, "rho_im": [[0, 0, 0]] * 3},
+     "rho must be (N+1)x(N+1) = 2x2"),
+    ({"N": 2, "kind": "fock", "k": 1, "frame": {"kind": "bogus"}}, "unknown frame kind 'bogus'"),
+], ids=["pure", "diagonal", "density", "frame_kind"])
+def test_state_file_not_matching_its_schema_exits_2(capsys, tmp_path, obj, message):
+    path = write_json(tmp_path / "state.json", obj)
+    code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0"])
+    assert (code, json.loads(out)["error"]) == (2, {"type": "ValueError", "message": message})
 
 
 @pytest.mark.parametrize("argv", [["frames", "--n", "3"], ["selftest"]])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modefisher import (MonomialOp, density_state, diagonal_state, expectation,
-                        make_fock_state, monomial_matrix, pure_state,
+from modefisher import (MonomialOp, SectorState, density_state, diagonal_state, expectation,
+                        make_fock_state, monomial_matrix, pure_state, spatial_frame,
                         validate_state)
 
 
@@ -173,3 +173,17 @@ class TestSectorStateArrays:
         view = np.array([0.6, 0.8j, 0.0, 0.0])[:3]  # read-only, but a view: copied
         view.setflags(write=False)
         assert pure_state(view).amplitudes is not view
+
+
+class TestSectorStateShapes:
+    @pytest.mark.parametrize("arrays", [{}, {"amplitudes": [1, 0, 0], "rho": np.eye(3)}],
+                             ids=["neither", "both"])
+    def test_exactly_one_of_amplitudes_or_rho(self, arrays):
+        with pytest.raises(ValueError, match="exactly one of amplitudes or rho"):
+            SectorState(2, spatial_frame(), **arrays)
+
+    def test_shape_must_match_n(self):
+        with pytest.raises(ValueError, match=r"amplitudes must have shape \(3,\), got \(2,\)"):
+            SectorState(2, spatial_frame(), amplitudes=[1, 0])
+        with pytest.raises(ValueError, match=r"rho must have shape \(2, 2\), got \(3, 3\)"):
+            SectorState(1, spatial_frame(), rho=np.eye(3))

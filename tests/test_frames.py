@@ -39,6 +39,16 @@ class TestBogolubovFrame:
         with pytest.raises(ValueError, match="unitary"):
             custom_frame(np.array([[1, 1], [1, 1]]) / SQ2)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), got \(3, 3\)"):
+            custom_frame(np.eye(3))
+
+    def test_caller_mixing_is_copied(self):
+        u = np.eye(2, dtype=complex)
+        frame = custom_frame(u)
+        u[0, 0] = 5.0
+        assert frame.mixing[0, 0] == 1.0 and not frame.mixing.flags.writeable
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_phi(self, phi):
         with pytest.raises(ValueError, match="finite"):

@@ -72,6 +72,9 @@ def inputs(tmp_path):
      {"modefisher.separability"}, {"modefisher.qfi", "modefisher.metrology"}),
     (["qfi", "--state", "twin.json", "--direction", "1,0,0"], 0,
      {"modefisher.qfi"}, {"modefisher.metrology"}),
+    # the closed form's diagonal check reads fock.largest_coherence, not separability
+    (["qfi", "--state", "twin.json", "--direction", "1,0,0", "--method", "both"], 0,
+     {"modefisher.qfi"}, {"modefisher.metrology", "modefisher.separability"}),
     (["frames", "--n", "2"], 0, {"modefisher.frames"}, LIBRARY),
     # error paths: a usage error, then inputs each subcommand rejects before its library call
     (["qfi", "--direction", "1,0,0"], 2, set(), LIBRARY),
@@ -80,8 +83,8 @@ def inputs(tmp_path):
     (["estimate", "--state", "twin.json", "--direction", "1,1,1", "--theta", "0.3"], 2,
      set(), LIBRARY),
     (["separability", "--state", "twin.json", "--frame", "missing.json"], 2, set(), LIBRARY),
-], ids=["import", "separability", "qfi", "frames", "usage", "missing_file", "bad_kind",
-        "bad_direction", "missing_frame"])
+], ids=["import", "separability", "qfi", "qfi_both", "frames", "usage", "missing_file",
+        "bad_kind", "bad_direction", "missing_frame"])
 def test_each_subcommand_loads_only_its_modules(inputs, argv, code, present, absent):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
