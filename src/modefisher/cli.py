@@ -33,7 +33,10 @@ def _tolerance(args) -> float:
         tol = args.tol
     else:
         env = os.environ.get("MODEFISHER_TOL")
-        tol = float(env) if env else DEFAULT_TOL
+        try:
+            tol = float(env) if env else DEFAULT_TOL
+        except ValueError:
+            raise ValueError(f"MODEFISHER_TOL must be a number, got {env!r}") from None
     # a NaN tolerance would make every `> tol` test false and pass any state
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")

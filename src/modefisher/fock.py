@@ -121,6 +121,13 @@ def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
     return violations
 
 
+def check_state(state: SectorState, tol: float) -> None:
+    """Raise ValueError("invalid state: a, b") for the violations :func:`validate_state` lists."""
+    violations = validate_state(state, tol)
+    if violations:
+        raise ValueError(f"invalid state: {', '.join(violations)}")
+
+
 def largest_coherence(state: SectorState) -> tuple[float, tuple[int, int] | None]:
     """(max |rho_rc| over r != c, witness pick) in the state's own Fock basis.
 

@@ -107,11 +107,9 @@ def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
 
 def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> np.ndarray:
     """Amplitudes of the spatial Fock state |k, N-k> over the frame's Fock basis."""
-    if not 0 <= k <= n_particles:
-        raise ValueError(f"k={k} out of range 0 <= k <= N={n_particles}")
-    unit = np.zeros(n_particles + 1, dtype=complex)
-    unit[k] = 1.0
-    return _spin_image_times(n_particles, frame.mixing, unit)
+    from .fock import make_fock_state
+
+    return transform_state(make_fock_state(k, n_particles), frame).amplitudes
 
 
 def transform_state(state, frame: ModeFrame):

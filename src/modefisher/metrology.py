@@ -48,10 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (CollectiveObservable, Direction, Propagator, Rotation,
-                         direction_generator, uses_propagator)
-from .fock import DEFAULT_TOL, SectorState, validate_state
-from .qfi import qfi_pure, qfi_spectral
+from .collective import CollectiveObservable, Direction, Propagator, Rotation, uses_propagator
+from .fock import DEFAULT_TOL, SectorState, check_state
+from .qfi import qfi_state
 
 DEFAULT_WINDOW = (0.0, math.pi / 2)
 GRID_POINTS = 512
@@ -110,15 +109,10 @@ class _RotationModel:
     (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
     finish an estimate at N = 100, where golden section took 30 of a third the size.
 
-    `positivity=False` skips the eigenvalue check of rho, for an estimate whose spectral
-    Fisher information decomposes rho and checks it.
+    The public entry points check the state, and the model trusts its input.
     """
 
-    def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL,
-                 positivity: bool = True):
-        violations = validate_state(state, tol, positivity)
-        if violations:
-            raise ValueError(f"invalid state: {', '.join(violations)}")
+    def __init__(self, state: SectorState, n: Direction):
         self.state = state
         self.rotation = self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
@@ -316,19 +310,22 @@ def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_TOL) -> SectorState:
     """Apply exp(i theta J_n): dense below PROPAGATOR_MIN_N or for rho, matrix-free above."""
-    return _RotationModel(state, n, tol).rotated(theta)
+    check_state(state, tol)
+    return _RotationModel(state, n).rotated(theta)
 
 
 def measurement_probabilities(state: SectorState, n: Direction, theta,
                               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Number-counting outcome distribution p_m(theta), m = 0..N; one row per angle of an array."""
-    return _RotationModel(state, n, tol).probabilities(theta)
+    check_state(state, tol)
+    return _RotationModel(state, n).probabilities(theta)
 
 
 def classical_fisher(state: SectorState, n: Direction, theta: float,
                      tol: float = DEFAULT_TOL) -> float:
     """Fisher information of the number-counting readout, from the exact derivative of p_m."""
-    return _RotationModel(state, n, tol).classical_fisher(theta)
+    check_state(state, tol)
+    return _RotationModel(state, n).classical_fisher(theta)
 
 
 def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarray:
@@ -460,12 +457,9 @@ class PhaseEstimator:
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
         self.direction = n
-        if state.is_pure:
-            self.model = _RotationModel(state, n, tol)
-            self.fisher = qfi_pure(state, n, tol)
-        else:  # the spectral sum's eigh also checks positivity, so rho is decomposed once
-            self.fisher = qfi_spectral(state, direction_generator(state.n_particles, n), tol=tol)
-            self.model = _RotationModel(state, n, tol, positivity=False)
+        # F checks the state; for rho, the spectral sum's eigh is its one decomposition
+        self.fisher = qfi_state(state, n, tol)
+        self.model = _RotationModel(state, n)
 
     def classical_fisher(self, theta: float) -> float:
         """F_cl of the number-counting readout at theta, from the exact derivative of p_m."""

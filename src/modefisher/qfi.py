@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import CollectiveObservable, Direction, direction_generator
-from .fock import DEFAULT_TOL, SectorState, expectation, validate_state
+from .fock import DEFAULT_TOL, SectorState, check_state, expectation, validate_state
 
 SPECTRAL_CUTOFF = 1e-12
 CLASSIFY_TOL = 1e-8
@@ -45,11 +45,10 @@ def _observable_matrix(observable) -> np.ndarray:
     return np.asarray(observable, dtype=complex)
 
 
-def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF,
-                 tol: float = DEFAULT_TOL) -> float:
+def qfi_spectral(state: SectorState, observable, tol: float = DEFAULT_TOL) -> float:
     """F = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) |<i|A|j>|^2 over eig(rho).
 
-    Pairs with l_i + l_j <= cutoff (null-space pairs) are excluded; this is
+    Pairs with l_i + l_j <= SPECTRAL_CUTOFF (null-space pairs) are excluded; this is
     the standard regularization of the sum.  For pure states the result
     equals 4 Var(A).
     """
@@ -70,7 +69,7 @@ def qfi_spectral(state: SectorState, observable, cutoff: float = SPECTRAL_CUTOFF
     li = lam[:, None]
     lj = lam[None, :]
     pair_sum = li + lj
-    mask = pair_sum > cutoff
+    mask = pair_sum > SPECTRAL_CUTOFF
     weight = np.where(mask, (li - lj) ** 2 / np.where(mask, pair_sum, 1.0), 0.0)
     return float(2.0 * np.sum(weight * np.abs(a_eig) ** 2))
 
@@ -85,9 +84,7 @@ def qfi_pure(state: SectorState, n: Direction, tol: float = DEFAULT_TOL) -> floa
     """
     if not state.is_pure:
         raise ValueError("qfi_pure needs a pure state; a density matrix takes qfi_spectral")
-    violations = validate_state(state, tol)
-    if violations:
-        raise ValueError(f"invalid state: {', '.join(violations)}")
+    check_state(state, tol)
     c = state.amplitudes
     jc = direction_generator(state.n_particles, n).apply(c)
     norm_sq = np.vdot(c, c).real
@@ -144,25 +141,25 @@ def variance_bound(state: SectorState, observable) -> tuple[float, float, float]
     return fisher, four_var, four_var - fisher
 
 
-def classify(fisher: float, n_particles: int, tol: float = CLASSIFY_TOL) -> QfiReport:
-    """Phase bound and shot-noise/Heisenberg class of F; against N^2, tol is relative (tol N^2)."""
+def classify(fisher: float, n_particles: int) -> QfiReport:
+    """Phase bound and shot-noise/Heisenberg class of F; against N^2, CLASSIFY_TOL is relative."""
     if math.isnan(fisher):
         raise ValueError("Fisher information is NaN")
-    if fisher < -tol:
+    if fisher < -CLASSIFY_TOL:
         raise ValueError(f"Fisher information must be nonnegative, got {fisher:.6g}")
     fisher = max(fisher, 0.0)
     n_sq = float(n_particles) ** 2
-    n_sq_tol = tol * max(n_sq, 1.0)
+    n_sq_tol = CLASSIFY_TOL * max(n_sq, 1.0)
     if fisher > n_sq + n_sq_tol:
         raise ValueError(f"Fisher information {fisher:.6g} exceeds the N^2 = {n_sq:.6g} bound")
-    if fisher <= tol:
+    if fisher <= CLASSIFY_TOL:
         label = CLASS_ZERO
         phase_bound = math.inf
     else:
         phase_bound = 1.0 / math.sqrt(fisher)
         if fisher >= n_sq - n_sq_tol:
             label = CLASS_HEISENBERG
-        elif fisher > n_particles + tol:
+        elif fisher > n_particles + CLASSIFY_TOL:
             label = CLASS_SUB_SHOT_NOISE
         else:
             label = CLASS_SHOT_NOISE

@@ -17,8 +17,8 @@ import numpy as np
 
 from .collective import ladder, su2_bands
 # the verdict's coherence pick lives in fock, which `modefisher qfi` loads without this module
-from .fock import (DEFAULT_TOL, WITNESS_TIE_TOL, MonomialOp, SectorState, largest_coherence,
-                   validate_state)
+from .fock import (DEFAULT_TOL, WITNESS_TIE_TOL, MonomialOp, SectorState, check_state,
+                   largest_coherence)
 from .frames import ModeFrame, spatial_frame, transform_state
 
 SPIN_SQUEEZING_CAVEAT = (
@@ -57,9 +57,7 @@ def is_separable(state: SectorState, frame: ModeFrame, tol: float = DEFAULT_TOL)
     When entangled, the verdict names the witness monomial of the largest
     coherence, in the frame basis; its residual is evaluated when read.
     """
-    violations = validate_state(state, tol if tol > 0 else DEFAULT_TOL)
-    if violations:
-        raise ValueError(f"invalid state: {', '.join(violations)}")
+    check_state(state, tol if tol > 0 else DEFAULT_TOL)
     moved = transform_state(state, frame)
     max_off, pick = largest_coherence(moved)
     if max_off <= tol or pick is None:
@@ -121,8 +119,9 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     The result carries a caveat flag: the inequality is an entanglement
     witness for distinguishable particles only.  It reads rho's diagonal and
     first superdiagonal, which a pure state gives in O(N) as |c_k|^2 and
-    c_k conj(c_{k+1}) without forming rho.
+    c_k conj(c_{k+1}) without forming rho.  The state is checked as in :func:`is_separable`.
     """
+    check_state(state, tol if tol > 0 else DEFAULT_TOL)
     moved = transform_state(state, spatial_frame())
     if moved.is_pure:
         c = moved.amplitudes

@@ -467,13 +467,13 @@ class TestSweepCommand:
 
     def test_fixed_direction_computes_fisher_once(self, capsys, twin4, monkeypatch):
         # F and the closed form depend on the direction alone, not on theta
-        calls, qfi_pure = [], metrology.qfi_pure
+        calls, qfi_state = [], metrology.qfi_state
 
-        def counting_qfi_pure(*args):
+        def counting_qfi_state(*args):
             calls.append(args)
-            return qfi_pure(*args)
+            return qfi_state(*args)
 
-        monkeypatch.setattr(metrology, "qfi_pure", counting_qfi_pure)
+        monkeypatch.setattr(metrology, "qfi_state", counting_qfi_state)
         code, out = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
                                      "--values", "0.2,0.4,0.6", "--format", "json"])
         assert code == 0
@@ -831,6 +831,14 @@ def test_state_file_not_matching_its_schema_exits_2(capsys, tmp_path, obj, messa
     path = write_json(tmp_path / "state.json", obj)
     code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0"])
     assert (code, json.loads(out)["error"]) == (2, {"type": "ValueError", "message": message})
+
+
+def test_unparseable_tolerance_variable_is_named(capsys, monkeypatch):
+    # `--tol abc` is an argparse usage error; the variable is parsed by `main`
+    monkeypatch.setenv("MODEFISHER_TOL", "abc")
+    code, out = run_cli(capsys, ["selftest"])
+    assert (code, json.loads(out)["error"]) == (
+        2, {"type": "ValueError", "message": "MODEFISHER_TOL must be a number, got 'abc'"})
 
 
 @pytest.mark.parametrize("argv", [["frames", "--n", "3"], ["selftest"]])

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modefisher import (MonomialOp, SectorState, density_state, diagonal_state, expectation,
-                        make_fock_state, monomial_matrix, pure_state, spatial_frame,
+from modefisher import (Direction, MonomialOp, PhaseEstimator, SectorState, classical_fisher,
+                        density_state, diagonal_state, direction_generator, expectation,
+                        is_separable, make_fock_state, measurement_probabilities,
+                        monomial_matrix, monte_carlo_estimate, pure_state, qfi_pure,
+                        qfi_spectral, rotate, spatial_frame, spin_squeezing_witness,
                         validate_state)
+from modefisher.qfi import qfi_state
 
 
 class TestMakeFockState:
@@ -152,6 +156,37 @@ class TestValidateState:
     def test_fock_states_always_valid(self, big_n, k):
         if k <= big_n:
             assert validate_state(make_fock_state(k, big_n)) == []
+
+
+_ALONG_X = Direction(1, 0, 0)
+
+# every public call that takes a state, applied to a state of N = 1
+_STATE_CALLS = {
+    "qfi_pure": lambda s: qfi_pure(s, _ALONG_X),
+    "qfi_state": lambda s: qfi_state(s, _ALONG_X),
+    "qfi_spectral": lambda s: qfi_spectral(s, direction_generator(1, _ALONG_X)),
+    "is_separable": lambda s: is_separable(s, spatial_frame()),
+    "spin_squeezing_witness": spin_squeezing_witness,
+    "rotate": lambda s: rotate(s, _ALONG_X, 0.3),
+    "measurement_probabilities": lambda s: measurement_probabilities(s, _ALONG_X, 0.3),
+    "classical_fisher": lambda s: classical_fisher(s, _ALONG_X, 0.3),
+    "monte_carlo_estimate": lambda s: monte_carlo_estimate(s, _ALONG_X, 0.3, 2, 10, 1),
+    "PhaseEstimator": lambda s: PhaseEstimator(s, _ALONG_X),
+}
+_INVALID_STATES = {
+    "nan": lambda: pure_state([math.nan, 1.0]),
+    "norm_25": lambda: pure_state([3.0, 4.0]),
+    "non_positive_rho": lambda: density_state(np.diag([1.2, -0.2])),
+}
+
+
+# qfi_pure rejects a density matrix before checking it
+@pytest.mark.parametrize("call, state", [
+    pair for pair in itertools.product(_STATE_CALLS, _INVALID_STATES)
+    if pair != ("qfi_pure", "non_positive_rho")])
+def test_every_state_call_rejects_an_invalid_state(call, state):
+    with pytest.raises(ValueError, match="^invalid state: "):
+        _STATE_CALLS[call](_INVALID_STATES[state]())
 
 
 class TestSectorStateArrays:

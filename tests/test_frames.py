@@ -127,6 +127,12 @@ class TestFockExpansionCoefficients:
         expected[3] = 1
         assert np.allclose(c, expected)
 
+    def test_spatial_frame_gives_the_unit_vector_exactly(self):
+        # the state is already in the spatial frame: no basis change rounds it
+        expected = np.zeros(41)
+        expected[13] = 1.0
+        assert np.array_equal(fock_expansion_coefficients(13, 40, spatial_frame()), expected)
+
     def test_normalized(self):
         for phi in (0.0, 0.4, 2.2):
             c = fock_expansion_coefficients(2, 7, bogolubov_frame(phi))

@@ -8,7 +8,7 @@ from modefisher import (Direction, NonIdentifiableError, classical_fisher, densi
                         diagonal_state, direction_generator, make_fock_state,
                         measurement_probabilities, monte_carlo_estimate,
                         pure_state, qfi_spectral, rotate, validate_state)
-from modefisher import collective, metrology
+from modefisher import collective, fock, metrology, qfi
 from modefisher.collective import ladder
 from modefisher.fock import DEFAULT_TOL
 from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
@@ -653,13 +653,30 @@ def test_rotate_and_probabilities_build_no_generator(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(collective, "direction_generator", counting)
-    monkeypatch.setattr(metrology, "direction_generator", counting)
+    monkeypatch.setattr(qfi, "direction_generator", counting)
     state, n = make_fock_state(13, 40), Direction(0.48, 0.64, 0.6)
     rotate(state, n, 0.7)
     measurement_probabilities(state, n, 0.7)
     assert built == []
     classical_fisher(state, n, 0.7)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("state", [make_fock_state(2, 4), diagonal_state([0.1, 0.2, 0.3, 0.4])],
+                         ids=["pure", "rho"])
+def test_estimate_checks_the_state_once(state, monkeypatch):
+    checked = []
+    original = fock.validate_state
+
+    def counting(*args, **kwargs):
+        checked.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (fock, qfi, metrology):  # every module that may hold the name
+        if hasattr(module, "validate_state"):
+            monkeypatch.setattr(module, "validate_state", counting)
+    monte_carlo_estimate(state, Direction(1, 0, 0), 0.6, 3, 500, 2)
+    assert checked == [state]
 
 
 @pytest.mark.parametrize("big_n, trials, shots", [(4, 200, 10_000), (20, 50, 2000),
