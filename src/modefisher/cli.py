@@ -8,8 +8,9 @@ Validation errors exit with status 2 and a machine-readable error object.
 The MODEFISHER_TOL environment variable overrides the default tolerance.
 
 Each subcommand loads only the modules it uses, as ``import modefisher`` is lazy:
-a handler imports its library modules after its inputs are read, so a rejected
-input loads none of them.
+a handler imports its library modules after its inputs are read, so an input it
+rejects loads none of them.  A state file is checked once, by the library call it
+is passed to, and the error report names the file.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from .collective import Direction
-from .fock import DEFAULT_TOL, largest_coherence, validate_state
+from .fock import DEFAULT_TOL, check_state, check_tolerance, largest_coherence
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
 
@@ -37,9 +38,7 @@ def _tolerance(args) -> float:
             tol = float(env) if env else DEFAULT_TOL
         except ValueError:
             raise ValueError(f"MODEFISHER_TOL must be a number, got {env!r}") from None
-    # a NaN tolerance would make every `> tol` test false and pass any state
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    check_tolerance(tol)
     return tol
 
 
@@ -67,16 +66,6 @@ def _parse_direction(text: str) -> Direction:
     return Direction(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _load_state(path: str, tol: float):
-    """The state in `path`, checked for every invariant but positivity: each subcommand's
-    library call checks that, and a density matrix is decomposed once."""
-    state = state_from_json(load_json(path))
-    violations = validate_state(state, tol, positivity=False)
-    if violations:
-        raise ValueError(f"invalid state in {path}: {', '.join(violations)}")
-    return state
-
-
 def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float, float]:
     """(closed-form F, max off-diagonal of rho); F is NaN unless rho is diagonal within tol."""
     from .qfi import qfi_diagonal_closed_form
@@ -91,7 +80,7 @@ def _closed_form_fisher(state, direction: Direction, tol: float) -> tuple[float,
 
 def _cmd_qfi(args) -> int:
     """F under J_n in the state's own frame, the frame `estimate` rotates it in."""
-    state = _load_state(args.state, args.tol)
+    state = state_from_json(load_json(args.state))
     direction = _parse_direction(args.direction)
     from .qfi import classify, qfi_state
 
@@ -99,6 +88,8 @@ def _cmd_qfi(args) -> int:
     fisher_closed = math.nan
     if args.method in ("spectral", "both"):
         fisher_spectral = qfi_state(state, direction, args.tol)
+    else:
+        check_state(state, args.tol)  # the closed form takes populations, not the state
     if args.method in ("closed-form", "both"):
         fisher_closed, off = _closed_form_fisher(state, direction, args.tol)
         if args.method == "closed-form" and off > args.tol:
@@ -126,7 +117,7 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_separability(args) -> int:
-    state = _load_state(args.state, args.tol)
+    state = state_from_json(load_json(args.state))
     frame = frame_from_json(load_json(args.frame))
     from .separability import is_separable
 
@@ -151,7 +142,7 @@ def _cmd_separability(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    state = _load_state(args.state, args.tol)
+    state = state_from_json(load_json(args.state))
     direction = _parse_direction(args.direction)
     from .metrology import rotate
 
@@ -161,7 +152,7 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    state = _load_state(args.state, args.tol)
+    state = state_from_json(load_json(args.state))
     direction = _parse_direction(args.direction)
     from .metrology import monte_carlo_estimate
 
@@ -186,7 +177,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """Bounds per value, all on the state in its own frame, where the estimator rotates it."""
-    state = _load_state(args.state, args.tol)
+    state = state_from_json(load_json(args.state))
     values = [float(v) for v in args.values.split(",")]
     if args.param in ("shots", "trials") and not all(v.is_integer() for v in values):
         raise ValueError(f"{args.param} values must be integers, got {args.values!r}")
@@ -352,7 +343,11 @@ def main(argv=None) -> int:
         args.tol = _tolerance(args)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
-        _error_report(type(exc).__name__, str(exc))
+        message = str(exc)
+        if message.startswith("invalid state: ") and getattr(args, "state", None):
+            # fock.check_state's message, from the handler's one check of --state
+            message = message.replace("invalid state", f"invalid state in {args.state}", 1)
+        _error_report(type(exc).__name__, message)
         return 2
 
 

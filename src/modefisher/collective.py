@@ -247,9 +247,8 @@ class Rotation:
     BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at one angle through
     :meth:`apply` takes 0.042-0.045 ms at N = 4, 0.066-0.068 ms at N = 100 and 0.12-0.13 ms
     at N = 249, with a new n each call; :meth:`projections` of a Fock state takes 0.25 ms at
-    N = 100 and 2.2 ms at N = 249, where forming Q and then Q diag(Q^dag c) takes 0.33 and
-    3.2 ms, with V cached; forming Q takes about 0.36 s at N = 1000, where V is solved per
-    call.
+    N = 100 and 2.2 ms at N = 249, with V cached; forming Q takes about 0.36 s at N = 1000,
+    where V is solved per call.
     """
 
     def __init__(self, n_particles: int, n: Direction):
@@ -326,7 +325,7 @@ class Rotation:
 # the dense eigenbasis.  An estimate builds the dense W for its grid: 3 trials x 10^4 shots
 # about x took 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms
 # at N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
-# noisy host), with W built from the formed Q.
+# noisy host).
 # One rotation at theta = pi/2 forms no Q and takes 0.12-0.13 ms dense at N = 249 against
 # 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
 # open question in ROADMAP.md.  The full tables are in CHANGES.md.

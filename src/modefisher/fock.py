@@ -92,16 +92,22 @@ def density_state(rho, frame: ModeFrame | None = None) -> SectorState:
     return SectorState(rho.shape[0] - 1, frame or spatial_frame(), rho=rho)
 
 
-def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
-                   positivity: bool = True) -> list[str]:
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless `tol` is finite and > 0: NaN passes any state, 0 fails rounding."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+
+
+def validate_state(state: SectorState, tol: float = DEFAULT_TOL) -> list[str]:
     """Names of violated SectorState invariants; empty when the state is valid.
 
     A NaN or infinite entry is reported as "finiteness" alone: NaN fails every `> tol`
     test, so the other checks would pass it.  A pure state's norm is one `vdot`, and its
     entries are scanned only when the norm is not finite: finite entries whose norm
-    overflows violate normalization.  `positivity=False` skips the eigenvalue check of rho,
-    for a caller that decomposes rho itself and checks its own eigenvalues.
+    overflows violate normalization.  rho is positive when its Hermitian part plus tol I has
+    a Cholesky factor, i.e. its smallest eigenvalue exceeds -tol; no eigenvalue is computed.
     """
+    check_tolerance(tol)
     if state.amplitudes is not None:
         c = state.amplitudes
         norm = np.vdot(c, c).real
@@ -116,7 +122,11 @@ def validate_state(state: SectorState, tol: float = DEFAULT_TOL,
         violations.append("hermiticity")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
         violations.append("trace")
-    if positivity and np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol:
+    shifted = 0.5 * (rho + rho.conj().T)
+    shifted[np.diag_indices(state.dim)] += tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
         violations.append("positivity")
     return violations
 

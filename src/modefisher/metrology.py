@@ -26,8 +26,8 @@ stream the grid block by block and refine each trial from its best grid point, w
 and p'' from J_n c and J_n^2 c.
 
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
-9 at N = 400 and 11 at N = 1000, where golden section alone made 30; a trial whose
-maximum sits on a window edge still takes golden section's pace, up to 27 calls.
+9 at N = 400 and 11 at N = 1000; a trial whose maximum sits on a window edge takes golden
+section's pace, up to 27 calls.
 Estimates of a twin-Fock state in the plane (one BLAS thread, 2-core Xeon, quartiles of
 in-process medians over 6-12 rounds on a noisy host) take 2.5-2.7 ms at N = 4 with 200
 trials x 10^4 shots, 2.0-2.1 ms at N = 20 with 50 x 2000, 5.1-5.5 ms at N = 100 with
@@ -107,7 +107,7 @@ class _RotationModel:
     takes one (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T,
     0.5-0.8 ms at N = 100, and a refinement step one
     (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
-    finish an estimate at N = 100, where golden section took 30 of a third the size.
+    finish an estimate at N = 100.
 
     The public entry points check the state, and the model trusts its input.
     """
@@ -457,7 +457,7 @@ class PhaseEstimator:
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
         self.direction = n
-        # F checks the state; for rho, the spectral sum's eigh is its one decomposition
+        # F checks the state; for rho, the spectral sum's eigh is its one eigendecomposition
         self.fisher = qfi_state(state, n, tol)
         self.model = _RotationModel(state, n)
 
@@ -516,9 +516,8 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     likelihood's fringe period of about 2 pi/N.  All trials are then refined
     together: golden section until a bracket is narrower than pi/(20 N), then
     safeguarded Newton steps to NEWTON_TOL (see `_refine_max`), in 3-11
-    likelihood calls for N = 4 to 1000 where golden section alone made 30.  On
-    the propagated path each refinement rotates from its trial's best grid point.
-    A density matrix is decomposed once, by the spectral Fisher information,
-    which also checks its positivity.
+    likelihood calls for N = 4 to 1000.  On the propagated path each refinement
+    rotates from its trial's best grid point.  A density matrix is
+    eigendecomposed once, by the spectral Fisher information.
     """
     return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)

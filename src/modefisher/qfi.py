@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import CollectiveObservable, Direction, direction_generator
-from .fock import DEFAULT_TOL, SectorState, check_state, expectation, validate_state
+from .fock import DEFAULT_TOL, SectorState, check_state, check_tolerance, expectation
 
 SPECTRAL_CUTOFF = 1e-12
 CLASSIFY_TOL = 1e-8
@@ -55,16 +55,9 @@ def qfi_spectral(state: SectorState, observable, tol: float = DEFAULT_TOL) -> fl
     a = _observable_matrix(observable)
     if a.shape != (state.dim, state.dim):
         raise ValueError(f"observable shape {a.shape} does not match sector dimension {state.dim}")
-    # rho is decomposed once: positivity is read from the eigenvalues the sum uses, of the
-    # Hermitian part that `validate_state` checks
-    violations = validate_state(state, tol, positivity=False)
-    if violations != ["finiteness"]:
-        rho = state.density_matrix()
-        lam, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-        if not state.is_pure and lam.min() < -tol:
-            violations.append("positivity")
-    if violations:
-        raise ValueError(f"invalid state: {', '.join(violations)}")
+    check_state(state, tol)
+    rho = state.density_matrix()
+    lam, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     a_eig = vec.conj().T @ a @ vec
     li = lam[:, None]
     lj = lam[None, :]
@@ -108,6 +101,7 @@ def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = DEF
                            - 4 sum_k p_k p_{k+1}/(p_k + p_{k+1}) (k+1)(N-k)],
     with 0/0 terms (consecutive zero probabilities) contributing 0.
     """
+    check_tolerance(tol)
     big_n = n_particles
     p = np.asarray(p, dtype=float)
     if p.shape != (big_n + 1,):

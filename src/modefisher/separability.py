@@ -57,7 +57,7 @@ def is_separable(state: SectorState, frame: ModeFrame, tol: float = DEFAULT_TOL)
     When entangled, the verdict names the witness monomial of the largest
     coherence, in the frame basis; its residual is evaluated when read.
     """
-    check_state(state, tol if tol > 0 else DEFAULT_TOL)
+    check_state(state, tol)
     moved = transform_state(state, frame)
     max_off, pick = largest_coherence(moved)
     if max_off <= tol or pick is None:
@@ -121,7 +121,7 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     first superdiagonal, which a pure state gives in O(N) as |c_k|^2 and
     c_k conj(c_{k+1}) without forming rho.  The state is checked as in :func:`is_separable`.
     """
-    check_state(state, tol if tol > 0 else DEFAULT_TOL)
+    check_state(state, tol)
     moved = transform_state(state, spatial_frame())
     if moved.is_pure:
         c = moved.amplitudes

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import (Direction, collective, make_fock_state, metrology,
+from modefisher import (Direction, collective, fock, make_fock_state, metrology,
                         monte_carlo_estimate, schwinger)
 from modefisher.cli import main
 
@@ -311,7 +311,7 @@ def _count_solvers(monkeypatch):
 
 
 def test_mixed_estimate_decomposes_rho_once(capsys, tmp_path, monkeypatch):
-    # the file is checked without its eigenvalues: the spectral sum's eigh checks positivity
+    # the positivity check computes no eigenvalue: the spectral sum's eigh is the one
     big_n = 30
     p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
     path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
@@ -338,7 +338,7 @@ def test_pure_qfi_runs_no_eigensolver(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("rho", [[[1.2, 0.0], [0.0, -0.2]], [[0.5, 0.8], [0.8, 0.5]]],
                          ids=["diagonal", "coherent"])
 def test_non_positive_density_exits_2(capsys, tmp_path, rho):
-    # _load_state leaves positivity to each subcommand's library call
+    # each subcommand checks the file once, in its library call, and the error names the file
     path = write_json(tmp_path / "rho.json",
                       {"N": 1, "kind": "density", "rho_re": rho, "rho_im": [[0, 0], [0, 0]]})
     frame = write_json(tmp_path / "frame.json", {"kind": "spatial"})
@@ -354,9 +354,36 @@ def test_non_positive_density_exits_2(capsys, tmp_path, rho):
         code, out = run_cli(capsys, [argv[0], "--state", path, *argv[1:]])
         assert code == 2, argv
         error = json.loads(out)["error"]
-        assert error["type"] == "ValueError" and error["message"], argv
-        if "closed-form" not in argv:
-            assert "positivity" in error["message"], (argv, error)
+        assert error["type"] == "ValueError", argv
+        assert error["message"].startswith(f"invalid state in {path}: "), (argv, error)
+        assert "positivity" in error["message"], (argv, error)
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--direction", "1,0,0", "--method", "spectral"],
+    ["qfi", "--direction", "1,0,0", "--method", "closed-form"],
+    ["qfi", "--direction", "1,0,0", "--method", "both"],
+    ["separability", "--frame", None],
+    ["rotate", "--direction", "1,0,0", "--theta", "0.3"],
+    ["estimate", "--direction", "1,0,0", "--theta", "0.3", "--trials", "2", "--shots", "50"],
+    ["sweep", "--direction", "1,0,0", "--param", "theta", "--values", "0.3,0.6"],
+], ids=["qfi_spectral", "qfi_closed_form", "qfi_both", "separability", "rotate", "estimate",
+        "sweep_theta"])
+def test_density_file_is_checked_once(capsys, tmp_path, monkeypatch, argv):
+    # the positivity check is an O(N^3) Cholesky factor: the CLI leaves it to the library call
+    p = [0.1, 0.2, 0.4, 0.2, 0.1]
+    path = write_json(tmp_path / "rho.json", {"N": 4, "kind": "density",
+                                              "rho_re": np.diag(p).tolist(),
+                                              "rho_im": np.zeros((5, 5)).tolist()})
+    frame = write_json(tmp_path / "frame.json", {"kind": "spatial"})
+    argv = [frame if a is None else a for a in argv]
+    checks = []
+    real = fock.validate_state
+    monkeypatch.setattr(fock, "validate_state",
+                        lambda state, tol: checks.append(state) or real(state, tol))
+    code, out = run_cli(capsys, [argv[0], "--state", path, *argv[1:]])
+    assert code == 0, out
+    assert len(checks) == 1
 
 
 class TestSweepCommand:
@@ -451,7 +478,7 @@ class TestSweepCommand:
             assert {k: float(csv_row[k]) for k in expected} == expected
 
     def test_mixed_sweep_decomposes_rho_once(self, capsys, tmp_path, monkeypatch):
-        # F's eigh also checks positivity, and one model gives every value's estimate
+        # the positivity checks compute no eigenvalue, and one model gives every value's estimate
         big_n = 30
         p = np.exp(-0.5 * ((np.arange(big_n + 1) - big_n / 2) / 3.0) ** 2)
         path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
@@ -560,7 +587,7 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3", "0"])
 def test_non_finite_or_negative_tolerance_exits_2(capsys, tmp_path, monkeypatch, tol):
     # a coherent N = 4 state: with a NaN tolerance every `> tol` test is false, so its
     # coherences would pass as diagonal and the closed form would read 1.0 against F = 2.55
@@ -803,7 +830,7 @@ def test_csv_header_lists_the_json_row_keys_in_frozen_order(capsys, twin4, argv,
 
 
 def test_bad_tolerance_gives_one_error_in_every_subcommand(capsys, twin4, bogo0, monkeypatch):
-    error = {"type": "ValueError", "message": "tolerance must be finite and >= 0, got nan"}
+    error = {"type": "ValueError", "message": "tolerance must be finite and > 0, got nan"}
     state = ["--state", twin4]
     for argv in (["qfi", *state, "--direction", "1,0,0"],
                  ["separability", *state, "--frame", bogo0],
@@ -843,9 +870,10 @@ def test_unparseable_tolerance_variable_is_named(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["frames", "--n", "3"], ["selftest"]])
 def test_frames_and_selftest_check_the_tolerance(capsys, argv):
-    code, out = run_cli(capsys, [*argv, "--tol=nan"])
-    assert code == 2
-    assert "tolerance" in json.loads(out)["error"]["message"]
+    for tol in ("nan", "0"):
+        code, out = run_cli(capsys, [*argv, f"--tol={tol}"])
+        assert code == 2
+        assert "tolerance" in json.loads(out)["error"]["message"]
 
 
 def test_states_with_non_finite_entries_exit_2(capsys, tmp_path):

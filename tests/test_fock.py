@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from modefisher import (Direction, MonomialOp, PhaseEstimator, SectorState, classical_fisher,
                         density_state, diagonal_state, direction_generator, expectation,
                         is_separable, make_fock_state, measurement_probabilities,
-                        monomial_matrix, monte_carlo_estimate, pure_state, qfi_pure,
-                        qfi_spectral, rotate, spatial_frame, spin_squeezing_witness,
-                        validate_state)
+                        monomial_matrix, monte_carlo_estimate, pure_state,
+                        qfi_diagonal_closed_form, qfi_pure, qfi_spectral, rotate,
+                        spatial_frame, spin_squeezing_witness, validate_state)
+from modefisher.fock import check_state
 from modefisher.qfi import qfi_state
 
 
@@ -157,21 +158,57 @@ class TestValidateState:
         if k <= big_n:
             assert validate_state(make_fock_state(k, big_n)) == []
 
+    @pytest.mark.parametrize("big_n", [3, 11, 100, 300])
+    def test_positivity_agrees_with_eigvalsh(self, big_n):
+        # random rho of rank 1, 3 and full, and each with one eigenvalue moved to -f tol
+        rng = np.random.default_rng(big_n)
+        dim = big_n + 1
+        for rank, tol in itertools.product((1, 3, dim), (1e-5, 1e-10, 1e-14)):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            q = np.linalg.qr(z)[0]
+            lam = np.zeros(dim)
+            lam[:rank] = rng.dirichlet(np.ones(rank))
+            spectra = [lam]
+            for f in (0.5, 0.9, 1.1, 2.0):
+                moved = lam.copy()
+                moved[0], moved[-1] = moved[0] + f * tol, -f * tol
+                spectra.append(moved)
+            for spectrum in spectra:
+                rho = (q * spectrum) @ q.conj().T
+                reference = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -tol
+                assert reference == (spectrum.min() < -tol)
+                assert ("positivity" in validate_state(density_state(rho), tol)) == reference
+
+    def test_density_check_runs_no_eigensolver(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        check_state(density_state(a @ a.conj().T / np.trace(a @ a.conj().T)), 1e-10)
+        with pytest.raises(ValueError, match="^invalid state: positivity$"):
+            check_state(density_state(np.diag([1.2, -0.2])), 1e-10)
+        assert calls == []
+
 
 _ALONG_X = Direction(1, 0, 0)
 
-# every public call that takes a state, applied to a state of N = 1
+# every public call that takes a state, applied to a state of N = 1; a tolerance given after
+# the state is passed on, else each call uses its default
 _STATE_CALLS = {
-    "qfi_pure": lambda s: qfi_pure(s, _ALONG_X),
-    "qfi_state": lambda s: qfi_state(s, _ALONG_X),
-    "qfi_spectral": lambda s: qfi_spectral(s, direction_generator(1, _ALONG_X)),
-    "is_separable": lambda s: is_separable(s, spatial_frame()),
+    "qfi_pure": lambda s, *tol: qfi_pure(s, _ALONG_X, *tol),
+    "qfi_state": lambda s, *tol: qfi_state(s, _ALONG_X, *tol),
+    "qfi_spectral": lambda s, *tol: qfi_spectral(s, direction_generator(1, _ALONG_X), *tol),
+    "is_separable": lambda s, *tol: is_separable(s, spatial_frame(), *tol),
     "spin_squeezing_witness": spin_squeezing_witness,
-    "rotate": lambda s: rotate(s, _ALONG_X, 0.3),
-    "measurement_probabilities": lambda s: measurement_probabilities(s, _ALONG_X, 0.3),
-    "classical_fisher": lambda s: classical_fisher(s, _ALONG_X, 0.3),
-    "monte_carlo_estimate": lambda s: monte_carlo_estimate(s, _ALONG_X, 0.3, 2, 10, 1),
-    "PhaseEstimator": lambda s: PhaseEstimator(s, _ALONG_X),
+    "rotate": lambda s, *tol: rotate(s, _ALONG_X, 0.3, *tol),
+    "measurement_probabilities":
+        lambda s, *tol: measurement_probabilities(s, _ALONG_X, 0.3, *tol),
+    "classical_fisher": lambda s, *tol: classical_fisher(s, _ALONG_X, 0.3, *tol),
+    "monte_carlo_estimate":
+        lambda s, *tol: monte_carlo_estimate(s, _ALONG_X, 0.3, 2, 10, 1, *tol),
+    "PhaseEstimator": lambda s, *tol: PhaseEstimator(s, _ALONG_X, *tol),
 }
 _INVALID_STATES = {
     "nan": lambda: pure_state([math.nan, 1.0]),
@@ -187,6 +224,25 @@ _INVALID_STATES = {
 def test_every_state_call_rejects_an_invalid_state(call, state):
     with pytest.raises(ValueError, match="^invalid state: "):
         _STATE_CALLS[call](_INVALID_STATES[state]())
+
+
+# every public call that takes a tolerance
+_TOL_CALLS = {
+    **_STATE_CALLS,
+    "validate_state": validate_state,
+    "check_state": check_state,
+    "qfi_diagonal_closed_form": lambda s, tol: qfi_diagonal_closed_form([0.5, 0.5], 1,
+                                                                        _ALONG_X, tol),
+}
+
+
+# a NaN tolerance passed the norm-25 state (qfi_pure gave 1.96), and zero rejects states
+# normalised to rounding
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call", _TOL_CALLS)
+def test_every_tolerance_call_rejects_a_bad_tolerance(call, tol):
+    with pytest.raises(ValueError, match=r"^tolerance must be finite and > 0, got "):
+        _TOL_CALLS[call](pure_state([3.0, 4.0]), tol)
 
 
 class TestSectorStateArrays:

@@ -338,7 +338,7 @@ class TestTrigonometricSeries:
                 np.sum(dp_ref[keep] ** 2 / p_ref[keep]), rel=1e-12)
 
     def test_mixed_estimate_decomposes_rho_once(self, monkeypatch):
-        # the spectral sum's eigh also checks positivity: no eigvalsh before it
+        # the positivity check computes no eigenvalue: the spectral sum's eigh is the one
         calls = []
 
         def counting(solver):
