@@ -4,7 +4,10 @@ Reports go to stdout as JSON (sorted keys) or CSV with a frozen column
 order: a CSV header lists the JSON row's keys in order.  All numerics are
 serialized at full double precision (17 significant digits) so runs are
 reproducible byte for byte given the same argv and seed.
-Validation errors exit with status 2 and a machine-readable error object.
+Validation errors exit with status 2 and a machine-readable error object.  A
+reader that closes the pipe before the report ends (``| head``) ends the process
+quietly with status BROKEN_PIPE_STATUS (141, as a shell reports a process killed by
+SIGPIPE), and no report is written.
 The MODEFISHER_TOL environment variable overrides the default tolerance.
 
 Each subcommand loads only the modules it uses, as ``import modefisher`` is lazy:
@@ -26,6 +29,8 @@ from .collective import Direction
 from .fock import DEFAULT_TOL, check_state, check_tolerance, largest_coherence
 from .serialize import (SCHEMA_VERSION, frame_from_json, frame_to_json, load_json,
                         state_from_json, state_to_json)
+
+BROKEN_PIPE_STATUS = 141
 
 
 def _tolerance(args) -> float:
@@ -341,8 +346,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.tol = _tolerance(args)
-        return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left raises here rather than at exit
+        return status
+    except BrokenPipeError:
+        # the report's reader is gone: a report cannot reach it, and the interpreter's last
+        # flush of stdout goes to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_STATUS
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         message = str(exc)
         if message.startswith("invalid state: ") and getattr(args, "state", None):
             # fock.check_state's message, from the handler's one check of --state

@@ -236,10 +236,11 @@ class Rotation:
     phase.  With J_y = P J_x P^dag, P = diag((-i)^k), and the real eigenbasis
     J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  Lambda, P
     and V depend on N alone and come from the sector's data, cached below PROPAGATOR_MIN_N.
-    A rotation computes only the diagonal phases of n.  :meth:`apply` rotates one vector
-    with four real matrix products in O(N^2); :meth:`projections` gives Q diag(Q^dag c),
-    up to row phases, with one real (N+1) x (N+1) x 2(N+1) product more; `eigenvectors`
-    forms Q, with two real (N+1)^3 products, and `generator` builds J_n, both on first read.
+    A rotation computes only the diagonal phases of n, and no J_n: its caller owns that.
+    :meth:`apply` rotates one vector with four real matrix products in O(N^2);
+    :meth:`projections` gives Q diag(Q^dag c), up to row phases, with one real
+    (N+1) x (N+1) x 2(N+1) product more; `eigenvectors` forms Q on first read, with two
+    real (N+1)^3 products.
 
     The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
     Density matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it;
@@ -253,7 +254,6 @@ class Rotation:
 
     def __init__(self, n_particles: int, n: Direction):
         sector = _sector(n_particles)
-        self._n_particles, self._direction = n_particles, n
         self.eigenvalues = sector.jz
         self._v, self._p = sector.jx_eigenvectors, sector.phases
         # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
@@ -265,11 +265,6 @@ class Rotation:
         # diag(e^{-ik phi}) P
         self._tilt = (self._cos - 1j * self._sin)[:, None]
         self._outer = np.exp(-1j * phi * sector.k) * self._p
-
-    @functools.cached_property
-    def generator(self) -> CollectiveObservable:
-        """J_n, built on first read: `apply`, `eigenvectors` and `unitary` never read it."""
-        return direction_generator(self._n_particles, self._direction)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -370,20 +365,22 @@ class Propagator:
     The spectrum of J_n is exactly {-N/2, ..., N/2}, so with A = 2 J_n / N and x = theta N/2
     the Jacobi-Anger series exp(i x A) = J_0(x) + 2 sum_k i^k J_k(x) T_k(A) converges on
     A's spectrum, and each Chebyshev vector T_k(A) c is one banded product with the bands
-    of `generator` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta
-    is first reduced mod 2 pi with exp(2 pi i J_n) = (-1)^N, so a call costs about
-    |theta| N/2 + 30 banded products for |theta| <= pi.  Coefficients are computed once
-    per set of angles by :meth:`coefficients` and can be reused for every call with
-    those angles.
+    of `generator`, the J_n the caller built and owns, as :func:`direction_generator` gives
+    it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta is first reduced
+    mod 2 pi with exp(2 pi i J_n) = (-1)^N, so a call costs about |theta| N/2 + 30 banded
+    products for |theta| <= pi.  Coefficients are computed once per set of angles by
+    :meth:`coefficients` and can be reused for every call with those angles.  The series
+    and the reduction rest on J_n's spectrum: another observable, such as the Hamiltonian
+    of :func:`bose_hubbard`, is not detected and gives wrong vectors.
     """
 
-    def __init__(self, n_particles: int, n: Direction):
-        self.n_particles = n_particles
-        self.generator = direction_generator(n_particles, n)
-        scale = 4.0 / max(n_particles, 1)  # the bands of 2A
-        # an in-plane direction has no diagonal, which saves two of six passes per product
-        self._diagonal = self.generator.diagonal * scale if n.n_z != 0.0 else None
-        self._lower = self.generator.lower * scale
+    def __init__(self, generator: CollectiveObservable):
+        self.generator = generator
+        self.n_particles = generator.n_particles
+        scale = 4.0 / max(self.n_particles, 1)  # the bands of 2A
+        # an in-plane J_n has a zero diagonal: skipping it saves two of six passes per product
+        self._diagonal = generator.diagonal * scale if generator.diagonal.any() else None
+        self._lower = generator.lower * scale
         self._upper = self._lower.conj()
 
     def coefficients(self, theta) -> np.ndarray:
@@ -440,7 +437,7 @@ class Propagator:
 
 def propagate(n_particles: int, n: Direction, c, theta) -> np.ndarray:
     """exp(i theta J_n) c without forming a matrix; see :meth:`Propagator.apply` for shapes."""
-    propagator = Propagator(n_particles, n)
+    propagator = Propagator(direction_generator(n_particles, n))
     return propagator.apply(c, propagator.coefficients(theta))
 
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import CollectiveObservable, Direction, Propagator, Rotation, uses_propagator
+from .collective import (CollectiveObservable, Direction, Propagator, Rotation,
+                         direction_generator, frozen, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .qfi import qfi_state
 
@@ -88,13 +89,11 @@ class EstimationRun:
     classical_fisher: float
 
     def __post_init__(self):
-        est = np.array(self.estimates, dtype=float)
-        est.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
+        object.__setattr__(self, "estimates", frozen(self.estimates, float))
 
 
 class _RotationModel:
-    """exp(i theta J_n) for repeated rotations of one state.
+    """exp(i theta J_n) for repeated rotations of one state about `n`.
 
     Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N use J_n's dense
     eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
@@ -113,17 +112,18 @@ class _RotationModel:
     """
 
     def __init__(self, state: SectorState, n: Direction):
-        self.state = state
+        self.state, self.n = state, n
         self.rotation = self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
-            self.propagator = Propagator(state.n_particles, n)
+            self.propagator = Propagator(self.generator)
         else:
             self.rotation = Rotation(state.n_particles, n)
 
-    @property
+    @functools.cached_property
     def generator(self) -> CollectiveObservable:
-        """J_n, from the propagator or the rotation, which builds it on first read."""
-        return (self.propagator if self.rotation is None else self.rotation).generator
+        """J_n, which the model owns: built at construction for the propagator, else on first
+        read, so a dense `rotate` or `measurement_probabilities` builds none."""
+        return direction_generator(self.state.n_particles, self.n)
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
@@ -456,7 +456,6 @@ class PhaseEstimator:
     """
 
     def __init__(self, state: SectorState, n: Direction, tol: float = DEFAULT_TOL):
-        self.direction = n
         # F checks the state; for rho, the spectral sum's eigh is its one eigendecomposition
         self.fisher = qfi_state(state, n, tol)
         self.model = _RotationModel(state, n)
@@ -499,7 +498,7 @@ class PhaseEstimator:
 
         empirical_std = float(np.std(estimates, ddof=1)) if trials > 1 else 0.0
         fisher_cl = model.classical_fisher(theta_true, psi_true)
-        return EstimationRun(theta_true, self.direction, trials, shots, estimates, empirical_std,
+        return EstimationRun(theta_true, model.n, trials, shots, estimates, empirical_std,
                              _cramer_rao(shots, self.fisher), _cramer_rao(shots, fisher_cl),
                              seed, self.fisher, fisher_cl)
 

@@ -104,6 +104,8 @@ def qfi_diagonal_closed_form(p, n_particles: int, n: Direction, tol: float = DEF
     check_tolerance(tol)
     big_n = n_particles
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     if p.shape != (big_n + 1,):
         raise ValueError(f"probability vector must have length {big_n + 1}, got {p.shape}")
     if p.min() < -tol:

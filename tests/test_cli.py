@@ -2,14 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modefisher
 from modefisher import (Direction, collective, fock, make_fock_state, metrology,
                         monte_carlo_estimate, schwinger)
-from modefisher.cli import main
+from modefisher.cli import BROKEN_PIPE_STATUS, main
 
 
 def run_cli(capsys, argv):
@@ -888,3 +893,24 @@ def test_states_with_non_finite_entries_exit_2(capsys, tmp_path):
         code, out = run_cli(capsys, argv)
         assert code == 2, argv
         assert "finiteness" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    # about 180 KB of CSV, more than a pipe holds, so writes still follow the reader's exit
+    (["frames", "--n", "60", "--format", "csv"], b"row,col,re,im\n"),
+    # a report that fits the output buffer, whose reader is gone before it is flushed
+    (["frames", "--n", "2"], None),
+], ids=["read_one_line", "closed_at_once"])
+def test_closed_pipe_ends_quietly(argv, first_line):
+    # stdout block-buffered, as in a shell: with PYTHONUNBUFFERED every write reaches the pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(modefisher.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "modefisher.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (BROKEN_PIPE_STATUS, b"")

@@ -288,7 +288,7 @@ class TestPropagator:
 
     def test_coefficients_reused_across_vectors(self):
         big_n, n = 25, Direction(0.0, 1.0, 0.0)
-        propagator = Propagator(big_n, n)
+        propagator = Propagator(direction_generator(big_n, n))
         coef = propagator.coefficients(np.array([0.2, 0.4]))
         c = np.zeros(big_n + 1, dtype=complex)
         c[3] = 1.0

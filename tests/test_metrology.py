@@ -296,7 +296,8 @@ def _per_angle(state, n, theta):
     rotation = collective.Rotation(state.n_particles, n)
     u = rotation.unitary(theta)
     rho = u @ state.density_matrix() @ u.conj().T
-    dp = -2.0 * np.einsum("mj,jm->m", rotation.generator.matrix, rho).imag
+    jn = direction_generator(state.n_particles, n).matrix
+    dp = -2.0 * np.einsum("mj,jm->m", jn, rho).imag
     return np.diag(rho).real, dp
 
 
@@ -643,8 +644,8 @@ def test_pure_validation_labels_match_reference(amplitudes):
         assert validate_state(state, tol) == _reference_validate_pure(state, tol), tol
 
 
-def test_rotate_and_probabilities_build_no_generator(monkeypatch):
-    # J_n is built on first read, and only F_cl reads it (for J_n c)
+def _count_generator_builds(monkeypatch):
+    """The argument tuples of every `direction_generator` call from here on."""
     built = []
     original = collective.direction_generator
 
@@ -652,14 +653,42 @@ def test_rotate_and_probabilities_build_no_generator(monkeypatch):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(collective, "direction_generator", counting)
-    monkeypatch.setattr(qfi, "direction_generator", counting)
+    for module in (collective, qfi, metrology):
+        monkeypatch.setattr(module, "direction_generator", counting)
+    return built
+
+
+def test_rotate_and_probabilities_build_no_generator(monkeypatch):
+    # J_n is built on first read, and only F_cl reads it (for J_n c)
+    built = _count_generator_builds(monkeypatch)
     state, n = make_fock_state(13, 40), Direction(0.48, 0.64, 0.6)
     rotate(state, n, 0.7)
     measurement_probabilities(state, n, 0.7)
     assert built == []
     classical_fisher(state, n, 0.7)
     assert len(built) == 1
+
+
+def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
+    built = _count_generator_builds(monkeypatch)
+    state, n = make_fock_state(100, collective.PROPAGATOR_MIN_N), Direction(0.48, 0.64, 0.6)
+    model = metrology._RotationModel(state, n)
+    assert model.propagator.generator is model.generator
+    model.classical_fisher(0.7)
+    model.classical_fisher(1.1)
+    assert built == [(state.n_particles, n)]
+
+
+@pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
+                         ids=["pure", "rho"])
+def test_dense_model_builds_its_generator_once(state, monkeypatch):
+    built = _count_generator_builds(monkeypatch)
+    n = Direction(0.48, 0.64, 0.6)
+    model = metrology._RotationModel(state, n)
+    assert built == []
+    for theta in (0.7, 1.1, 0.7):
+        model.classical_fisher(theta)
+    assert built == [(state.n_particles, n)]
 
 
 @pytest.mark.parametrize("state", [make_fock_state(2, 4), diagonal_state([0.1, 0.2, 0.3, 0.4])],

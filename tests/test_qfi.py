@@ -141,6 +141,9 @@ class TestClosedForm:
             qfi_diagonal_closed_form([0.4, 0.4], 1, Direction(1, 0, 0))
         with pytest.raises(ValueError, match="nonnegative"):
             qfi_diagonal_closed_form([1.2, -0.2], 1, Direction(1, 0, 0))
+        for p in ([math.nan, 0.5, 0.5], [0.5, 0.5, math.nan]):  # NaN fails no comparison
+            with pytest.raises(ValueError, match="finite"):
+                qfi_diagonal_closed_form(p, 2, Direction(1, 0, 0))
 
     def test_zero_probability_pairs_contribute_zero(self):
         p = np.array([0.5, 0.0, 0.0, 0.5])
