@@ -54,14 +54,29 @@ def _fmt(x) -> str:
 
 
 def _emit(args, report: dict, rows=()) -> None:
-    """`report` as JSON; with `--format csv`, `rows` under a header of their keys in order."""
+    """`report` as JSON; with `--format csv`, `rows` under a header of their keys in order.
+
+    The bytes go to stdout's binary layer until all are written.  An unbuffered stdout
+    (``python -u``, PYTHONUNBUFFERED) drops what a short write to a closed pipe left over;
+    written again, it raises BrokenPipeError as a buffered one does.
+    """
     if getattr(args, "format", "json") == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        lines = []
+        for i, row in enumerate(rows):
+            if i == 0:
+                lines.append(",".join(row))
+            lines.append(",".join(_fmt(value) for value in row.values()))
+        text = "".join(line + "\n" for line in lines)
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream, such as io.StringIO
+        sys.stdout.write(text)
         return
-    for i, row in enumerate(rows):
-        if i == 0:
-            sys.stdout.write(",".join(row) + "\n")
-        sys.stdout.write(",".join(_fmt(value) for value in row.values()) + "\n")
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
 
 
 def _parse_direction(text: str) -> Direction:

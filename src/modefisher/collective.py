@@ -4,7 +4,8 @@ Every sector operator comes from :func:`ladder`, the band of a monomial.  The ob
 are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
 :class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
 itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
-:class:`Propagator` applies exp(i theta J_n) from the same bands without forming a matrix.
+:func:`apply_su2` applies the sector's image of a 2x2 SU(2) matrix to a vector in O(N^2),
+and :class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
 """
 from __future__ import annotations
 
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECTION_NORM_TOL = 1e-6
+# how far a 2x2 matrix may be from SU(2), or an observable's bands from those of a J_n
+# (relative to N), and still be taken as one
+SU2_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -228,6 +232,45 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
     return CollectiveObservable(*bands)
 
 
+def apply_su2(u, c) -> np.ndarray:
+    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10), and
+    one vector c of N+1 amplitudes: O(N^2), without forming Gamma(u).
+
+    Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n).  With u's ZYZ Euler angles Gamma(u) is
+    e^{-i alpha J_z} P e^{-i beta J_x} P^dag e^{-i gamma J_z} (J_y = P J_x P^dag, see
+    :class:`Rotation`), and P = diag((-i)^k) is e^{-i pi J_z/2} up to a global phase, so it
+    folds into the phases: with the ZXZ angles, Gamma(u) = e^{-i alpha J_z} V
+    e^{-i beta Lambda} V^T e^{-i gamma J_z}, a diagonal phase, two real products of the
+    sector's V with the (N+1, 2) real view of a complex column, and a diagonal phase.
+    u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 = e^{i(alpha-gamma)/2} sin(beta/2)
+    give beta by atan2 and alpha -+ gamma by their phases, so u = -1 gives (-1)^N.  V is
+    cached below PROPAGATOR_MIN_N.  The result is a new array.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape == (2, 2):  # an SU(2) matrix is [[u_00, -conj(u_10)], [u_10, conj(u_00)]]
+        (u00, u01), (u10, u11) = u.tolist()
+        deviation = abs(u11 - u00.conjugate()) + abs(u01 + u10.conjugate())
+    elif u.shape == (2,):
+        (u00, u10), deviation = u.tolist(), 0.0
+    else:
+        raise ValueError(f"u must be a 2x2 matrix or its first column, got shape {u.shape}")
+    deviation += abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0)
+    if not deviation <= SU2_TOL:  # NaN fails too
+        raise ValueError("u must be in SU(2)")
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 1 or not c.size:
+        raise ValueError(f"c must be one vector of N+1 amplitudes, got shape {c.shape}")
+    sector = _sector(c.size - 1)
+    v, jz = sector.jx_eigenvectors, sector.jz
+    # the phases of u_00 and i u_10: alpha = b - a, gamma = -a - b
+    a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
+    beta = 2.0 * math.atan2(abs(u10), abs(u00))
+    right, tilt, left = np.exp(np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), jz))
+    x = (right * c)[:, None].view(float)
+    y = (v.T @ x).view(complex) * tilt[:, None]
+    return left * (v @ y.view(float)).view(complex)[:, 0]
+
+
 class Rotation:
     """exp(i theta J_n) = Q e^{i theta Lambda} Q^dag, with J_n's eigenbasis built from 2x2 data.
 
@@ -237,19 +280,18 @@ class Rotation:
     J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  Lambda, P
     and V depend on N alone and come from the sector's data, cached below PROPAGATOR_MIN_N.
     A rotation computes only the diagonal phases of n, and no J_n: its caller owns that.
-    :meth:`apply` rotates one vector with four real matrix products in O(N^2);
-    :meth:`projections` gives Q diag(Q^dag c), up to row phases, with one real
-    (N+1) x (N+1) x 2(N+1) product more; `eigenvectors` forms Q on first read, with two
-    real (N+1)^3 products.
+    :meth:`projections` gives Q diag(Q^dag c), up to row phases, without forming Q, with
+    two real products of V or V^T with a complex column and one real
+    (N+1) x (N+1) x 2(N+1) product; `eigenvectors` forms Q on first read, with two real
+    (N+1)^3 products.  A pure state at one angle needs neither: :func:`apply_su2` rotates
+    it with two real products of V, O(N^2).
 
     The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
-    Density matrices, `frame_change_unitary` and pure states below PROPAGATOR_MIN_N use it;
-    pure states from PROPAGATOR_MIN_N on take the matrix-free :class:`Propagator`.  With one
-    BLAS thread on a 2-core Xeon, `metrology.rotate` of a pure state at one angle through
-    :meth:`apply` takes 0.042-0.045 ms at N = 4, 0.066-0.068 ms at N = 100 and 0.12-0.13 ms
-    at N = 249, with a new n each call; :meth:`projections` of a Fock state takes 0.25 ms at
-    N = 100 and 2.2 ms at N = 249, with V cached; forming Q takes about 0.36 s at N = 1000,
-    where V is solved per call.
+    Density matrices, `frame_change_unitary` and the series of pure states below
+    PROPAGATOR_MIN_N use it; pure states from PROPAGATOR_MIN_N on take the matrix-free
+    :class:`Propagator`.  With one BLAS thread on a 2-core Xeon, :meth:`projections` of a
+    Fock state takes 0.25 ms at N = 100 and 2.2 ms at N = 249, with V cached; forming Q
+    takes about 0.36 s at N = 1000, where V is solved per call.
     """
 
     def __init__(self, n_particles: int, n: Direction):
@@ -261,7 +303,7 @@ class Rotation:
         phi = math.atan2(n.n_y, n.n_x)
         angle = beta * self.eigenvalues
         self._cos, self._sin = np.cos(angle), np.sin(angle)
-        # e^{-i beta Lambda} as a column, as `apply` uses it, and the row phases of Q,
+        # e^{-i beta Lambda} as a column, as `_coordinates` uses it, and the row phases of Q,
         # diag(e^{-ik phi}) P
         self._tilt = (self._cos - 1j * self._sin)[:, None]
         self._outer = np.exp(-1j * phi * sector.k) * self._p
@@ -287,29 +329,14 @@ class Rotation:
         x = (self._outer.conj() * np.asarray(c, dtype=complex))[:, None].view(float)
         return (v @ ((v.T @ x).view(complex) * self._tilt.conj()).view(float)).view(complex)
 
-    def apply(self, c, theta: float) -> np.ndarray:
-        """exp(i theta J_n) c = Q e^{i theta Lambda} Q^dag c for one vector c, in O(N^2)
-        without forming Q.
-
-        Q = diag(e^{-ik phi}) P M P^dag with M = V e^{-i beta Lambda} V^T, so the P^dag of Q
-        and the P of Q^dag meet around the diagonal e^{i theta Lambda} and cancel exactly.
-        What is left is diagonal phases and four real products of V or V^T with the
-        (N+1, 2) real view of a complex column.
-        """
-        v = self._v
-        y = self._coordinates(c)
-        y *= np.exp(1j * theta * self.eigenvalues)[:, None]
-        y = (v.T @ y.view(float)).view(complex) * self._tilt
-        return self._outer * (v @ y.view(float)).view(complex)[:, 0]
-
     def projections(self, c) -> np.ndarray:
         """A = Q diag(Q^dag c) up to one unit phase per row, without forming Q: column j is
         c's projection onto J_n's eigenvector j.
 
         With y = P^dag Q^dag c, A = diag(e^{-ik phi}) P M diag(y), as the P^dag of Q and the
         P of Q^dag cancel.  The rows' phases diag(e^{-ik phi}) P are dropped, which leaves
-        M diag(y) = V (e^{-i beta Lambda} V^T diag(y)): the two products of `apply` that
-        give y, and one (N+1) x (N+1) x 2(N+1) real product.
+        M diag(y) = V (e^{-i beta Lambda} V^T diag(y)): the two products of `_coordinates`
+        that give y, and one (N+1) x (N+1) x 2(N+1) real product.
         """
         y = self._coordinates(c)
         scaled = np.multiply(self._v.T, self._tilt * y.T, order="C")  # rows of complex pairs
@@ -321,9 +348,9 @@ class Rotation:
 # about x took 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms
 # at N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
 # noisy host).
-# One rotation at theta = pi/2 forms no Q and takes 0.12-0.13 ms dense at N = 249 against
-# 3.1-4.2 ms propagated at N = 250; the threshold follows the estimate, and that step is an
-# open question in ROADMAP.md.  The full tables are in CHANGES.md.
+# One rotation at one angle forms no Q: two O(N^2) products dense, against about
+# |theta| N/2 + 30 banded O(N) products propagated; the threshold follows the estimate, and
+# that step is an open question in ROADMAP.md.  The full tables are in CHANGES.md.
 PROPAGATOR_MIN_N = 250
 BESSEL_CUTOFF = 1e-17
 CHEBYSHEV_CHUNK = 64
@@ -370,13 +397,23 @@ class Propagator:
     mod 2 pi with exp(2 pi i J_n) = (-1)^N, so a call costs about |theta| N/2 + 30 banded
     products for |theta| <= pi.  Coefficients are computed once per set of angles by
     :meth:`coefficients` and can be reused for every call with those angles.  The series
-    and the reduction rest on J_n's spectrum: another observable, such as the Hamiltonian
-    of :func:`bose_hubbard`, is not detected and gives wrong vectors.
+    and the reduction rest on J_n's spectrum, so the bands are checked in O(N) on
+    construction: another observable, such as the Hamiltonian of :func:`bose_hubbard`,
+    raises ValueError.
     """
 
     def __init__(self, generator: CollectiveObservable):
         self.generator = generator
         self.n_particles = generator.n_particles
+        # the least-squares n_z and (n_x - i n_y)/2 of the bands n_z J_z and (n_x - i n_y) J_+/2
+        jz, raising = su2_bands(self.n_particles)
+        n_z = generator.diagonal @ jz / ((jz @ jz) or 1.0)  # both bands vanish at N = 0
+        half = generator.lower @ raising / ((raising @ raising) or 1.0)
+        residual = max(np.abs(generator.diagonal - n_z * jz).max(),
+                       np.abs(generator.lower - half * raising).max(initial=0.0))
+        norm = n_z ** 2 + 4.0 * abs(half) ** 2 if self.n_particles else 1.0  # any n at N = 0
+        if not (residual <= SU2_TOL * max(self.n_particles, 1) and abs(norm - 1.0) <= SU2_TOL):
+            raise ValueError("the propagator needs the bands of a J_n for a unit n")
         scale = 4.0 / max(self.n_particles, 1)  # the bands of 2A
         # an in-plane J_n has a zero diagonal: skipping it saves two of six passes per product
         self._diagonal = generator.diagonal * scale if generator.diagonal.any() else None

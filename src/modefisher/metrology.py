@@ -9,14 +9,15 @@ Newton steps on the likelihood's exact first and second derivatives finish it.  
 rotation model per estimate gives them all.
 
 The model has two paths.  Density matrices and pure states below
-``collective.PROPAGATOR_MIN_N`` (250) use J_n's dense eigenbasis, which
-``collective.Rotation`` builds from the real eigenbasis V of J_x, cached per N.  A pure
-state at one angle (`rotate`, `classical_fisher`, `measurement_probabilities` at a
-scalar angle, an estimate's true-angle state) is rotated through the real eigenbasis
-without forming Q, in 0.066-0.068 ms at N = 100 and 0.12-0.13 ms at N = 249.  Every other
+``collective.PROPAGATOR_MIN_N`` (250) take the dense path, through the real eigenbasis V
+of J_x, cached per N.  A pure state at one angle (`rotate`, `classical_fisher`,
+`measurement_probabilities` at a scalar angle, an estimate's true-angle state) is rotated
+by ``collective.apply_su2`` as the image of the 2x2 matrix exp(i theta n.sigma/2): two
+real O(N^2) products with V, without J_n's eigenbasis.  Every other
 dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
 p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
-model, for a pure state from V without forming J_n's eigenbasis Q.  The estimation grid,
+model from ``collective.Rotation``, for a pure state from V without forming J_n's
+eigenbasis Q.  The estimation grid,
 whose table T depends on N alone and is cached per N below PROPAGATOR_MIN_N,
 `measurement_probabilities` at an array of angles and a density matrix's F_cl are then
 one real matrix product each, and so is each refinement step, which stacks the tables of
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (CollectiveObservable, Direction, Propagator, Rotation,
+from .collective import (CollectiveObservable, Direction, Propagator, Rotation, apply_su2,
                          direction_generator, frozen, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .qfi import qfi_state
@@ -98,14 +99,14 @@ class _RotationModel:
     Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N use J_n's dense
     eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
-    path a pure state at one angle is rotated in O(N^2) without forming the eigenbasis.
-    Any other dense call evaluates :attr:`fourier`, the coefficients of p(theta) in the
-    powers of e^{i theta}.  It is built once per model: in 0.5-0.9 ms for a pure state
-    (from V without Q, and two FFTs) and 3-5 ms for a density matrix (O(N^3)) at N = 100,
-    and in 0.5-0.7 s for a density matrix at N = 600.  The 512-point estimation grid then
-    takes one (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T,
-    0.5-0.8 ms at N = 100, and a refinement step one
-    (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
+    path a pure state at one angle is rotated by :func:`~modefisher.collective.apply_su2`
+    with two O(N^2) products, and no :attr:`rotation` is built.  Any other dense call
+    evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.
+    It is built once per model: in 0.5-0.9 ms for a pure state (from V without Q, and two
+    FFTs) and 3-5 ms for a density matrix (O(N^3)) at N = 100, and in 0.5-0.7 s for a
+    density matrix at N = 600.  The 512-point estimation grid then takes one
+    (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, 0.5-0.8 ms at
+    N = 100, and a refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
     finish an estimate at N = 100.
 
     The public entry points check the state, and the model trusts its input.
@@ -113,11 +114,15 @@ class _RotationModel:
 
     def __init__(self, state: SectorState, n: Direction):
         self.state, self.n = state, n
-        self.rotation = self.propagator = None
+        self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
             self.propagator = Propagator(self.generator)
-        else:
-            self.rotation = Rotation(state.n_particles, n)
+
+    @functools.cached_property
+    def rotation(self) -> Rotation:
+        """J_n's eigenbasis data (dense path), built on first read: only W, Q and the
+        unitary of a density matrix's rotation need it."""
+        return Rotation(self.state.n_particles, self.n)
 
     @functools.cached_property
     def generator(self) -> CollectiveObservable:
@@ -132,7 +137,10 @@ class _RotationModel:
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
-        return self.rotation.apply(self.state.amplitudes, theta)
+        # the first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma
+        n, cos, sin = self.n, math.cos(0.5 * theta), math.sin(0.5 * theta)
+        return apply_su2((complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)),
+                         self.state.amplitudes)
 
     def rotated(self, theta: float) -> SectorState:
         """The state rotated by theta; its new array is handed over read-only, not copied."""

@@ -902,14 +902,37 @@ def test_states_with_non_finite_entries_exit_2(capsys, tmp_path):
     (["frames", "--n", "2"], None),
 ], ids=["read_one_line", "closed_at_once"])
 def test_closed_pipe_ends_quietly(argv, first_line):
-    # stdout block-buffered, as in a shell: with PYTHONUNBUFFERED every write reaches the pipe
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = str(Path(modefisher.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "modefisher.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # stdout block-buffered, as in a shell
+    proc = _cli_process(argv, unbuffered=False)
     if first_line is not None:
         assert proc.stdout.readline() == first_line
+    _assert_quiet_broken_pipe(proc)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_cut_short_ends_quietly(fmt, unbuffered):
+    # about 180 KB either way, more than a pipe holds; unbuffered, a short write to the closed
+    # pipe is followed by one that raises, rather than the rest being dropped with exit 0
+    proc = _cli_process(["frames", "--n", "60", "--format", fmt], unbuffered)
+    assert len(proc.stdout.read(10)) == 10
+    _assert_quiet_broken_pipe(proc)
+
+
+def _cli_process(argv, unbuffered):
+    """`python -m modefisher.cli argv` with stdout and stderr piped, PYTHONUNBUFFERED set only
+    if `unbuffered`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(modefisher.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "modefisher.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _assert_quiet_broken_pipe(proc):
+    """Close the reader's end: the process exits BROKEN_PIPE_STATUS with nothing on stderr."""
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -8,7 +8,8 @@ import pytest
 from modefisher import (CollectiveObservable, Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, collective, commutator_residual, custom_frame,
                         direction_generator, frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import Propagator, Rotation, _bessel_j, ladder, propagate
+from modefisher.collective import (Propagator, Rotation, _bessel_j, apply_su2, ladder,
+                                   propagate)
 
 
 class TestDirection:
@@ -328,6 +329,12 @@ class TestPropagator:
         assert np.abs(wider[len(j):]).max() < 1e-17 <= abs(j[-1])
 
 
+def _su2(n, theta):
+    """exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma."""
+    n_sigma = np.array([[n.n_z, n.n_x - 1j * n.n_y], [n.n_x + 1j * n.n_y, -n.n_z]])
+    return math.cos(0.5 * theta) * np.eye(2) + 1j * math.sin(0.5 * theta) * n_sigma
+
+
 def _rotation_directions(rng, count):
     """The poles and the x axis both ways, two in-plane ones, one a hair off +z, and
     `count` random ones."""
@@ -366,15 +373,16 @@ class TestRotation:
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249])
     def test_apply_matches_unitary(self, big_n):
+        # apply_su2 of exp(i theta n.sigma/2), given as the matrix or its first column
         rng = np.random.default_rng(big_n + 3)
         for n in _rotation_directions(rng, 3):
             rotation = Rotation(big_n, n)
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
             c /= np.linalg.norm(c)
-            thetas = (0.0, 0.3, -2.0, 7.5)
-            applied = [rotation.apply(c, theta) for theta in thetas]
-            assert "eigenvectors" not in rotation.__dict__  # apply forms no Q
-            for theta, got in zip(thetas, applied):
+            for theta in (0.0, 0.3, -2.0, 7.5):
+                u = _su2(n, theta)
+                got = apply_su2(u, c)
+                assert np.array_equal(apply_su2(u[:, 0], c), got)
                 assert np.abs(got - rotation.unitary(theta) @ c).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 7, 200, 2000])
@@ -402,3 +410,95 @@ class TestRotation:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+
+SU2_SIZES = [0, 1, 2, 7, 40, 249]
+
+
+class TestApplySu2:
+    """Gamma(u) c from the Euler angles of u, with two real products of V."""
+
+    @pytest.mark.parametrize("big_n", SU2_SIZES)
+    def test_homomorphism(self, big_n):
+        # Gamma(u1) Gamma(u2) c = Gamma(u1 u2) c for random SU(2) matrices, poles included
+        rng = np.random.default_rng(big_n + 5)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        c /= np.linalg.norm(c)
+        mats = [_su2(Direction(0.0, 0.0, 1.0), 0.9), _su2(Direction(0.0, 0.0, -1.0), -2.5)]
+        for _ in range(4):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q = np.linalg.qr(z)[0]
+            mats.append(q / np.sqrt(np.linalg.det(q)))
+        for u1, u2 in zip(mats, mats[1:] + mats[:1]):
+            both = apply_su2(u1 @ u2, c)
+            assert np.abs(apply_su2(u1, apply_su2(u2, c)) - both).max() <= 1e-15 * (big_n + 1)
+
+    @pytest.mark.parametrize("big_n", SU2_SIZES)
+    def test_full_turn_is_parity(self, big_n):
+        # exp(2 pi i J_n) = (-1)^N: u = -1 gives beta = 0 and alpha + gamma = -2 pi
+        rng = np.random.default_rng(big_n + 6)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        c /= np.linalg.norm(c)
+        for n in _rotation_directions(rng, 2):
+            for u in (_su2(n, 2.0 * math.pi), -np.eye(2)):
+                got = apply_su2(u, c)
+                assert np.abs(got - (-1) ** big_n * c).max() <= 1e-15 * (big_n + 1), n
+
+    def test_result_owns_its_data(self):
+        c = np.ones(5, dtype=complex) / math.sqrt(5.0)
+        out = apply_su2(_su2(Direction(0.48, 0.64, 0.6), 0.7), c)
+        assert out.base is None and out.flags.writeable and out.shape == (5,)
+
+    @pytest.mark.parametrize("u", [
+        np.diag([1.0, -1.0]),  # unitary, det -1
+        2.0 * np.eye(2),  # scaled
+        [[0.6, 0.8], [0.8, -0.6]],  # a first column of unit norm, not SU(2)
+        [0.6, 0.7],  # a column off unit norm
+        [math.nan, 0.0],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ], ids=["det_minus_one", "scaled", "reflection", "column_norm", "nan", "inf"])
+    def test_rejects_non_su2(self, u):
+        with pytest.raises(ValueError, match="SU\\(2\\)"):
+            apply_su2(u, np.ones(3))
+
+    @pytest.mark.parametrize("u, c", [
+        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones((2, 3))),
+        (np.eye(2), np.ones(0)),
+    ], ids=["u_3x3", "u_length_3", "c_rows", "c_empty"])
+    def test_rejects_malformed_shapes(self, u, c):
+        with pytest.raises(ValueError):
+            apply_su2(u, c)
+
+
+class TestPropagatorGenerator:
+    """The propagator checks in O(N) that it was given a J_n's bands."""
+
+    def test_rejects_bose_hubbard(self):
+        # unchecked, its series and its reduction mod 2 pi give a vector of norm 1.3e26 at
+        # theta = 0.5 on |10>
+        with pytest.raises(ValueError, match="J_n"):
+            Propagator(bose_hubbard(20, 0.0, 0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bands", [
+        lambda jn: (2.0 * jn.diagonal, 2.0 * jn.lower),  # 2 J_n
+        lambda jn: (jn.diagonal + 1e-3, jn.lower),  # J_n + a multiple of the identity
+        lambda jn: (jn.diagonal, jn.lower * (1.0 + 1e-3 * np.arange(jn.lower.size))),
+    ], ids=["scaled", "shifted", "bent_band"])
+    def test_rejects_other_observables(self, bands):
+        jn = direction_generator(20, Direction(0.48, 0.64, 0.6))
+        with pytest.raises(ValueError, match="J_n"):
+            Propagator(CollectiveObservable(*bands(jn)))
+
+    @pytest.mark.parametrize("big_n", [0, 1, 250])
+    def test_accepts_every_direction_generator(self, big_n):
+        rng = np.random.default_rng(big_n + 9)
+        axes = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
+        directions = [Direction(*axis) for axis in axes]
+        directions += [Direction(*(v / np.linalg.norm(v))) for v in rng.normal(size=(4, 3))]
+        for n in directions:
+            assert Propagator(direction_generator(big_n, n)).n_particles == big_n
+
+    def test_zero_particles_needs_a_zero_diagonal(self):
+        # at N = 0 every J_n is the 1x1 zero matrix
+        with pytest.raises(ValueError, match="J_n"):
+            Propagator(CollectiveObservable(np.ones(1), np.zeros(0)))

@@ -382,6 +382,19 @@ class TestTrigonometricSeries:
         assert np.all(np.abs(run.estimates - 0.6) < 0.2)
 
 
+def _record_rotations(monkeypatch):
+    """Every `Rotation` the rotation model builds from here on."""
+    made = []
+
+    class RecordingRotation(collective.Rotation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(metrology, "Rotation", RecordingRotation)
+    return made
+
+
 class TestPropagatedPath:
     """Pure states from PROPAGATOR_MIN_N on rotate matrix-free; they match the dense route."""
 
@@ -401,11 +414,12 @@ class TestPropagatedPath:
         p_dense, f_dense = dense.probabilities(angles), dense.classical_fisher(0.7)
         c_dense = rotate(state, n, 1.1).amplitudes
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)
+        made = _record_rotations(monkeypatch)
         model = metrology._RotationModel(state, n)
-        assert model.rotation is None
         assert np.abs(model.probabilities(angles) - p_dense).max() <= 1e-12
         assert model.classical_fisher(0.7) == pytest.approx(f_dense, rel=1e-10)
         assert np.abs(rotate(state, n, 1.1).amplitudes - c_dense).max() <= 1e-12
+        assert made == [] and "rotation" not in vars(model)
 
     def test_estimate_matches_dense_route(self, monkeypatch):
         # 512 grid points in blocks of GRID_BLOCK, refinements rotated from the best points
@@ -444,17 +458,10 @@ class TestPropagatedPath:
 
 
 def test_one_angle_forms_no_eigenbasis(monkeypatch):
-    # one angle on the dense path rotates the state through V in O(N^2): J_n's eigenbasis,
-    # an (N+1)^2 complex array of 1 MB at N = 249, is never formed
+    # one angle on the dense path rotates the state through V in O(N^2) and builds no
+    # Rotation: J_n's eigenbasis, an (N+1)^2 complex array of 1 MB at N = 249, is never formed
     big_n = collective.PROPAGATOR_MIN_N - 1
-    made = []
-
-    class RecordingRotation(collective.Rotation):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(metrology, "Rotation", RecordingRotation)
+    made = _record_rotations(monkeypatch)
     state, n = make_fock_state(big_n // 3, big_n), Direction(0.48, 0.64, 0.6)
     rotate(state, n, 0.3)  # caches V
     for call in (rotate, measurement_probabilities, classical_fisher):
@@ -465,8 +472,7 @@ def test_one_angle_forms_no_eigenbasis(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < (big_n + 1) ** 2 * 16, (call.__name__, peak)
-    assert len(made) == 4
-    assert not any("eigenvectors" in rotation.__dict__ for rotation in made)
+    assert made == []
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -557,8 +563,9 @@ def test_refinement_ends_no_lower_than_golden_section(kind, path, monkeypatch):
                 assert (new[0] >= ref[0] - slack).all(), (big_n, theta, shots)
 
 
-# Single-angle pure-state calls against their former implementation: every diagonal of the
-# rotation built per call, and the norm summed from |c_k|^2 after a finiteness scan.
+# Single-angle pure-state calls against a test-local copy of the Euler formula of
+# `collective.apply_su2`, and against the former `Rotation.apply` as the documented golden
+# change; the norm against its former sum of |c_k|^2 after a finiteness scan.
 
 def _reference_validate_pure(state, tol):
     """The pure-state branch of `validate_state` before its norm became one `vdot`."""
@@ -581,7 +588,7 @@ def _reference_real_times(m, x):
 
 
 def _reference_apply(v, n, c, theta):
-    """`Rotation.apply` as it was: k, Lambda, P and the phases of n built per call, and four
+    """The former `Rotation.apply`: k, Lambda, P and the phases of n built per call, and four
     products of V through 1-D complex vectors."""
     k = np.arange(len(v))
     eigenvalues = k - (len(v) - 1) / 2.0
@@ -596,10 +603,30 @@ def _reference_apply(v, n, c, theta):
     return outer * _reference_real_times(v, _reference_real_times(v.T, x) * tilt)
 
 
-def _reference_single_angle(v, state, n, theta):
-    """(rotated amplitudes, p, F_cl) at one angle, computed as before."""
+def _su2_column(n, theta):
+    """The first column (u_00, u_10) of u = exp(i theta n.sigma/2)
+    = cos(theta/2) + i sin(theta/2) n.sigma."""
+    cos, sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
+
+
+def _reference_euler(v, n, c, theta):
+    """exp(i theta J_n) c as `apply_su2` gives it for u = cos(theta/2) + i sin(theta/2) n.sigma,
+    with Lambda built per call: the ZXZ Euler angles from the phases of u_00 and i u_10 and one
+    atan2, then two products of V through 1-D complex vectors."""
+    jz = np.arange(len(v)) - (len(v) - 1) / 2.0
+    u00, u10 = _su2_column(n, theta)
+    a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
+    beta = 2.0 * math.atan2(abs(u10), abs(u00))
+    right, tilt, left = np.exp(np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), jz))
+    x = _reference_real_times(v.T, right * np.asarray(c, dtype=complex)) * tilt
+    return left * _reference_real_times(v, x)
+
+
+def _reference_single_angle(v, state, n, theta, apply=_reference_euler):
+    """(rotated amplitudes, p, F_cl) at one angle, with the rotation `apply`."""
     assert not _reference_validate_pure(state, DEFAULT_TOL)
-    c = _reference_apply(v, n, state.amplitudes, theta)
+    c = apply(v, n, state.amplitudes, theta)
     p = np.abs(c) ** 2
     np.clip(p, 0.0, None, out=p)
     generator = direction_generator(state.n_particles, n)
@@ -611,10 +638,10 @@ def _reference_single_angle(v, state, n, theta):
     return c, p, float(np.sum(dp[keep] ** 2 / prob[keep]))
 
 
-@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1])
-def test_single_angle_calls_match_reference_bit_for_bit(big_n):
+def _single_angle_cases(big_n):
+    """(state, n, theta): a random pure and a Fock state, the poles, two directions a hair
+    off them and four random ones, at seven angles."""
     rng = np.random.default_rng(big_n + 40)
-    v = _reference_v(big_n)
     near = [np.array([1e-9, 0.0, 1.0]), np.array([-3e-10, 7e-10, -1.0])]
     directions = [Direction(0, 0, 1), Direction(0, 0, -1)]
     directions += [Direction(*(u / np.linalg.norm(u))) for u in near + list(rng.normal(size=(4, 3)))]
@@ -626,10 +653,30 @@ def test_single_angle_calls_match_reference_bit_for_bit(big_n):
             state = make_fock_state(fock_k, big_n)
         for n in directions:
             for theta in (0.7, math.pi, -math.pi, 7.5, -13.1, np.float64(-2.2), 2):
-                c, p, f = _reference_single_angle(v, state, n, theta)
-                assert np.array_equal(rotate(state, n, theta).amplitudes, c), (n, theta)
-                assert np.array_equal(measurement_probabilities(state, n, theta), p), (n, theta)
-                assert classical_fisher(state, n, theta) == f, (n, theta)
+                yield state, n, theta
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1])
+def test_single_angle_calls_match_reference_bit_for_bit(big_n):
+    v = _reference_v(big_n)
+    for state, n, theta in _single_angle_cases(big_n):
+        c, p, f = _reference_single_angle(v, state, n, theta)
+        assert np.array_equal(rotate(state, n, theta).amplitudes, c), (n, theta)
+        assert np.array_equal(measurement_probabilities(state, n, theta), p), (n, theta)
+        assert classical_fisher(state, n, theta) == f, (n, theta)
+
+
+@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1])
+def test_single_angle_calls_within_golden_bound_of_former_apply(big_n):
+    # the golden change from four products of V to two: amplitudes and p move by at most
+    # 1e-15 (N+1), about twice the largest change seen (6e-16 (N+1) at N = 100); F_cl by
+    # 1e-13 relative, plus 1e-15 where it is rounding noise about 0 (below 1e-27 here)
+    v, bound = _reference_v(big_n), 1e-15 * (big_n + 1)
+    for state, n, theta in _single_angle_cases(big_n):
+        c, p, f = _reference_single_angle(v, state, n, theta, apply=_reference_apply)
+        assert np.abs(rotate(state, n, theta).amplitudes - c).max() <= bound, (n, theta)
+        assert np.abs(measurement_probabilities(state, n, theta) - p).max() <= bound, (n, theta)
+        assert abs(classical_fisher(state, n, theta) - f) <= 1e-13 * f + 1e-15, (n, theta)
 
 
 @pytest.mark.parametrize("amplitudes", [
@@ -711,25 +758,33 @@ def test_estimate_checks_the_state_once(state, monkeypatch):
 @pytest.mark.parametrize("big_n, trials, shots", [(4, 200, 10_000), (20, 50, 2000),
                                                   (100, 20, 1000)])
 def test_estimate_budgets_match_reference_rotation(big_n, trials, shots, monkeypatch):
-    # the benchmark's three budgets: the true-angle state and F_cl come from a single-angle
-    # rotation, and every output is the same bit for bit with the former one
+    # the benchmark's three budgets: the true-angle state and F_cl come from `apply_su2`.  With
+    # the test-local Euler formula in its place every output is the same bit for bit; with
+    # the former `Rotation.apply` the estimates are, and F_cl moves within the golden bound.
     state, n, theta = make_fock_state(big_n // 2, big_n), Direction.in_plane(2.1), 0.8
     run = monte_carlo_estimate(state, n, theta, trials, shots, 5)
     v = _reference_v(big_n)
+    for reference_apply in (_reference_euler, _reference_apply):
+        calls = []
 
-    class ReferenceRotation(collective.Rotation):
-        def __init__(self, n_particles, direction):
-            super().__init__(n_particles, direction)
-            self.reference = direction
+        def patched(u, c, reference_apply=reference_apply):
+            calls.append(u)
+            return reference_apply(v, n, c, theta)
 
-        def apply(self, c, angle):
-            return _reference_apply(v, self.reference, c, angle)
-
-    monkeypatch.setattr(metrology, "Rotation", ReferenceRotation)
-    reference = monte_carlo_estimate(state, n, theta, trials, shots, 5)
-    assert np.array_equal(run.estimates, reference.estimates)
-    for field in ("empirical_std", "qcrb", "ccrb", "fisher", "classical_fisher"):
-        assert getattr(run, field) == getattr(reference, field), field
+        with monkeypatch.context() as patch:
+            patch.setattr(metrology, "apply_su2", patched)
+            reference = monte_carlo_estimate(state, n, theta, trials, shots, 5)
+        # one call, for the true-angle state, which F_cl reuses
+        assert calls == [_su2_column(n, theta)], reference_apply.__name__
+        assert np.array_equal(run.estimates, reference.estimates)
+        for field in ("empirical_std", "qcrb", "fisher"):
+            assert getattr(run, field) == getattr(reference, field), field
+        for field in ("ccrb", "classical_fisher"):
+            if reference_apply is _reference_euler:
+                assert getattr(run, field) == getattr(reference, field), field
+            else:
+                assert getattr(run, field) == pytest.approx(getattr(reference, field),
+                                                            rel=1e-13), field
 
 
 def _sample_states(big_n, rng):
