@@ -284,6 +284,7 @@ class _JsonErrorParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         _error_report("UsageError", f"{self.prog}: {message}")
+        sys.stdout.flush()  # a reader that left raises here, inside `main`'s try
         self.exit(2)
 
 
@@ -358,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None  # a usage error's report may meet a closed pipe before parsing ends
     try:
+        args = parser.parse_args(argv)
         args.tol = _tolerance(args)
         status = args.func(args)
         sys.stdout.flush()  # a reader that left raises here rather than at exit

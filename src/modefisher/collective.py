@@ -4,8 +4,9 @@ Every sector operator comes from :func:`ladder`, the band of a monomial.  The ob
 are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
 :class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
 itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
-:func:`apply_su2` applies the sector's image of a 2x2 SU(2) matrix to a vector in O(N^2),
-and :class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
+:func:`apply_su2` applies the sector's image of a 2x2 SU(2) matrix to a vector or a block of
+columns: every frame change, and every rotation but the propagated series, goes through it;
+:class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
 """
 from __future__ import annotations
 
@@ -233,18 +234,21 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
 
 
 def apply_su2(u, c) -> np.ndarray:
-    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10), and
-    one vector c of N+1 amplitudes: O(N^2), without forming Gamma(u).
+    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10),
+    without forming Gamma(u).  c is one vector of N+1 amplitudes, shape (N+1,), or a block
+    of such columns, shape (N+1, m); the result is a new array of c's shape.
 
     Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n).  With u's ZYZ Euler angles Gamma(u) is
     e^{-i alpha J_z} P e^{-i beta J_x} P^dag e^{-i gamma J_z} (J_y = P J_x P^dag, see
     :class:`Rotation`), and P = diag((-i)^k) is e^{-i pi J_z/2} up to a global phase, so it
-    folds into the phases: with the ZXZ angles, Gamma(u) = e^{-i alpha J_z} V
-    e^{-i beta Lambda} V^T e^{-i gamma J_z}, a diagonal phase, two real products of the
-    sector's V with the (N+1, 2) real view of a complex column, and a diagonal phase.
-    u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 = e^{i(alpha-gamma)/2} sin(beta/2)
-    give beta by atan2 and alpha -+ gamma by their phases, so u = -1 gives (-1)^N.  V is
-    cached below PROPAGATOR_MIN_N.  The result is a new array.
+    folds into the phases: with the ZXZ angles, Gamma(u) = e^{-i alpha J_z} e^{-i beta J_x}
+    e^{-i gamma J_z}.  u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 =
+    e^{i(alpha-gamma)/2} sin(beta/2) give beta in [0, pi] by atan2 and alpha -+ gamma by
+    their phases, so u = -1 gives (-1)^N.  The middle factor is V e^{-i beta Lambda} V^T:
+    two real products of the sector's V, cached below PROPAGATOR_MIN_N, with the (N+1, 2m)
+    real view of the columns, O(N^2 m).  A vector from PROPAGATOR_MIN_N on takes it from
+    :func:`propagate` about x instead: about beta N/2 + 30 banded O(N) products, and no
+    (N+1)^2 array.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape == (2, 2):  # an SU(2) matrix is [[u_00, -conj(u_10)], [u_10, conj(u_00)]]
@@ -258,17 +262,24 @@ def apply_su2(u, c) -> np.ndarray:
     if not deviation <= SU2_TOL:  # NaN fails too
         raise ValueError("u must be in SU(2)")
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 1 or not c.size:
-        raise ValueError(f"c must be one vector of N+1 amplitudes, got shape {c.shape}")
-    sector = _sector(c.size - 1)
-    v, jz = sector.jx_eigenvectors, sector.jz
+    if c.ndim not in (1, 2) or not c.size:
+        raise ValueError(f"c must be a vector of N+1 amplitudes or an (N+1, m) block of "
+                         f"them, got shape {c.shape}")
+    n_particles = len(c) - 1
+    sector = _sector(n_particles)
     # the phases of u_00 and i u_10: alpha = b - a, gamma = -a - b
     a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
     beta = 2.0 * math.atan2(abs(u10), abs(u00))
-    right, tilt, left = np.exp(np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), jz))
-    x = (right * c)[:, None].view(float)
+    phases = np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), sector.jz)
+    right, tilt, left = np.exp(phases)
+    if c.ndim == 1 and uses_propagator(n_particles):
+        return left * propagate(n_particles, Direction(1.0, 0.0, 0.0), right * c, -beta)
+    v = sector.jx_eigenvectors
+    # c as (N+1, m) columns, taken by two real products with their (N+1, 2m) real view
+    x = np.multiply(right[:, None], c.reshape(n_particles + 1, -1), order="C").view(float)
     y = (v.T @ x).view(complex) * tilt[:, None]
-    return left * (v @ y.view(float)).view(complex)[:, 0]
+    z = (v @ y.view(float)).view(complex)
+    return left * z[:, 0] if c.ndim == 1 else left[:, None] * z
 
 
 class Rotation:
@@ -283,15 +294,14 @@ class Rotation:
     :meth:`projections` gives Q diag(Q^dag c), up to row phases, without forming Q, with
     two real products of V or V^T with a complex column and one real
     (N+1) x (N+1) x 2(N+1) product; `eigenvectors` forms Q on first read, with two real
-    (N+1)^3 products.  A pure state at one angle needs neither: :func:`apply_su2` rotates
-    it with two real products of V, O(N^2).
+    (N+1)^3 products.
 
-    The dense path: O(N^3) time and O(N^2) memory for Q, unitary to rounding at any N.
-    Density matrices, `frame_change_unitary` and the series of pure states below
-    PROPAGATOR_MIN_N use it; pure states from PROPAGATOR_MIN_N on take the matrix-free
-    :class:`Propagator`.  With one BLAS thread on a 2-core Xeon, :meth:`projections` of a
-    Fock state takes 0.25 ms at N = 100 and 2.2 ms at N = 249, with V cached; forming Q
-    takes about 0.36 s at N = 1000, where V is solved per call.
+    It serves only the estimation series W of :mod:`~modefisher.metrology`: a pure state's
+    from :meth:`projections` below PROPAGATOR_MIN_N, a density matrix's from `eigenvectors`.
+    A rotation at one angle or a frame change of a state is :func:`apply_su2` of a 2x2
+    matrix instead.  :meth:`unitary` forms exp(i theta J_n) in O(N^3) time and O(N^2)
+    memory, unitary to rounding at any N: it is the dense reference that the selftest and
+    the tests compare the other routes against, and no library route calls it.
     """
 
     def __init__(self, n_particles: int, n: Direction):
@@ -343,14 +353,11 @@ class Rotation:
         return (self._v @ scaled.view(float)).view(complex)
 
 
-# Pure states of at least this many particles are rotated by the Propagator rather than
-# the dense eigenbasis.  An estimate builds the dense W for its grid: 3 trials x 10^4 shots
-# about x took 13-14 ms dense against 24-29 ms propagated at N = 200, 18-41 against 27-31 ms
-# at N = 250 and 31 against 20-27 ms at N = 300 (one BLAS thread, 2-core Xeon, V cached, a
-# noisy host).
-# One rotation at one angle forms no Q: two O(N^2) products dense, against about
-# |theta| N/2 + 30 banded O(N) products propagated; the threshold follows the estimate, and
-# that step is an open question in ROADMAP.md.  The full tables are in CHANGES.md.
+# Pure states of at least this many particles are rotated, and moved between frames, by the
+# Propagator rather than through V.  The threshold follows an estimate's crossover (3 trials
+# x 10^4 shots about x, one BLAS thread; the tables are in CHANGES.md).  One rotation at one
+# angle costs two O(N^2) products through V against about |theta| N/2 + 30 banded O(N)
+# products propagated, and that step is an open question in ROADMAP.md.
 PROPAGATOR_MIN_N = 250
 BESSEL_CUTOFF = 1e-17
 CHEBYSHEV_CHUNK = 64

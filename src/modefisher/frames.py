@@ -7,8 +7,10 @@ of U gives the new mode b_i as a combination of (a_1, a_2),
 
 The change-of-basis unitary V maps spatial-frame amplitudes to amplitudes
 over the new frame's Fock basis.  It is the image of U on the N-particle
-sector: with U = e^{ia} (cos b - i sin b n.sigma), V = Gamma(U) =
-e^{iaN} exp(-2ib J_n), and Gamma(U1) Gamma(U2) = Gamma(U1 U2).
+sector: with U = e^{ia} u, u in SU(2), V = Gamma(U) = e^{iaN} Gamma(u), and
+Gamma(U1) Gamma(U2) = Gamma(U1 U2).  Gamma(u) comes from u's Euler angles
+through :func:`~modefisher.collective.apply_su2`, which moves a pure state
+without forming V at any N.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import Direction, Rotation, frozen, propagate, uses_propagator
+from .collective import apply_su2, frozen
 
 UNITARITY_TOL = 1e-12
 
@@ -68,41 +70,24 @@ def custom_frame(mixing) -> ModeFrame:
     return ModeFrame(np.asarray(mixing, dtype=complex), label="custom")
 
 
-def _spin_parameters(u: np.ndarray) -> tuple[float, float, Direction]:
-    """(a, b, n) with U = e^{ia}(cos b - i sin b n.sigma), so Gamma(U) = e^{iaN} exp(-2ib J_n)."""
-    a = 0.5 * float(np.angle(np.linalg.det(u)))
-    w = np.exp(-1j * a) * u
-    # (i/2) tr(sigma_k W) = sin(b) n_k for W = cos b - i sin b n.sigma in SU(2)
-    sin_b_n = np.array([0.5j * (w[1, 0] + w[0, 1]),
-                        0.5 * (w[1, 0] - w[0, 1]),
-                        0.5j * (w[0, 0] - w[1, 1])]).real
-    sin_b = float(np.linalg.norm(sin_b_n))
-    b = math.atan2(sin_b, 0.5 * float(np.trace(w).real))
-    n = Direction(*(sin_b_n / sin_b)) if sin_b > 0.0 else Direction(0.0, 0.0, 1.0)
-    return a, b, n
-
-
-def _spin_image(n_particles: int, u: np.ndarray) -> np.ndarray:
-    """Gamma(U) as a dense matrix, from one eigendecomposition of J_n."""
-    a, b, n = _spin_parameters(u)
-    return np.exp(1j * a * n_particles) * Rotation(n_particles, n).unitary(-2.0 * b)
-
-
 def _spin_image_times(n_particles: int, u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Gamma(U) c: dense below PROPAGATOR_MIN_N, else matrix-free in O(N) memory."""
-    if not uses_propagator(n_particles):
-        return _spin_image(n_particles, u) @ c
-    a, b, n = _spin_parameters(u)
-    return np.exp(1j * a * n_particles) * propagate(n_particles, n, c, -2.0 * b)
+    """Gamma(U) c = e^{iaN} Gamma(e^{-ia} U) c with a = arg(det U)/2; the normalised first
+    column of e^{-ia} U stands for it, so a mixing that ModeFrame accepts as unitary is in
+    SU(2) to rounding."""
+    a = 0.5 * float(np.angle(np.linalg.det(u)))
+    column = np.exp(-1j * a) * u[:, 0]
+    return np.exp(1j * a * n_particles) * apply_su2(column / np.linalg.norm(column), c)
 
 
 def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     """(N+1)x(N+1) unitary V whose column k expands |k, N-k> over the frame's Fock basis.
 
-    V = Gamma(U) is the spin-N/2 image of the frame's mixing U; it is
-    unitary to rounding at any N.
+    V = Gamma(U) is the spin-N/2 image of the frame's mixing U, applied to the identity
+    in O(N^3) time and O(N^2) memory; it is unitary to rounding at any N.
     """
-    return _spin_image(n_particles, frame.mixing)
+    if n_particles < 0:
+        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
+    return _spin_image_times(n_particles, frame.mixing, np.eye(n_particles + 1))
 
 
 def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> np.ndarray:
@@ -116,7 +101,7 @@ def transform_state(state, frame: ModeFrame):
     """Re-express a SectorState in a new mode frame; norm and trace are preserved.
 
     The change is Gamma(U_new U_old^dag); a frame with a bitwise-equal mixing keeps the data.
-    Pure states from PROPAGATOR_MIN_N on are moved without forming Gamma(U).
+    A pure state is moved without forming Gamma(U); a density matrix as Gamma rho Gamma^dag.
     """
     from .fock import SectorState
 
@@ -126,5 +111,5 @@ def transform_state(state, frame: ModeFrame):
     if state.amplitudes is not None:
         return SectorState(state.n_particles, frame,
                            amplitudes=_spin_image_times(state.n_particles, change, state.amplitudes))
-    v = _spin_image(state.n_particles, change)
+    v = _spin_image_times(state.n_particles, change, np.eye(state.n_particles + 1))
     return SectorState(state.n_particles, frame, rho=v @ state.rho @ v.conj().T)

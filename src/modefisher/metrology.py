@@ -13,7 +13,8 @@ The model has two paths.  Density matrices and pure states below
 of J_x, cached per N.  A pure state at one angle (`rotate`, `classical_fisher`,
 `measurement_probabilities` at a scalar angle, an estimate's true-angle state) is rotated
 by ``collective.apply_su2`` as the image of the 2x2 matrix exp(i theta n.sigma/2): two
-real O(N^2) products with V, without J_n's eigenbasis.  Every other
+real O(N^2) products with V, without J_n's eigenbasis.  `rotate` of a density matrix
+forms that image as ``apply_su2`` of the identity, in O(N^3).  Every other
 dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
 p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
 model from ``collective.Rotation``, for a pure state from V without forming J_n's
@@ -100,7 +101,8 @@ class _RotationModel:
     eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
     path a pure state at one angle is rotated by :func:`~modefisher.collective.apply_su2`
-    with two O(N^2) products, and no :attr:`rotation` is built.  Any other dense call
+    with two O(N^2) products, a density matrix by the unitary that `apply_su2` forms from the
+    identity, and no :attr:`rotation` is built.  Any other dense call
     evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.
     It is built once per model: in 0.5-0.9 ms for a pure state (from V without Q, and two
     FFTs) and 3-5 ms for a density matrix (O(N^3)) at N = 100, and in 0.5-0.7 s for a
@@ -120,8 +122,7 @@ class _RotationModel:
 
     @functools.cached_property
     def rotation(self) -> Rotation:
-        """J_n's eigenbasis data (dense path), built on first read: only W, Q and the
-        unitary of a density matrix's rotation need it."""
+        """J_n's eigenbasis data (dense path), built on first read: only W needs it."""
         return Rotation(self.state.n_particles, self.n)
 
     @functools.cached_property
@@ -137,10 +138,13 @@ class _RotationModel:
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
-        # the first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma
+        return apply_su2(self._su2_column(theta), self.state.amplitudes)
+
+    def _su2_column(self, theta: float) -> tuple[complex, complex]:
+        """The first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma,
+        whose image on the sector is exp(i theta J_n)."""
         n, cos, sin = self.n, math.cos(0.5 * theta), math.sin(0.5 * theta)
-        return apply_su2((complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)),
-                         self.state.amplitudes)
+        return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
 
     def rotated(self, theta: float) -> SectorState:
         """The state rotated by theta; its new array is handed over read-only, not copied."""
@@ -148,7 +152,7 @@ class _RotationModel:
             c = self.amplitudes(theta)
             c.setflags(write=False)
             return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
-        u = self.rotation.unitary(_angles(theta))
+        u = apply_su2(self._su2_column(_angles(theta)), np.eye(self.state.dim))
         rho = u @ self.state.rho @ u.conj().T
         rho.setflags(write=False)
         return SectorState(self.state.n_particles, self.state.frame, rho=rho)

@@ -895,18 +895,24 @@ def test_states_with_non_finite_entries_exit_2(capsys, tmp_path):
         assert "finiteness" in json.loads(out)["error"]["message"]
 
 
-@pytest.mark.parametrize("argv, first_line", [
+USAGE_ERROR = ["frames", "--n", "x"]
+
+
+@pytest.mark.parametrize("argv, first_line, unbuffered", [
     # about 180 KB of CSV, more than a pipe holds, so writes still follow the reader's exit
-    (["frames", "--n", "60", "--format", "csv"], b"row,col,re,im\n"),
+    (["frames", "--n", "60", "--format", "csv"], b"row,col,re,im\n", False),
     # a report that fits the output buffer, whose reader is gone before it is flushed
-    (["frames", "--n", "2"], None),
-], ids=["read_one_line", "closed_at_once"])
-def test_closed_pipe_ends_quietly(argv, first_line):
-    # stdout block-buffered, as in a shell
-    proc = _cli_process(argv, unbuffered=False)
+    (["frames", "--n", "2"], None, False),
+    # a usage error, whose report is written while argv is parsed
+    (USAGE_ERROR, None, False),
+    (USAGE_ERROR, None, True),
+], ids=["read_one_line", "closed_at_once", "usage_error", "usage_error_unbuffered"])
+def test_closed_pipe_ends_quietly(argv, first_line, unbuffered):
+    # stdout block-buffered, as in a shell, unless `unbuffered`
+    proc = _cli_process(argv, unbuffered)
     if first_line is not None:
         assert proc.stdout.readline() == first_line
-    _assert_quiet_broken_pipe(proc)
+    _assert_quiet_broken_pipe(proc, usage=argv is USAGE_ERROR)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -931,9 +937,16 @@ def _cli_process(argv, unbuffered):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def _assert_quiet_broken_pipe(proc):
-    """Close the reader's end: the process exits BROKEN_PIPE_STATUS with nothing on stderr."""
+def _assert_quiet_broken_pipe(proc, usage=False):
+    """Close the reader's end: the process exits BROKEN_PIPE_STATUS, and stderr holds nothing,
+    or with `usage` nothing but a usage error's usage lines."""
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (BROKEN_PIPE_STATUS, b"")
+    assert proc.wait(timeout=60) == BROKEN_PIPE_STATUS
+    assert b"Exception" not in err and b"Traceback" not in err, err
+    if usage:
+        assert err.startswith(b"usage: ")
+        assert all(line.startswith((b"usage: ", b" ")) for line in err.splitlines()), err
+    else:
+        assert err == b""

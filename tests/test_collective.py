@@ -371,7 +371,7 @@ class TestRotation:
                 oracle = (vec * np.exp(1j * theta * lam)) @ vec.conj().T
                 assert np.abs(rotation.unitary(theta) - oracle).max() <= 1e-12, (n, theta)
 
-    @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249])
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 250])
     def test_apply_matches_unitary(self, big_n):
         # apply_su2 of exp(i theta n.sigma/2), given as the matrix or its first column
         rng = np.random.default_rng(big_n + 3)
@@ -444,10 +444,27 @@ class TestApplySu2:
                 got = apply_su2(u, c)
                 assert np.abs(got - (-1) ** big_n * c).max() <= 1e-15 * (big_n + 1), n
 
+    @pytest.mark.parametrize("big_n", SU2_SIZES + [300])
+    def test_block_matches_vector_route(self, big_n):
+        # a block's columns are moved as the vectors are: by the same two products of V below
+        # PROPAGATOR_MIN_N, against the propagated vector route from it on
+        rng = np.random.default_rng(big_n + 7)
+        c = rng.normal(size=(big_n + 1, 3)) + 1j * rng.normal(size=(big_n + 1, 3))
+        c /= np.linalg.norm(c, axis=0)
+        u = _su2(Direction(0.48, 0.64, 0.6), 2.3)
+        block = apply_su2(u, c)
+        assert block.shape == c.shape
+        assert np.array_equal(apply_su2(u, np.asfortranarray(c)), block)
+        bound = 4 * np.finfo(float).eps if big_n < collective.PROPAGATOR_MIN_N else 1e-12
+        for j in range(c.shape[1]):
+            assert np.abs(block[:, j] - apply_su2(u, c[:, j])).max() <= bound, j
+
     def test_result_owns_its_data(self):
-        c = np.ones(5, dtype=complex) / math.sqrt(5.0)
-        out = apply_su2(_su2(Direction(0.48, 0.64, 0.6), 0.7), c)
-        assert out.base is None and out.flags.writeable and out.shape == (5,)
+        # a vector, a block, one column and a vector on the propagated route
+        for shape in ((5,), (5, 3), (5, 1), (251,)):
+            c = np.ones(shape, dtype=complex) / math.sqrt(shape[0])
+            out = apply_su2(_su2(Direction(0.48, 0.64, 0.6), 0.7), c)
+            assert out.base is None and out.flags.writeable and out.shape == shape, shape
 
     @pytest.mark.parametrize("u", [
         np.diag([1.0, -1.0]),  # unitary, det -1
@@ -462,10 +479,13 @@ class TestApplySu2:
             apply_su2(u, np.ones(3))
 
     @pytest.mark.parametrize("u, c", [
-        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones((2, 3))),
-        (np.eye(2), np.ones(0)),
-    ], ids=["u_3x3", "u_length_3", "c_rows", "c_empty"])
+        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones(())),
+        (np.eye(2), np.ones((2, 3, 2))), (np.eye(2), np.ones(0)),
+        (np.eye(2), np.ones((0, 3))), (np.eye(2), np.ones((3, 0))),
+    ], ids=["u_3x3", "u_length_3", "c_scalar", "c_3d", "c_empty", "c_no_rows",
+            "c_no_columns"])
     def test_rejects_malformed_shapes(self, u, c):
+        # a 2-D c is a block of columns, each a vector of N+1 amplitudes
         with pytest.raises(ValueError):
             apply_su2(u, c)
 

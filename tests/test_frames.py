@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_fock_states_never_diagonal_in_bogolubov_frames():
 
 
 class TestPropagatedPath:
-    """Pure states from PROPAGATOR_MIN_N on change frames without forming Gamma(U)."""
+    """Pure states change frames through apply_su2 at every N, without forming Gamma(U)."""
 
     @pytest.mark.parametrize("big_n", [1, 40, 200])
     def test_matches_dense_route(self, big_n, monkeypatch):
@@ -238,7 +239,10 @@ class TestPropagatedPath:
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n + 1)
         dense_state = transform_state(state, new).amplitudes
         dense_fock = fock_expansion_coefficients(k, big_n, new)
-        assert np.array_equal(dense_fock, frame_change_unitary(big_n, new)[:, k])
+        # a vector and the identity's columns take the same two products of V, but BLAS may
+        # sum a matrix-vector product in another order than a matrix-matrix one
+        column = frame_change_unitary(big_n, new)[:, k]
+        assert np.abs(dense_fock - column).max() <= 4 * np.finfo(float).eps
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)
         assert np.abs(transform_state(state, new).amplitudes - dense_state).max() <= 1e-12
         assert np.abs(fock_expansion_coefficients(k, big_n, new) - dense_fock).max() <= 1e-12
@@ -246,10 +250,10 @@ class TestPropagatedPath:
     def test_from_the_crossover_on_no_eigendecomposition(self, monkeypatch):
         big_n = collective.PROPAGATOR_MIN_N
 
-        def no_dense(*args):
-            raise AssertionError("dense route taken")
+        def no_dense(sector):
+            raise AssertionError("J_x's eigenbasis read")
 
-        monkeypatch.setattr(frames, "Rotation", no_dense)
+        monkeypatch.setattr(collective._Sector, "jx_eigenvectors", property(no_dense))
         state = make_fock_state(big_n // 3, big_n)
         moved = transform_state(state, bogolubov_frame(0.4))
         assert np.sum(np.abs(moved.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -257,3 +261,51 @@ class TestPropagatedPath:
         assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-12
         column = fock_expansion_coefficients(big_n // 3, big_n, bogolubov_frame(0.4))
         assert np.abs(column - moved.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("big_n", [249, 1000])
+    def test_pure_frame_change_allocates_no_square_array(self, big_n):
+        # Gamma(U) at N = 249 is 1 MB; below PROPAGATOR_MIN_N the cached V is read, not made
+        state = make_fock_state(big_n // 3, big_n)
+        frame = bogolubov_frame(0.4)
+        transform_state(state, frame)
+        tracemalloc.start()
+        try:
+            transform_state(state, frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (big_n + 1) ** 2 // 2
+
+
+class TestNearlyUnitaryMixing:
+    """A mixing that ModeFrame accepts, off unitarity by just under UNITARITY_TOL."""
+
+    @staticmethod
+    def _frames():
+        rng = np.random.default_rng(17)
+        q = random_unitary_2x2(rng)
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        u = q + 0.9 * frames.UNITARITY_TOL / np.abs(q.conj().T @ x + x.conj().T @ q).max() * x
+        residual = np.abs(u.conj().T @ u - np.eye(2)).max()
+        assert 0.5 * frames.UNITARITY_TOL < residual <= frames.UNITARITY_TOL
+        return custom_frame(u), custom_frame(q)
+
+    @pytest.mark.parametrize("big_n", [40, 300])
+    def test_moves_pure_states(self, big_n):
+        near, exact = self._frames()
+        rng = np.random.default_rng(big_n)
+        c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+        state = pure_state(c / np.linalg.norm(c))
+        moved = transform_state(state, near).amplitudes
+        assert np.linalg.norm(moved) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(moved - transform_state(state, exact).amplitudes).max() <= 1e-9
+
+    def test_moves_a_density_matrix(self):
+        near, exact = self._frames()
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(41, 41)) + 1j * rng.normal(size=(41, 41))
+        rho = a @ a.conj().T
+        state = density_state(rho / np.trace(rho).real)
+        moved = transform_state(state, near).rho
+        assert np.trace(moved).real == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(moved - transform_state(state, exact).rho).max() <= 1e-9
