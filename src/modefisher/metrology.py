@@ -25,17 +25,18 @@ one real matrix product each, and so is each refinement step, which stacks the t
 p, p' and p''.  One product of the counts with the log-probabilities gives every trial's
 best grid point.  Pure states from PROPAGATOR_MIN_N on use the matrix-free propagator,
 stream the grid block by block and refine each trial from its best grid point, with p'
-and p'' from J_n c and J_n^2 c.
+and p'' from J_n c and J_n^2 c.  A pure state's F_cl, on either path, reads p' off the
+probability current between neighbouring Fock states in O(N), once c(theta) is known.
 
+Costs, for R trials: sampling O(N) per trial whatever the number of shots.  Dense path:
+W in O(N^2 log N) for a pure state and O(N^3) for a density matrix, once per model; the
+grid one (G x 2(N+1)) @ (2(N+1) x (N+1)) product for G = max(512, N/2 + 1) points; a
+refinement step one (3R x 2(N+1)) product.  Propagated path: a rotation by theta takes
+about |theta| N/2 + 30 banded O(N) products, a grid block of GRID_BLOCK points about
+1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by less than a grid spacing.
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
 9 at N = 400 and 11 at N = 1000; a trial whose maximum sits on a window edge takes golden
 section's pace, up to 27 calls.
-Estimates of a twin-Fock state in the plane (one BLAS thread, 2-core Xeon, quartiles of
-in-process medians over 6-12 rounds on a noisy host) take 2.5-2.7 ms at N = 4 with 200
-trials x 10^4 shots, 2.0-2.1 ms at N = 20 with 50 x 2000, 5.1-5.5 ms at N = 100 with
-20 x 1000 and 22-23 ms at N = 249 with 20 x 10^4.  At N = 1000, 200 x 10^4 take
-0.88-0.91 s propagated.  A diagonal state at N = 600 (20 x 1000) takes 0.9-1.0 s,
-0.5-0.7 s of it building W.  3 trials x 10^4 shots take about 3 s propagated at N = 10^4.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (CollectiveObservable, Direction, Propagator, Rotation, apply_su2,
-                         direction_generator, frozen, uses_propagator)
+from .collective import (Direction, Propagator, Rotation, apply_su2, direction_generator, frozen,
+                         su2_bands, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .qfi import qfi_state
 
@@ -65,6 +66,15 @@ REFINE_TOL = 1e-8
 # two steps once Newton converges quadratically
 NEWTON_TOL = 1e-2 * REFINE_TOL
 FLAT_LIKELIHOOD_TOL = 1e-12
+# a density matrix's F_cl skips every outcome with p_m at or below this absolute cut
+RHO_FISHER_CUT = 1e-12
+# log-likelihoods clip p_m at this absolute floor, so an outcome of p_m = 0 adds a finite
+# log on the grid and in the refinement
+PROBABILITY_FLOOR = 1e-300
+# the rounding of a rotated amplitude, relative to N+1 (absolute, as amplitudes have unit
+# norm): where |c_m| <= AMPLITUDE_ROUNDING (N+1), c_m is zero to rounding, and a pure
+# state's F_cl takes the m-th term's limit at a zero of c_m(theta)
+AMPLITUDE_ROUNDING = 8 * np.finfo(float).eps
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLDEN  # a golden step moves this fraction of the larger segment
 _RESOLUTION = 16 * np.finfo(float).eps  # relative rounding of a log-likelihood
@@ -104,12 +114,12 @@ class _RotationModel:
     with two O(N^2) products, a density matrix by the unitary that `apply_su2` forms from the
     identity, and no :attr:`rotation` is built.  Any other dense call
     evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.
-    It is built once per model: in 0.5-0.9 ms for a pure state (from V without Q, and two
-    FFTs) and 3-5 ms for a density matrix (O(N^3)) at N = 100, and in 0.5-0.7 s for a
-    density matrix at N = 600.  The 512-point estimation grid then takes one
-    (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, 0.5-0.8 ms at
-    N = 100, and a refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p'' together: 6 such steps
-    finish an estimate at N = 100.
+    It is built once per model: in O(N^2 log N) for a pure state (from V without Q, and two
+    FFTs) and in O(N^3) for a density matrix.  The 512-point estimation grid then takes one
+    (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, and a
+    refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p''
+    together.  A pure state's F_cl needs c(theta) and O(N) more on either path; the model
+    builds J_n only for the propagator.
 
     The public entry points check the state, and the model trusts its input.
     """
@@ -118,18 +128,12 @@ class _RotationModel:
         self.state, self.n = state, n
         self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
-            self.propagator = Propagator(self.generator)
+            self.propagator = Propagator(direction_generator(state.n_particles, n))
 
     @functools.cached_property
     def rotation(self) -> Rotation:
         """J_n's eigenbasis data (dense path), built on first read: only W needs it."""
         return Rotation(self.state.n_particles, self.n)
-
-    @functools.cached_property
-    def generator(self) -> CollectiveObservable:
-        """J_n, which the model owns: built at construction for the propagator, else on first
-        read, so a dense `rotate` or `measurement_probabilities` builds none."""
-        return direction_generator(self.state.n_particles, self.n)
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
@@ -227,22 +231,60 @@ class _RotationModel:
             yield start, np.abs(amp) ** 2, amp
 
     def classical_fisher(self, theta: float, amplitudes: np.ndarray | None = None) -> float:
-        """sum_m (dp_m/dtheta)^2 / p_m over p_m > 1e-12, from the exact derivative of p_m.
+        """sum_m (dp_m/dtheta)^2 / p_m, from the exact derivative of p_m.
 
-        A pure state c(theta) (`amplitudes`, when already computed) gives
-        dp_m/dtheta = -2 Im(conj(c_m) (J_n c)_m), which forms no rho and takes J_n c from
-        the bands in O(N); a density matrix differentiates the series :attr:`fourier`.  A
-        diagonal J_n (n = ±z) leaves every p_m constant, so F_cl is exactly 0 there.
+        J_n = n_z J_z + (h J_+ + h.c.) with h = (n_x - i n_y)/2.  A pure state c(theta)
+        (`amplitudes`, when already computed) gives F_cl in O(N) from c and the J_+ band r,
+        on both paths, by :func:`_pure_fisher`: p' from the probability current between
+        neighbouring Fock states, and at a zero of c_m (|c_m| <= AMPLITUDE_ROUNDING (N+1))
+        the term's limit 4 |(J_n c)_m|^2.  A density matrix differentiates the series
+        :attr:`fourier` and skips every p_m <= RHO_FISHER_CUT.  h = 0 (n = ±z) leaves every
+        p_m constant, so F_cl is exactly 0 there, and nothing is built.
         """
-        if not self.generator.lower.any():
+        half = 0.5 * complex(self.n.n_x, -self.n.n_y)
+        if half == 0:
             return 0.0
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
-            p, dp = _pure_series(self.generator, c, order=1)
-        else:
-            p, dp = self.series(_angles(theta), order=1)
-        keep = p > 1e-12
+            return _pure_fisher(half * su2_bands(self.state.n_particles)[1], c)
+        p, dp = self.series(_angles(theta), order=1)
+        keep = p > RHO_FISHER_CUT
         return float((dp[keep] ** 2 / p[keep]).sum())
+
+
+def _pure_fisher(lower: np.ndarray, c: np.ndarray) -> float:
+    """F_cl = sum_m (p'_m)^2 / p_m of amplitudes c (N+1,) rotated about n, in O(N), where
+    `lower` = h r is J_n's band below the diagonal: h = (n_x - i n_y)/2, r the J_+ band.
+
+    dc/dtheta = i J_n c, and J_n's diagonal adds nothing to p_m = |c_m|^2, so p' obeys a
+    continuity equation: with the current g_k = Im(h r_k c_k conj(c_k+1)) between
+    neighbouring Fock states, p'_m = 2 (g_m - g_m-1), g_-1 = g_N = 0.  Where
+    |c_m| <= AMPLITUDE_ROUNDING (N+1), c_m is zero to rounding and the term takes its limit
+    at a zero of c_m(theta), 4 |(J_n c)_m|^2 with c_m = 0:
+    4 |h r_m-1 c_m-1 + conj(h) r_m c_m+1|^2.
+    """
+    p, half_slope = (c * c.conj()).real, _half_slope(lower, c)
+    floor = (AMPLITUDE_ROUNDING * len(c)) ** 2
+    if p.min() > floor:
+        return 4.0 * float(half_slope @ (half_slope / p))
+    keep = p > floor
+    jc = np.zeros(len(c), dtype=complex)  # J_n c without its diagonal
+    jc[1:] = lower * c[:-1]
+    jc[:-1] += lower.conj() * c[1:]
+    jc = jc[~keep]
+    half_slope = half_slope[keep]
+    return 4.0 * float(half_slope @ (half_slope / p[keep])
+                       + (jc.real ** 2 + jc.imag ** 2).sum())
+
+
+def _half_slope(lower: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """p'/2 = g_m - g_m-1 for amplitudes c (see :func:`_pure_fisher`): O(N), and
+    sum_m p'_m = 0."""
+    current = (lower * c[:-1] * c[1:].conj()).imag
+    half_slope = np.zeros(len(c))
+    half_slope[:-1] = current
+    half_slope[1:] -= current
+    return half_slope
 
 
 def _angles(theta):
@@ -289,29 +331,28 @@ def _grid_table(n_particles: int) -> np.ndarray:
     return (_build_grid_table if uses_propagator(n_particles) else _cached_grid_table)(n_particles)
 
 
-def _pure_series(generator, c: np.ndarray, order: int = 2) -> list[np.ndarray]:
-    """p = |c|^2 and its first `order` (1 or 2) theta-derivatives, for amplitudes
+def _pure_series(generator, c: np.ndarray) -> np.ndarray:
+    """p = |c|^2 and its first two theta-derivatives, shape (3,) + c.shape, for amplitudes
     c(theta) = exp(i theta J_n) c_0 of shape (..., N+1).
 
     dc/dtheta = i J_n c, so p' = -2 Im(conj(c) J_n c) and
-    p'' = 2 (|J_n c|^2 - Re(conj(c) J_n^2 c)): one banded product per order, O(N) a vector.
+    p'' = 2 (|J_n c|^2 - Re(conj(c) J_n^2 c)): two banded products, O(N) a vector.
     """
     jc = generator.apply(c)
-    out = [(c * c.conj()).real, -2.0 * (c.conj() * jc).imag]
-    if order == 2:
-        out.append(2.0 * ((jc * jc.conj()).real - (c.conj() * generator.apply(jc)).real))
-    return out
+    return np.stack([(c * c.conj()).real, -2.0 * (c.conj() * jc).imag,
+                     2.0 * ((jc * jc.conj()).real - (c.conj() * generator.apply(jc)).real)])
 
 
 def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """l, l' and l'' (shape (3, R)) of the counts (R, N+1), from p, p' and p'' (shape (3, R, N+1)).
 
     l = sum_m n_m log p_m, l' = sum_m n_m p'_m / p_m and
-    l'' = sum_m n_m (p''_m / p_m - (p'_m / p_m)^2), with p_m clipped at 1e-300 as on the grid.
+    l'' = sum_m n_m (p''_m / p_m - (p'_m / p_m)^2), with p_m clipped at PROBABILITY_FLOOR as on
+    the grid.
     Unobserved outcomes add nothing.  Where an observed p_m is near that floor the ratios can
     overflow: l' and l'' are then not finite, and the refinement takes no Newton step there.
     """
-    prob = np.clip(p[0], 1e-300, None)
+    prob = np.clip(p[0], PROBABILITY_FLOOR, None)
     terms = np.zeros(p.shape)
     np.log(prob, out=terms[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -335,7 +376,13 @@ def measurement_probabilities(state: SectorState, n: Direction, theta,
 
 def classical_fisher(state: SectorState, n: Direction, theta: float,
                      tol: float = DEFAULT_TOL) -> float:
-    """Fisher information of the number-counting readout, from the exact derivative of p_m."""
+    """Fisher information of the number-counting readout, sum_m (dp_m/dtheta)^2 / p_m, from
+    the exact derivative of p_m.
+
+    For a pure state every outcome counts: at a zero of c_m(theta) the term takes its limit
+    4 |(J_n c)_m|^2, so a Fock state at theta = 0 gets F_cl = F.  A density matrix skips
+    every p_m <= RHO_FISHER_CUT.  See `_RotationModel.classical_fisher`.
+    """
     check_state(state, tol)
     return _RotationModel(state, n).classical_fisher(theta)
 
@@ -419,7 +466,7 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
     for start, p, amp in model.grid_blocks(grid):
         np.maximum(p_max, p.max(axis=0), out=p_max)
         np.minimum(p_min, p.min(axis=0), out=p_min)
-        ll = counts @ np.log(np.clip(p, 1e-300, None, out=p), out=p).T
+        ll = counts @ np.log(np.clip(p, PROBABILITY_FLOOR, None, out=p), out=p).T
         i = np.argmax(ll, axis=1)
         wins = ll[trials, i] > best_ll
         best[wins], best_ll[wins] = start + i[wins], ll[trials, i][wins]
@@ -499,7 +546,8 @@ class PhaseEstimator:
             def loglik(theta, rows):
                 coef = model.propagator.coefficients(theta - grid[best[rows]])
                 amp = model.propagator.apply(anchors[rows], coef)
-                return _log_likelihood(np.stack(_pure_series(model.generator, amp)), counts[rows])
+                return _log_likelihood(_pure_series(model.propagator.generator, amp),
+                                       counts[rows])
         # Newton takes over once a bracket is narrower than pi/(20 N), a fortieth of the fringe
         # period: golden section has then left one hump of the likelihood in it.  From
         # pi/(4 N), Newton climbed another hump in 2 of the sweep test's 576 configurations

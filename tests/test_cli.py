@@ -410,6 +410,16 @@ class TestSweepCommand:
         rows = json.loads(out)["rows"]
         assert all(r["F_spectral"] == pytest.approx(12.0, abs=1e-8) for r in rows)
 
+    def test_fock_state_at_theta_zero_has_finite_ccrb(self, capsys, twin4):
+        # at theta = 0 every p_m but p_2 is 0, and at 1e-8 they are below 1e-15: F_cl is
+        # still N^2/2 + N, and the classical bound equals the quantum one
+        code, out = run_cli(capsys, ["sweep", "--state", twin4, "--direction", "1,0,0",
+                                     "--param", "theta", "--values", "0,1e-8", "--trials", "0"])
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert row["F_cl"] == pytest.approx(12.0, rel=1e-12)
+            assert row["ccrb"] == pytest.approx(row["qcrb"], rel=1e-12)
+
     def test_z_direction_has_no_classical_fisher(self, capsys, tmp_path):
         amp = [0.6, 0.0, 0.8]
         state = write_json(tmp_path / "pure.json", {"N": 2, "kind": "pure",

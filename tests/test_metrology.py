@@ -132,10 +132,16 @@ class TestClassicalFisher:
 
     @pytest.mark.parametrize("nz", [1.0, -1.0])
     def test_z_direction_is_exactly_zero(self, nz):
+        # h = 0: dense and propagated pure states, a density matrix, and a Fock state, whose
+        # every other p_m is 0
         rng = np.random.default_rng(40)
-        c = rng.normal(size=31) + 1j * rng.normal(size=31)
-        for state in (pure_state(c / np.linalg.norm(c)), diagonal_state(rng.dirichlet(np.ones(31)))):
-            assert classical_fisher(state, Direction(0, 0, nz), 0.7) == 0.0
+        states = [diagonal_state(rng.dirichlet(np.ones(31))), make_fock_state(7, 30)]
+        for big_n in (30, collective.PROPAGATOR_MIN_N + 50):
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            states.append(pure_state(c / np.linalg.norm(c)))
+        for state in states:
+            for theta in (0.0, 0.7):
+                assert classical_fisher(state, Direction(0, 0, nz), theta) == 0.0
 
     def test_single_particle_fringe_saturates(self):
         state = make_fock_state(0, 1)
@@ -143,21 +149,26 @@ class TestClassicalFisher:
         assert f_cl == pytest.approx(1.0, abs=1e-12)
 
     def test_data_processing_inequality(self):
+        # F_cl <= F for 100 Fock and random pure states on both paths, a quarter of them at
+        # theta = 0, where a Fock state's every other p_m is 0 (and F_cl = F)
         rng = np.random.default_rng(12)
-        for _ in range(10):
-            big_n = int(rng.integers(1, 7))
-            k = int(rng.integers(0, big_n + 1))
-            state = make_fock_state(k, big_n)
+        for case in range(100):
+            big_n = int(rng.integers(0, 300))
+            if case % 2:
+                state = make_fock_state(int(rng.integers(0, big_n + 1)), big_n)
+            else:
+                c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+                state = pure_state(c / np.linalg.norm(c))
             v3 = rng.normal(size=3)
             n = Direction(*(v3 / np.linalg.norm(v3)))
-            theta = rng.uniform(0.1, 1.2)
-            f_cl = classical_fisher(state, n, theta)
-            f_q = qfi_spectral(state, direction_generator(big_n, n))
-            assert f_cl <= f_q + 1e-6
+            theta = float(rng.uniform(-math.pi, math.pi)) if case % 4 < 2 else 0.0
+            f_q = qfi.qfi_state(state, n)
+            assert classical_fisher(state, n, theta) <= f_q * (1 + 1e-10), (big_n, theta)
 
-    @pytest.mark.parametrize("theta", [1e-3, 0.3, 0.7, math.pi / 2 - 1e-3])
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, 0.7, math.pi / 2 - 1e-3, 0.0, math.pi / 2])
     def test_twin_fock_n2_is_exact(self, theta):
-        # p_1 = cos^2 theta, p_0 = p_2 = sin^2 theta / 2: F_cl = 4 at every theta in (0, pi/2)
+        # p_1 = cos^2 theta, p_0 = p_2 = sin^2 theta / 2: F_cl = 4 at every theta, the zeros
+        # of p_0 and p_2 (theta = 0) and of p_1 (theta = pi/2) included
         f_cl = classical_fisher(make_fock_state(1, 2), Direction(1, 0, 0), theta)
         assert f_cl == pytest.approx(4.0, abs=1e-12)
 
@@ -169,6 +180,29 @@ class TestClassicalFisher:
         mixed = density_state(pure.density_matrix())
         assert classical_fisher(mixed, n, 0.9) == pytest.approx(classical_fisher(pure, n, 0.9),
                                                                rel=1e-10)
+
+
+    @pytest.mark.parametrize("big_n", [4, 20, 100, 300])
+    def test_fock_state_reaches_qfi_at_every_angle(self, big_n):
+        # about x, p_m of |k> moves as fast as its QFI allows: F_cl = F = N + 2k(N - k) at
+        # every theta, at theta = 0 too, where every p_m but p_k is 0
+        n = Direction(1, 0, 0)
+        for k in (0, big_n // 3, big_n // 2):
+            state, fisher = make_fock_state(k, big_n), big_n + 2 * k * (big_n - k)
+            for theta in (0.0, 1e-9, 1e-7, 1e-6, 1e-4, 1e-2, 0.3, -0.2):
+                assert classical_fisher(state, n, theta) == pytest.approx(fisher, rel=1e-12)
+        # |c_k+1| ~ 1e-12 N: rounding of the rotated amplitudes, about 1e-16, shows
+        state = make_fock_state(big_n // 2, big_n)
+        fisher = big_n + 2 * (big_n // 2) * (big_n - big_n // 2)
+        assert classical_fisher(state, n, 1e-12) == pytest.approx(fisher, rel=1e-8)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6])
+    def test_twin_fock_at_its_fringe_zero(self, offset):
+        # p_2 = P_2(cos theta)^2 of twin-Fock N = 4 about x vanishes at cos theta = 1/sqrt(3);
+        # F_cl = N^2/2 + N there as everywhere
+        theta = math.acos(1.0 / math.sqrt(3.0)) + offset
+        f_cl = classical_fisher(make_fock_state(2, 4), Direction(1, 0, 0), theta)
+        assert f_cl == pytest.approx(12.0, rel=1e-12)
 
 
 class TestMonteCarloEstimate:
@@ -623,19 +657,45 @@ def _reference_euler(v, n, c, theta):
     return left * _reference_real_times(v, x)
 
 
+def _reference_fisher(n, c):
+    """A pure state's F_cl from its rotated amplitudes c, as `metrology._pure_fisher` gives
+    it: p'_m = 2 (g_m - g_m-1) from the current g_k = Im(h r_k c_k conj(c_k+1)), with
+    h = (n_x - i n_y)/2 and r the J_+ band, and 4 |(J_n c)_m|^2 where |c_m| <= 8 eps (N+1)."""
+    h = 0.5 * complex(n.n_x, -n.n_y)
+    if h == 0:
+        return 0.0
+    lower = h * ladder(len(c) - 1, 1, 0, 0, 1)[:-1]
+    current = (lower * c[:-1] * c[1:].conj()).imag
+    half_slope = np.diff(np.concatenate([[0.0], current, [0.0]]))
+    p = (c * c.conj()).real
+    keep = p > (8 * np.finfo(float).eps * len(c)) ** 2
+    if keep.all():
+        return 4.0 * float(half_slope @ (half_slope / p))
+    jc = np.concatenate([[0.0], lower * c[:-1]]) + np.concatenate([lower.conj() * c[1:], [0.0]])
+    jc = jc[~keep]
+    return 4.0 * float(half_slope[keep] @ (half_slope[keep] / p[keep])
+                       + (jc.real ** 2 + jc.imag ** 2).sum())
+
+
+def _former_fisher(n, c):
+    """F_cl as it was computed before the probability current: p' = -2 Im(conj(c) J_n c)
+    from J_n's bands, over p_m > 1e-12."""
+    generator = direction_generator(len(c) - 1, n)
+    if not generator.lower.any():
+        return 0.0
+    jc = generator.apply(c)
+    prob, dp = (c * c.conj()).real, -2.0 * (c.conj() * jc).imag
+    keep = prob > 1e-12
+    return float(np.sum(dp[keep] ** 2 / prob[keep]))
+
+
 def _reference_single_angle(v, state, n, theta, apply=_reference_euler):
     """(rotated amplitudes, p, F_cl) at one angle, with the rotation `apply`."""
     assert not _reference_validate_pure(state, DEFAULT_TOL)
     c = apply(v, n, state.amplitudes, theta)
     p = np.abs(c) ** 2
     np.clip(p, 0.0, None, out=p)
-    generator = direction_generator(state.n_particles, n)
-    if not generator.lower.any():
-        return c, p, 0.0
-    jc = generator.apply(c)
-    prob, dp = (c * c.conj()).real, -2.0 * (c.conj() * jc).imag
-    keep = prob > 1e-12
-    return c, p, float(np.sum(dp[keep] ** 2 / prob[keep]))
+    return c, p, _reference_fisher(n, c)
 
 
 def _single_angle_cases(big_n):
@@ -679,6 +739,40 @@ def test_single_angle_calls_within_golden_bound_of_former_apply(big_n):
         assert abs(classical_fisher(state, n, theta) - f) <= 1e-13 * f + 1e-15, (n, theta)
 
 
+@pytest.mark.parametrize("big_n", [0, 1, 2, 7, 40, collective.PROPAGATOR_MIN_N - 1,
+                                   collective.PROPAGATOR_MIN_N, 300])
+def test_pure_fisher_within_golden_bound_of_former_formula(big_n):
+    # the golden change from J_n c to the probability current.  Where no p_m is at or below
+    # the former cut of 1e-12, F_cl moves by at most 1e-13 relative, plus 1e-15 where it is
+    # rounding noise about 0 (directions a hair off the poles).  Elsewhere the former sum
+    # dropped terms the new one keeps: F_cl can only grow, and stays below F.
+    for state, n, theta in _single_angle_cases(big_n):
+        c = rotate(state, n, theta).amplitudes
+        new, old = classical_fisher(state, n, theta), _former_fisher(n, c)
+        assert new >= old - 1e-13 * old - 1e-15, (n, theta)
+        assert new <= qfi.qfi_state(state, n) * (1 + 1e-10) + 1e-15, (n, theta)
+        if (np.abs(c) ** 2).min() > 1e-12:
+            assert abs(new - old) <= 1e-13 * old + 1e-15, (n, theta)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 7, 40, collective.PROPAGATOR_MIN_N + 50])
+def test_pure_slope_is_a_continuity_equation(big_n):
+    # the current between neighbouring Fock states moves probability without making any:
+    # sum_m p'_m = 0; and p' is the derivative -2 Im(conj(c) J_n c), on either path
+    rng = np.random.default_rng(big_n)
+    c0 = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+    state = pure_state(c0 / np.linalg.norm(c0))
+    for v3 in rng.normal(size=(4, 3)):
+        n = Direction(*(v3 / np.linalg.norm(v3)))
+        model = metrology._RotationModel(state, n)
+        c = model.amplitudes(0.8)
+        lower = 0.5 * complex(n.n_x, -n.n_y) * collective.su2_bands(big_n)[1]
+        half_slope = metrology._half_slope(lower, c)
+        assert abs(half_slope.sum()) <= 4 * np.finfo(float).eps * np.abs(half_slope).sum()
+        former = -2.0 * (c.conj() * direction_generator(big_n, n).apply(c)).imag
+        assert np.abs(2.0 * half_slope - former).max() <= 1e-13 * np.abs(former).max()
+
+
 @pytest.mark.parametrize("amplitudes", [
     [math.nan, 0.6, 0.8], [0.6, math.inf, 0.8], [complex(0.6, -math.inf), 0.8, 0.0],
     [1e200, 0.6, 0.8], [1e200, math.nan, 0.0], [0.6, 0.8, 0.1], [0.0, 0.0, 0.0],
@@ -706,36 +800,37 @@ def _count_generator_builds(monkeypatch):
 
 
 def test_rotate_and_probabilities_build_no_generator(monkeypatch):
-    # J_n is built on first read, and only F_cl reads it (for J_n c)
+    # on the dense path nothing reads J_n: F_cl takes h and the J_+ band, not J_n c
     built = _count_generator_builds(monkeypatch)
     state, n = make_fock_state(13, 40), Direction(0.48, 0.64, 0.6)
     rotate(state, n, 0.7)
     measurement_probabilities(state, n, 0.7)
-    assert built == []
     classical_fisher(state, n, 0.7)
-    assert len(built) == 1
+    assert built == []
 
 
 def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
     built = _count_generator_builds(monkeypatch)
     state, n = make_fock_state(100, collective.PROPAGATOR_MIN_N), Direction(0.48, 0.64, 0.6)
     model = metrology._RotationModel(state, n)
-    assert model.propagator.generator is model.generator
+    assert built == [(state.n_particles, n)]
+    reference = direction_generator(state.n_particles, n)
+    assert np.array_equal(model.propagator.generator.lower, reference.lower)
+    assert np.array_equal(model.propagator.generator.diagonal, reference.diagonal)
+    built.clear()
     model.classical_fisher(0.7)
     model.classical_fisher(1.1)
-    assert built == [(state.n_particles, n)]
+    assert built == []
 
 
 @pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
                          ids=["pure", "rho"])
-def test_dense_model_builds_its_generator_once(state, monkeypatch):
+def test_dense_model_builds_no_generator(state, monkeypatch):
     built = _count_generator_builds(monkeypatch)
-    n = Direction(0.48, 0.64, 0.6)
-    model = metrology._RotationModel(state, n)
-    assert built == []
+    model = metrology._RotationModel(state, Direction(0.48, 0.64, 0.6))
     for theta in (0.7, 1.1, 0.7):
         model.classical_fisher(theta)
-    assert built == [(state.n_particles, n)]
+    assert built == []
 
 
 @pytest.mark.parametrize("state", [make_fock_state(2, 4), diagonal_state([0.1, 0.2, 0.3, 0.4])],
