@@ -24,9 +24,10 @@ whose table T depends on N alone and is cached per N below PROPAGATOR_MIN_N,
 one real matrix product each, and so is each refinement step, which stacks the tables of
 p, p' and p''.  One product of the counts with the log-probabilities gives every trial's
 best grid point.  Pure states from PROPAGATOR_MIN_N on use the matrix-free propagator,
-stream the grid block by block and refine each trial from its best grid point, with p'
-and p'' from J_n c and J_n^2 c.  A pure state's F_cl, on either path, reads p' off the
-probability current between neighbouring Fock states in O(N), once c(theta) is known.
+stream the grid block by block and refine each trial from its best grid point, with p''
+from J_n c and J_n^2 c.  A pure state's p', in its F_cl on either path and in the propagated
+refinement, is read off the probability current between neighbouring Fock states in O(N),
+once c(theta) is known.
 
 Costs, for R trials: sampling O(N) per trial whatever the number of shots.  Dense path:
 W in O(N^2 log N) for a pure state and O(N^3) for a density matrix, once per model; the
@@ -35,8 +36,16 @@ refinement step one (3R x 2(N+1)) product.  Propagated path: a rotation by theta
 about |theta| N/2 + 30 banded O(N) products, a grid block of GRID_BLOCK points about
 1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by less than a grid spacing.
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
-9 at N = 400 and 11 at N = 1000; a trial whose maximum sits on a window edge takes golden
-section's pace, up to 27 calls.
+9 at N = 400 and 11 at N = 1000.  A trial whose maximum sits on a window edge ends on the
+edge itself: the refinement's first step evaluates the edge where l' points toward it, and
+an edge that beats the best point, with l' pointing out of the window, is the estimate.
+Twin-Fock N = 2 and 4 about x at theta = 0.02 and pi/2 - 0.02 take at most 4 calls.
+
+An estimate raises NonIdentifiableError when p moves over the grid by less than the
+log-likelihood's rounding resolves: sum_m (p_max,m - p_min,m)^2 / pbar_m <=
+_RESOLUTION (N + 1 + max_m |log pbar_m|), with pbar_m the mean of p_m over the grid.  Times
+the shots, the two sides are the change of l over the window and its rounding, so the
+shots cancel.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
@@ -65,15 +74,13 @@ REFINE_TOL = 1e-8
 # a Newton step this short ends a refinement: far below REFINE_TOL, and reached in one or
 # two steps once Newton converges quadratically
 NEWTON_TOL = 1e-2 * REFINE_TOL
-FLAT_LIKELIHOOD_TOL = 1e-12
-# a density matrix's F_cl skips every outcome with p_m at or below this absolute cut
-RHO_FISHER_CUT = 1e-12
 # log-likelihoods clip p_m at this absolute floor, so an outcome of p_m = 0 adds a finite
 # log on the grid and in the refinement
 PROBABILITY_FLOOR = 1e-300
 # the rounding of a rotated amplitude, relative to N+1 (absolute, as amplitudes have unit
 # norm): where |c_m| <= AMPLITUDE_ROUNDING (N+1), c_m is zero to rounding, and a pure
-# state's F_cl takes the m-th term's limit at a zero of c_m(theta)
+# state's F_cl takes the m-th term's limit at a zero of c_m(theta).  A density matrix's
+# series holds p_m to the same absolute rounding, which its F_cl uses alike
 AMPLITUDE_ROUNDING = 8 * np.finfo(float).eps
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CGOLD = 1.0 - _GOLDEN  # a golden step moves this fraction of the larger segment
@@ -112,10 +119,11 @@ class _RotationModel:
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
     path a pure state at one angle is rotated by :func:`~modefisher.collective.apply_su2`
     with two O(N^2) products, a density matrix by the unitary that `apply_su2` forms from the
-    identity, and no :attr:`rotation` is built.  Any other dense call
+    identity, and no :class:`~modefisher.collective.Rotation` is built.  Any other dense call
     evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.
-    It is built once per model: in O(N^2 log N) for a pure state (from V without Q, and two
-    FFTs) and in O(N^3) for a density matrix.  The 512-point estimation grid then takes one
+    It is built once per model, from a `Rotation` that nothing keeps: in O(N^2 log N) for a
+    pure state (from V without Q, and two FFTs) and in O(N^3) for a density matrix.  The
+    512-point estimation grid then takes one
     (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, and a
     refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p''
     together.  A pure state's F_cl needs c(theta) and O(N) more on either path; the model
@@ -129,11 +137,6 @@ class _RotationModel:
         self.propagator = None
         if state.is_pure and uses_propagator(state.n_particles):
             self.propagator = Propagator(direction_generator(state.n_particles, n))
-
-    @functools.cached_property
-    def rotation(self) -> Rotation:
-        """J_n's eigenbasis data (dense path), built on first read: only W needs it."""
-        return Rotation(self.state.n_particles, self.n)
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
@@ -174,14 +177,14 @@ class _RotationModel:
         up to such phases, without forming Q.  A density matrix sums each diagonal of r:
         O(N^3), once.
         """
-        dim = self.state.dim
+        dim, rotation = self.state.dim, Rotation(self.state.n_particles, self.n)
         if self.state.is_pure:
-            a = self.rotation.projections(self.state.amplitudes)
+            a = rotation.projections(self.state.amplitudes)
             size = 1 << (2 * dim - 2).bit_length()  # at least 2N + 1: no lag wraps around
             f = np.fft.fft(a, size, axis=1)
             coef = np.fft.rfft(f.real ** 2 + f.imag ** 2, axis=1)[:, :dim] / size
         else:
-            q = self.rotation.eigenvectors
+            q = rotation.eigenvectors
             q_conj = q.conj()
             r = q_conj.T @ self.state.rho @ q
             coef = np.empty((dim, dim), dtype=complex)
@@ -238,8 +241,12 @@ class _RotationModel:
         on both paths, by :func:`_pure_fisher`: p' from the probability current between
         neighbouring Fock states, and at a zero of c_m (|c_m| <= AMPLITUDE_ROUNDING (N+1))
         the term's limit 4 |(J_n c)_m|^2.  A density matrix differentiates the series
-        :attr:`fourier` and skips every p_m <= RHO_FISHER_CUT.  h = 0 (n = ±z) leaves every
-        p_m constant, so F_cl is exactly 0 there, and nothing is built.
+        :attr:`fourier` twice.  A zero of p_m >= 0 is a double zero: p ~ p'' t^2/2 and
+        p' ~ p'' t there, and the term's limit is 2 p''_m.  The term takes it where p_m is
+        zero to the series' rounding r = AMPLITUDE_ROUNDING (N+1), or within r of the floor
+        p'^2/(2 p'') of its parabola, where the two forms agree to r/p_m.  A minimum of p_m
+        above r, as a small eigenvalue of rho gives, keeps p'^2/p.  h = 0 (n = ±z) leaves
+        every p_m constant, so F_cl is exactly 0 there, and nothing is built.
         """
         half = 0.5 * complex(self.n.n_x, -self.n.n_y)
         if half == 0:
@@ -247,9 +254,11 @@ class _RotationModel:
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             return _pure_fisher(half * su2_bands(self.state.n_particles)[1], c)
-        p, dp = self.series(_angles(theta), order=1)
-        keep = p > RHO_FISHER_CUT
-        return float((dp[keep] ** 2 / p[keep]).sum())
+        p, dp, ddp = self.series(_angles(theta), order=2)
+        rounding = AMPLITUDE_ROUNDING * self.state.dim
+        zero = (p <= rounding) | ((ddp > 0.0)
+                                  & (np.abs(2.0 * ddp * p - dp ** 2) <= 2.0 * ddp * rounding))
+        return float((dp[~zero] ** 2 / p[~zero]).sum() + 2.0 * ddp[zero].sum())
 
 
 def _pure_fisher(lower: np.ndarray, c: np.ndarray) -> float:
@@ -278,12 +287,12 @@ def _pure_fisher(lower: np.ndarray, c: np.ndarray) -> float:
 
 
 def _half_slope(lower: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """p'/2 = g_m - g_m-1 for amplitudes c (see :func:`_pure_fisher`): O(N), and
-    sum_m p'_m = 0."""
-    current = (lower * c[:-1] * c[1:].conj()).imag
-    half_slope = np.zeros(len(c))
-    half_slope[:-1] = current
-    half_slope[1:] -= current
+    """p'/2 = g_m - g_m-1 for amplitudes c of shape (..., N+1), each row on its own (see
+    :func:`_pure_fisher`): O(N) a row, and sum_m p'_m = 0."""
+    current = (lower * c[..., :-1] * c[..., 1:].conj()).imag
+    half_slope = np.zeros(c.shape)
+    half_slope[..., :-1] = current
+    half_slope[..., 1:] -= current
     return half_slope
 
 
@@ -335,11 +344,12 @@ def _pure_series(generator, c: np.ndarray) -> np.ndarray:
     """p = |c|^2 and its first two theta-derivatives, shape (3,) + c.shape, for amplitudes
     c(theta) = exp(i theta J_n) c_0 of shape (..., N+1).
 
-    dc/dtheta = i J_n c, so p' = -2 Im(conj(c) J_n c) and
+    p' comes from the probability current, as a pure state's F_cl takes it
+    (:func:`_half_slope` with J_n's lower band).  dc/dtheta = i J_n c gives
     p'' = 2 (|J_n c|^2 - Re(conj(c) J_n^2 c)): two banded products, O(N) a vector.
     """
     jc = generator.apply(c)
-    return np.stack([(c * c.conj()).real, -2.0 * (c.conj() * jc).imag,
+    return np.stack([(c * c.conj()).real, 2.0 * _half_slope(generator.lower, c),
                      2.0 * ((jc * jc.conj()).real - (c.conj() * generator.apply(jc)).real)])
 
 
@@ -380,37 +390,48 @@ def classical_fisher(state: SectorState, n: Direction, theta: float,
     the exact derivative of p_m.
 
     For a pure state every outcome counts: at a zero of c_m(theta) the term takes its limit
-    4 |(J_n c)_m|^2, so a Fock state at theta = 0 gets F_cl = F.  A density matrix skips
-    every p_m <= RHO_FISHER_CUT.  See `_RotationModel.classical_fisher`.
+    4 |(J_n c)_m|^2, so a Fock state at theta = 0 gets F_cl = F.  For a density matrix an
+    outcome at a zero of p_m, to rounding, takes its limit 2 p''_m.  See
+    `_RotationModel.classical_fisher`.
     """
     check_state(state, tol)
     return _RotationModel(state, n).classical_fisher(theta)
 
 
 def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarray:
-    """Each row's maximum of the log-likelihood on [a_i, b_i]: golden section until the bracket
-    is narrower than `switch`, then safeguarded Newton steps.
+    """Each row's maximum of the log-likelihood on [a_i, b_i], within DEFAULT_WINDOW: golden
+    section until the bracket is narrower than `switch`, then safeguarded Newton steps, and the
+    window's edge itself where the maximum sits on it.
 
     `loglik(theta, rows)` gives l, l' and l'' (shape (3, len(rows))) of trials `rows` at angles
     `theta`.  A row holds a bracket [a, b] and x, its best point so far.  Each step evaluates
     one point u; golden section's comparison of x and u then keeps [a, right] when the left
-    of the two is better, else [left, b], and the better becomes x.  u is the Newton point
+    of the two is better, else [left, b], and the better becomes x.  The first u is the
+    window edge for a bracket that ends on that edge with l' at x pointing toward it (keyed on
+    the sign of l', so a row with l'' >= 0 is pulled too).  Otherwise u is the Newton point
     x - l'/l'' when the bracket is narrower than `switch`, l'' < 0, the point lies strictly
     inside (a, b) and the step is at most half the previous one; else u is a golden-section
     step into the larger of [a, x] and [x, b], so the bracket always shrinks.  A row ends at
-    x once its Newton step is below NEWTON_TOL, or once a Newton step fails to beat x by a
-    gain l cannot resolve; it ends at the bracket's midpoint, as golden section does, once
-    the bracket is narrower than REFINE_TOL: where the maximum sits on a window edge, or l is
-    flat to rounding.  All rows step together.
+    x once its Newton step is below NEWTON_TOL, once a Newton step fails to beat x by a gain
+    l cannot resolve, or once the edge beats x with l' there pointing out of the window (or
+    l' = 0 and l'' < 0): its estimate is then the edge exactly.  It ends at the bracket's
+    midpoint, as golden section does, once the bracket is narrower than REFINE_TOL, where l
+    is flat to rounding.  All rows step together, so the slowest row sets the number of
+    calls: 3-4 at N = 4 to 40, 6-8 at N = 100-150, 9 at N = 400 and 11 at N = 1000.  A row
+    whose maximum sits on an edge ends after two: its golden pair and the edge.
     """
     trials = len(a)
     every = np.arange(trials)
+    low, high = DEFAULT_WINDOW
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f = loglik(np.concatenate([c, d]), np.concatenate([every, every]))
     left = f[0, :trials] > f[0, trials:]  # the maximum lies in [a, d]
     a, b = np.where(left, a, c), np.where(left, d, b)
     x, fx = np.where(left, c, d), np.where(left, f[:, :trials], f[:, trials:])
     step, stalled = b - a, np.zeros(trials, dtype=bool)
+    # a bracket that ends on a window edge, with l' at x toward it, steps to the edge first
+    pull = np.where(fx[1] < 0, a == low, (fx[1] > 0) & (b == high))
+    pull = pull if pull.any() else None
     estimates = np.empty(trials)
     active = every
     while True:
@@ -425,7 +446,11 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
         estimates[active[done]] = np.where(converged, best, 0.5 * (lo + hi))[done]
         golden = np.where(hi - best > best - lo, best + _CGOLD * (hi - best),
                           best - _CGOLD * (best - lo))
-        u, take = np.where(take, u, golden)[~done], take[~done]
+        u = np.where(take, u, golden)
+        if pull is not None:  # the first step, where `active` holds every row
+            take &= ~pull
+            u = np.where(pull, np.where(slope < 0, low, high), u)
+        u, take = u[~done], take[~done]
         active = active[~done]
         if not active.size:
             return estimates
@@ -440,6 +465,13 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
         # rounding of l, is below what l resolves: x is the maximum
         gain = 0.5 * np.abs(fx[2, active]) * step[active] ** 2
         stalled[active] = take & ~moved & (gain <= _RESOLUTION * np.abs(fx[0, active]))
+        if pull is not None:
+            # an edge that beats x, with l' there pointing out of the window (or l' = 0 and
+            # l'' < 0), is the maximum
+            outward = np.where(u == low, -fu[1], fu[1])
+            stalled[active] |= pull[active] & moved & ((outward > 0)
+                                                       | ((outward == 0) & (fu[2] < 0)))
+            pull = None
         x[active] = np.where(moved, u, x[active])
         fx[:, active] = np.where(moved, fu, fx[:, active])
 
@@ -456,26 +488,40 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
     blocks in turn, where a later block wins only with a strictly larger value, so the first
     maximum wins as in one argmax.
 
-    Also returns the amplitudes at those indices on the propagated path (else None), and
-    raises NonIdentifiableError when no p_m moves over the grid.
+    Also returns the amplitudes at those indices on the propagated path (else None).  It
+    raises NonIdentifiableError when p moves over the grid by less than the log-likelihood's
+    rounding resolves: sum_m (p_max,m - p_min,m)^2 / pbar_m <=
+    _RESOLUTION (N + 1 + max_m |log pbar_m|), with pbar_m the mean of p_m over the grid
+    (outcomes with pbar_m = 0 dropped).  Times the shots, the left side is the scale of a
+    trial's change in l over the window (the chi-square distance between the extremes of p).
+    The right side bounds l's rounding: l = sum_m n_m log p_m rounds by about
+    eps sum_m n_m (|log p_m| + delta_m / p_m), with delta_m ~ eps the absolute rounding of
+    p_m, and n_m ~ shots pbar_m.  So the shots cancel.  Below it the maximum's place is set
+    by rounding, not by the counts; a weakly sensitive state with few shots is still
+    estimated.
     """
     trials = np.arange(len(counts))
     best, best_ll = np.zeros(len(counts), dtype=int), np.full(len(counts), -np.inf)
     anchors = np.empty(counts.shape, dtype=complex) if model.propagator is not None else None
     p_max, p_min = np.full(counts.shape[1], -np.inf), np.full(counts.shape[1], np.inf)
+    p_sum = np.zeros(counts.shape[1])
     for start, p, amp in model.grid_blocks(grid):
         np.maximum(p_max, p.max(axis=0), out=p_max)
         np.minimum(p_min, p.min(axis=0), out=p_min)
+        p_sum += p.sum(axis=0)
         ll = counts @ np.log(np.clip(p, PROBABILITY_FLOOR, None, out=p), out=p).T
         i = np.argmax(ll, axis=1)
         wins = ll[trials, i] > best_ll
         best[wins], best_ll[wins] = start + i[wins], ll[trials, i][wins]
         if anchors is not None:
             anchors[wins] = amp[i[wins]]
-    if float((p_max - p_min).max()) < FLAT_LIKELIHOOD_TOL:
+    seen = p_sum > 0
+    p_mean = p_sum[seen] / len(grid)
+    spread = ((p_max - p_min)[seen] ** 2 / p_mean).sum()
+    if spread <= _RESOLUTION * (counts.shape[1] + np.abs(np.log(p_mean)).max()):
         raise NonIdentifiableError(
-            "outcome probabilities are flat over the estimation window; "
-            "theta is not identifiable for this configuration"
+            "outcome probabilities move less over the estimation window than the "
+            "log-likelihood resolves; theta is not identifiable for this configuration"
         )
     return best, anchors
 
@@ -574,9 +620,11 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     max(GRID_POINTS, N//2 + 1) points, so that the spacing stays below the
     likelihood's fringe period of about 2 pi/N.  All trials are then refined
     together: golden section until a bracket is narrower than pi/(20 N), then
-    safeguarded Newton steps to NEWTON_TOL (see `_refine_max`), in 3-11
-    likelihood calls for N = 4 to 1000.  On the propagated path each refinement
-    rotates from its trial's best grid point.  A density matrix is
-    eigendecomposed once, by the spectral Fisher information.
+    safeguarded Newton steps to NEWTON_TOL, and a trial whose maximum sits on a
+    window edge ends on the edge (see `_refine_max`), in 3-11 likelihood calls
+    for N = 4 to 1000.  On the propagated path each refinement rotates from its
+    trial's best grid point.  A density matrix is eigendecomposed once, by the
+    spectral Fisher information.  Raises NonIdentifiableError when p moves less
+    over the window than the log-likelihood resolves (see `_grid_maxima`).
     """
     return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)

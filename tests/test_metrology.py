@@ -204,6 +204,33 @@ class TestClassicalFisher:
         f_cl = classical_fisher(make_fock_state(2, 4), Direction(1, 0, 0), theta)
         assert f_cl == pytest.approx(12.0, rel=1e-12)
 
+    @pytest.mark.parametrize("big_n", [4, 20, 60])
+    def test_density_matrix_at_zeros_of_p(self, big_n):
+        # rho = |k><k| about x: at a double zero of p_m the term takes its limit 2 p''_m, so
+        # F_cl = F = N + 2k(N - k) at theta = 0, where every p_m but p_k is 0, and at 1e-8
+        n = Direction(1, 0, 0)
+        for k in (0, big_n // 3, big_n // 2):
+            rho = density_state(make_fock_state(k, big_n).density_matrix())
+            for theta in (0.0, 1e-8):
+                assert classical_fisher(rho, n, theta) == pytest.approx(
+                    big_n + 2 * k * (big_n - k), rel=1e-12), (k, theta)
+        # twin-Fock N = 4 at the zero of p_2, and at 1e-5, where p_1 = p_3 = 1.5e-10 sit on
+        # their parabolas' floors to rounding: (p')^2/p would lose 8.3e-8 (relative) there
+        rho = density_state(make_fock_state(2, 4).density_matrix())
+        assert classical_fisher(rho, n, math.acos(1.0 / math.sqrt(3.0))) == pytest.approx(
+            12.0, rel=1e-12)
+        assert classical_fisher(rho, n, 1e-5) == pytest.approx(12.0, rel=1e-9)
+
+    @pytest.mark.parametrize("weight", [1e-13, 1e-11])
+    def test_density_matrix_at_a_small_eigenvalue(self, weight):
+        # rho = (1 - w)|2><2| + w|1><1| at N = 4 about x: p_1 has a minimum w > 0 at theta = 0,
+        # not a zero, so its term is (p'_1)^2 / p_1 = 0 there.  Only the double zeros of p_0 and
+        # p_3 count: F_cl = 6 (1 - w) + 4 w, where a pure |2> has 12
+        fock = [make_fock_state(k, 4).density_matrix() for k in (1, 2)]
+        rho = density_state((1.0 - weight) * fock[1] + weight * fock[0])
+        assert classical_fisher(rho, Direction(1, 0, 0), 0.0) == pytest.approx(
+            6.0 * (1.0 - weight) + 4.0 * weight, rel=1e-12)
+
 
 class TestMonteCarloEstimate:
     def test_deterministic_given_seed(self):
@@ -219,6 +246,33 @@ class TestMonteCarloEstimate:
         state = diagonal_state([0.5, 0.5])
         with pytest.raises(NonIdentifiableError):
             monte_carlo_estimate(state, Direction(0, 0, 1), 0.3, 3, 50, 1)
+
+    @pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+    def test_near_pole_direction_is_not_identifiable(self, big_n):
+        # about n within 1e-9 of +z, p of a random pure state moves by about 1e-9 over the
+        # window, so l's change over it stays below l's rounding, and its estimates would be
+        # rounding noise
+        rng = np.random.default_rng(big_n + 30)
+        for _ in range(5):
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            v3 = np.array([*(1e-9 * rng.normal(size=2)), 1.0])
+            with pytest.raises(NonIdentifiableError):
+                monte_carlo_estimate(pure_state(c / np.linalg.norm(c)),
+                                     Direction(*(v3 / np.linalg.norm(v3))), 0.6, 20, 2000, 1)
+
+    @pytest.mark.parametrize("shots", [10, 100, 10 ** 5])
+    def test_flatness_is_judged_against_rounding(self, shots):
+        # Flatness compares the change of l over the window with l's rounding, and both scale
+        # with the shots.  rho = diag(0.525, 0.475) about x moves p_0 by only 0.025 over the
+        # window, sum_m (p_max - p_min)^2 / pbar = 2.5e-3, yet it is estimated at any count.
+        # A twin-Fock state about n 1e-9 off +z moves p by about 1e-18 and raises at any count.
+        run = monte_carlo_estimate(diagonal_state([0.525, 0.475]), Direction(1, 0, 0), 0.6, 5,
+                                   shots, 1)
+        assert np.all((run.estimates >= 0.0) & (run.estimates <= math.pi / 2))
+        v3 = np.array([1e-9, 0.0, 1.0])
+        with pytest.raises(NonIdentifiableError):
+            monte_carlo_estimate(make_fock_state(2, 4), Direction(*(v3 / np.linalg.norm(v3))),
+                                 0.6, 5, shots, 1)
 
     def test_bounds_ordering(self):
         run = monte_carlo_estimate(make_fock_state(1, 2), Direction(1, 0, 0),
@@ -301,7 +355,8 @@ class TestMonteCarloEstimate:
     @pytest.mark.parametrize("theta_true", [0.02, math.pi / 2 - 0.02])
     def test_matches_scalar_golden_section(self, theta_true):
         # near a window edge some grid maxima sit on the edge, so their brackets are one
-        # grid step wide and finish before the two-step brackets of the other trials
+        # grid step wide; those rows end on the edge itself, where golden section ends within
+        # REFINE_TOL of it, and l there is no lower than at golden section's end
         state, n = make_fock_state(1, 2), Direction(1, 0, 0)
         trials, shots, seed = 12, 2000, 5
         run = monte_carlo_estimate(state, n, theta_true, trials, shots, seed)
@@ -320,7 +375,14 @@ class TestMonteCarloEstimate:
                 return float(counts @ np.log(p))
 
             lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, GRID_POINTS - 1)]
-            assert abs(estimate - _scalar_golden_max(loglik, lo, hi, REFINE_TOL)) <= 2 * REFINE_TOL
+            golden = _scalar_golden_max(loglik, lo, hi, REFINE_TOL)
+            if best in (0, GRID_POINTS - 1):
+                p = np.clip(measurement_probabilities(state, n, golden), 1e-300, None)
+                rounding = 4 * np.finfo(float).eps * (abs(loglik(golden)) + (counts / p).sum())
+                assert estimate == grid[best]
+                assert loglik(estimate) >= loglik(golden) - rounding
+            else:
+                assert abs(estimate - golden) <= 2 * REFINE_TOL
         assert 0 < at_edge < trials
 
 
@@ -453,7 +515,7 @@ class TestPropagatedPath:
         assert np.abs(model.probabilities(angles) - p_dense).max() <= 1e-12
         assert model.classical_fisher(0.7) == pytest.approx(f_dense, rel=1e-10)
         assert np.abs(rotate(state, n, 1.1).amplitudes - c_dense).max() <= 1e-12
-        assert made == [] and "rotation" not in vars(model)
+        assert made == [] and "fourier" not in vars(model)
 
     def test_estimate_matches_dense_route(self, monkeypatch):
         # 512 grid points in blocks of GRID_BLOCK, refinements rotated from the best points
@@ -595,6 +657,60 @@ def test_refinement_ends_no_lower_than_golden_section(kind, path, monkeypatch):
                 rounding = 4 * eps * (np.abs(ref[0]) + (seen["counts"] / p).sum(axis=1))
                 slack = np.maximum(np.abs(ref[1]) * REFINE_TOL, rounding)
                 assert (new[0] >= ref[0] - slack).all(), (big_n, theta, shots)
+
+
+def test_refinement_pulls_rows_to_the_window_edge():
+    # l = s (theta - c) + k (theta - c)^2 per row.  The pull is keyed on the sign of l', so a
+    # row whose slope points out of the window ends exactly on the edge whatever l'' is:
+    # linear (l'' = 0), convex (l'' > 0), concave with its peak outside, or stationary on the
+    # edge.  A peak just inside is found past the edge's one evaluation, and an interior one
+    # as before.
+    low, high = DEFAULT_WINDOW
+    slope, center, curve = np.array([
+        (-1.0, 0.0, 0.0), (0.0, 0.05, 1.0), (0.0, -0.01, -1.0), (0.0, 0.0, -1.0),
+        (1.0, high, 0.0), (0.0, high + 0.01, -1.0), (0.0, 0.002, -1.0), (0.0, 0.3, -1.0)]).T
+    calls = []
+
+    def loglik(theta, rows):
+        calls.append(len(rows))
+        d = theta - center[rows]
+        return np.array([slope[rows] * d + curve[rows] * d * d,
+                         slope[rows] + 2.0 * curve[rows] * d, 2.0 * curve[rows] + 0.0 * d])
+
+    step = math.pi / 1022  # a spacing of the 512-point grid
+    a = np.array([low] * 4 + [high - step] * 2 + [low, 0.3 - 0.5 * step])
+    estimates = metrology._refine_max(loglik, a, a + step, math.pi / 80)
+    assert np.array_equal(estimates[:6], [low] * 4 + [high] * 2)
+    assert np.abs(estimates[6:] - [0.002, 0.3]).max() <= REFINE_TOL
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("theta", [0.02, math.pi / 2 - 0.02])
+@pytest.mark.parametrize("big_n", [2, 4])
+def test_window_edge_estimates_take_four_calls(big_n, theta, monkeypatch):
+    # twin-Fock about x is even about both edges, so many trials have their maximum on one:
+    # those rows end exactly on it, and the estimate takes at most 4 likelihood calls, where
+    # golden section's pace took 27
+    seen, refine_max = {}, metrology._refine_max
+
+    def counting_refine_max(loglik, a, b, switch):
+        def counted(angles, rows):
+            seen["calls"] += 1
+            return loglik(angles, rows)
+
+        seen.update(loglik=loglik, calls=0)
+        return refine_max(counted, a, b, switch)
+
+    monkeypatch.setattr(metrology, "_refine_max", counting_refine_max)
+    run = monte_carlo_estimate(make_fock_state(big_n // 2, big_n), Direction(1, 0, 0), theta,
+                               40, 2000, 3)
+    assert seen["calls"] <= 4
+    rows = np.flatnonzero(np.isin(run.estimates, DEFAULT_WINDOW))
+    assert rows.size and np.isfinite(run.estimates).all()
+    # l' there points out of the window, or vanishes with l'' < 0
+    f = seen["loglik"](run.estimates[rows], rows)
+    outward = np.where(run.estimates[rows] == DEFAULT_WINDOW[0], -f[1], f[1])
+    assert ((outward > 0) | ((outward == 0) & (f[2] < 0))).all()
 
 
 # Single-angle pure-state calls against a test-local copy of the Euler formula of
@@ -771,6 +887,37 @@ def test_pure_slope_is_a_continuity_equation(big_n):
         assert abs(half_slope.sum()) <= 4 * np.finfo(float).eps * np.abs(half_slope).sum()
         former = -2.0 * (c.conj() * direction_generator(big_n, n).apply(c)).imag
         assert np.abs(2.0 * half_slope - former).max() <= 1e-13 * np.abs(former).max()
+
+
+@pytest.mark.parametrize("big_n", [1, 7, collective.PROPAGATOR_MIN_N + 50])
+def test_pure_series_slope_is_the_current_on_rows(big_n):
+    # the propagated refinement's p' is 2 (g_m - g_m-1) row by row, as a pure state's F_cl
+    # takes it, and the derivative -2 Im(conj(c) J_n c)
+    rng = np.random.default_rng(big_n + 3)
+    c = rng.normal(size=(6, big_n + 1)) + 1j * rng.normal(size=(6, big_n + 1))
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    for v3 in rng.normal(size=(3, 3)):
+        n = Direction(*(v3 / np.linalg.norm(v3)))
+        generator = direction_generator(big_n, n)
+        rows = metrology._pure_series(generator, c)
+        assert rows.shape == (3,) + c.shape
+        former = -2.0 * (c.conj() * generator.apply(c)).imag
+        assert np.abs(rows[1] - former).max() <= 1e-13 * np.abs(former).max()
+        for row, amplitudes in zip(rows[1], c):
+            assert np.array_equal(row, 2.0 * metrology._half_slope(generator.lower, amplitudes))
+
+
+@pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
+                         ids=["pure", "rho"])
+def test_series_builds_one_rotation_and_keeps_none(state, monkeypatch):
+    # W reads J_n's eigenbasis data once; the model holds no handle on it afterwards
+    made = _record_rotations(monkeypatch)
+    model = metrology._RotationModel(state, Direction(0.48, 0.64, 0.6))
+    for _ in range(2):
+        model.probabilities(np.array([0.3, 0.9]))
+        model.classical_fisher(0.7)
+    assert len(made) == 1
+    assert not any(isinstance(value, collective.Rotation) for value in vars(model).values())
 
 
 @pytest.mark.parametrize("amplitudes", [
