@@ -196,7 +196,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Bounds per value, all on the state in its own frame, where the estimator rotates it."""
+    """Bounds per value, all on the state in its own frame, where the estimator rotates it.
+
+    A value whose outcome distribution does not depend on theta (NonIdentifiableError) keeps
+    its row without an estimate: empirical_std NaN, F_cl and ccrb at theta, as with no trials.
+    """
     state = state_from_json(load_json(args.state))
     values = [float(v) for v in args.values.split(",")]
     if args.param in ("shots", "trials") and not all(v.is_integer() for v in values):
@@ -206,7 +210,7 @@ def _cmd_sweep(args) -> int:
     if min(shot_counts) < 1 or min(trial_counts) < 0:
         raise ValueError("sweep needs shots >= 1 and trials >= 0")
     fixed_direction = None if args.param == "phi" else _parse_direction(args.direction)
-    from .metrology import PhaseEstimator, _cramer_rao
+    from .metrology import NonIdentifiableError, PhaseEstimator, _cramer_rao
 
     def per_direction(direction):
         return (PhaseEstimator(state, direction, args.tol),
@@ -229,8 +233,13 @@ def _cmd_sweep(args) -> int:
         estimator, fisher_closed = fixed or per_direction(direction)
         fisher_spectral = estimator.fisher
         qcrb = _cramer_rao(shots, fisher_spectral)
+        run = None
         if trials > 0:
-            run = estimator.estimate(theta, trials, shots, args.seed)
+            try:
+                run = estimator.estimate(theta, trials, shots, args.seed)
+            except NonIdentifiableError:  # the row keeps its bounds, as without trials
+                pass
+        if run is not None:
             fisher_cl, ccrb, empirical_std = run.classical_fisher, run.ccrb, run.empirical_std
         else:
             fisher_cl = estimator.classical_fisher(theta)

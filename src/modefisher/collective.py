@@ -4,8 +4,10 @@ Every sector operator comes from :func:`ladder`, the band of a monomial.  The ob
 are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
 :class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
 itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
-:func:`apply_su2` applies the sector's image of a 2x2 SU(2) matrix to a vector or a block of
-columns: every frame change, and every rotation but the propagated series, goes through it;
+:func:`apply_su2` applies the sector's image Gamma(u) of a 2x2 SU(2) matrix u to a vector,
+from u's Euler angles and the real eigenbasis V of J_x, and :func:`su2_image` forms Gamma(u)
+from the same angles with one product of V: every frame change, J_n's eigenbasis
+(:func:`eigenbasis`) and every rotation but the propagated series go through them.
 :class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
 """
 from __future__ import annotations
@@ -165,9 +167,8 @@ class _Sector:
     """The direction-free data of the N-particle sector, every array read-only.
 
     `k` is 0..N; `jz` is the J_z diagonal k - N/2, which is exactly the spectrum of every
-    J_n; `raising` is the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k)).  `phases`,
-    P = diag((-i)^k) with J_y = P J_x P^dag, and `jx_eigenvectors` are built on first read,
-    so a caller that needs only the bands runs no `eigh`.  :func:`_sector` caches one per N
+    J_n; `raising` is the J_+ = a1^dag a2 subdiagonal sqrt((k+1)(N-k)).  `jx_eigenvectors`
+    is built on first read, so a caller that needs only the bands runs no `eigh`.  :func:`_sector` caches one per N
     below PROPAGATOR_MIN_N and hands the same arrays to every caller.
     """
 
@@ -178,12 +179,6 @@ class _Sector:
         self.jz = self.k - n_particles / 2.0
         for band in (self.raising, self.k, self.jz):
             band.setflags(write=False)
-
-    @functools.cached_property
-    def phases(self) -> np.ndarray:
-        p = np.array([1.0, -1.0j, -1.0, 1.0j])[self.k % 4]
-        p.setflags(write=False)
-        return p
 
     @functools.cached_property
     def jx_eigenvectors(self) -> np.ndarray:
@@ -200,7 +195,7 @@ class _Sector:
         return v
 
 
-# an entry is four arrays of at most 250 entries and, once read, V of at most 0.5 MB, so
+# an entry is three arrays of at most 250 entries and, once read, V of at most 0.5 MB, so
 # the cache holds at most 4 MB
 _cached_sector = functools.lru_cache(maxsize=8)(_Sector)
 
@@ -233,22 +228,15 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
     return CollectiveObservable(*bands)
 
 
-def apply_su2(u, c) -> np.ndarray:
-    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10),
-    without forming Gamma(u).  c is one vector of N+1 amplitudes, shape (N+1,), or a block
-    of such columns, shape (N+1, m); the result is a new array of c's shape.
+def _euler_phases(u, sector: _Sector):
+    """The diagonals e^{i(a+b) J_z}, e^{-i beta J_z} and e^{i(a-b) J_z} of u's ZXZ Euler
+    reading on the sector, and beta; u in SU(2) as a 2x2 matrix or its first column
+    (u_00, u_10).
 
-    Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n).  With u's ZYZ Euler angles Gamma(u) is
-    e^{-i alpha J_z} P e^{-i beta J_x} P^dag e^{-i gamma J_z} (J_y = P J_x P^dag, see
-    :class:`Rotation`), and P = diag((-i)^k) is e^{-i pi J_z/2} up to a global phase, so it
-    folds into the phases: with the ZXZ angles, Gamma(u) = e^{-i alpha J_z} e^{-i beta J_x}
-    e^{-i gamma J_z}.  u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 =
+    Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n), and Gamma(u) = e^{-i alpha J_z}
+    e^{-i beta J_x} e^{-i gamma J_z}.  u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 =
     e^{i(alpha-gamma)/2} sin(beta/2) give beta in [0, pi] by atan2 and alpha -+ gamma by
-    their phases, so u = -1 gives (-1)^N.  The middle factor is V e^{-i beta Lambda} V^T:
-    two real products of the sector's V, cached below PROPAGATOR_MIN_N, with the (N+1, 2m)
-    real view of the columns, O(N^2 m).  A vector from PROPAGATOR_MIN_N on takes it from
-    :func:`propagate` about x instead: about beta N/2 + 30 banded O(N) products, and no
-    (N+1)^2 array.
+    their phases a and b, so u = -1 gives (-1)^N.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape == (2, 2):  # an SU(2) matrix is [[u_00, -conj(u_10)], [u_10, conj(u_00)]]
@@ -261,100 +249,82 @@ def apply_su2(u, c) -> np.ndarray:
     deviation += abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0)
     if not deviation <= SU2_TOL:  # NaN fails too
         raise ValueError("u must be in SU(2)")
-    c = np.asarray(c, dtype=complex)
-    if c.ndim not in (1, 2) or not c.size:
-        raise ValueError(f"c must be a vector of N+1 amplitudes or an (N+1, m) block of "
-                         f"them, got shape {c.shape}")
-    n_particles = len(c) - 1
-    sector = _sector(n_particles)
     # the phases of u_00 and i u_10: alpha = b - a, gamma = -a - b
     a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
     beta = 2.0 * math.atan2(abs(u10), abs(u00))
     phases = np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), sector.jz)
     right, tilt, left = np.exp(phases)
-    if c.ndim == 1 and uses_propagator(n_particles):
+    return right, tilt, left, beta
+
+
+def apply_su2(u, c) -> np.ndarray:
+    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10),
+    without forming Gamma(u); c is one vector of N+1 amplitudes, and the result a new array.
+
+    Gamma(u) = e^{-i alpha J_z} V e^{-i beta Lambda} V^T e^{-i gamma J_z} from u's ZXZ Euler
+    angles (:func:`_euler_phases`), with the sector's real J_x = V Lambda V^T: two real
+    products of V, cached below PROPAGATOR_MIN_N, with the (N+1, 2) real view of a column,
+    O(N^2).  From PROPAGATOR_MIN_N on the middle factor e^{-i beta J_x} comes from
+    :func:`propagate` instead: about beta N/2 + 30 banded O(N) products, and no (N+1)^2
+    array.
+    """
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 1 or not c.size:
+        raise ValueError(f"c must be a vector of N+1 amplitudes, got shape {c.shape}")
+    n_particles = len(c) - 1
+    sector = _sector(n_particles)
+    right, tilt, left, beta = _euler_phases(u, sector)
+    if uses_propagator(n_particles):
         return left * propagate(n_particles, Direction(1.0, 0.0, 0.0), right * c, -beta)
     v = sector.jx_eigenvectors
-    # c as (N+1, m) columns, taken by two real products with their (N+1, 2m) real view
-    x = np.multiply(right[:, None], c.reshape(n_particles + 1, -1), order="C").view(float)
+    x = np.multiply(right, c).reshape(-1, 1).view(float)  # one column's (N+1, 2) real view
     y = (v.T @ x).view(complex) * tilt[:, None]
-    z = (v @ y.view(float)).view(complex)
-    return left * z[:, 0] if c.ndim == 1 else left[:, None] * z
+    return left * (v @ y.view(float)).view(complex)[:, 0]
 
 
-class Rotation:
-    """exp(i theta J_n) = Q e^{i theta Lambda} Q^dag, with J_n's eigenbasis built from 2x2 data.
+def su2_image(u, n_particles: int) -> np.ndarray:
+    """Gamma(u), the (N+1)x(N+1) image of u in SU(2) (a 2x2 matrix or its first column) on
+    the N-particle sector, a new array, unitary to rounding at any N.
 
-    J_n = W J_z W^dag for W = e^{-i phi J_z} e^{-i beta J_y}, with beta and phi the polar and
-    azimuthal angles of n, so Lambda is exactly k - N/2 (ascending) and Q is W up to a global
-    phase.  With J_y = P J_x P^dag, P = diag((-i)^k), and the real eigenbasis
-    J_x = V Lambda V^T, Q = diag(e^{-ik phi}) P V e^{-i beta Lambda} V^T P^dag.  Lambda, P
-    and V depend on N alone and come from the sector's data, cached below PROPAGATOR_MIN_N.
-    A rotation computes only the diagonal phases of n, and no J_n: its caller owns that.
-    :meth:`projections` gives Q diag(Q^dag c), up to row phases, without forming Q, with
-    two real products of V or V^T with a complex column and one real
-    (N+1) x (N+1) x 2(N+1) product; `eigenvectors` forms Q on first read, with two real
-    (N+1)^3 products.
-
-    It serves only the estimation series W of :mod:`~modefisher.metrology`: a pure state's
-    from :meth:`projections` below PROPAGATOR_MIN_N, a density matrix's from `eigenvectors`.
-    A rotation at one angle or a frame change of a state is :func:`apply_su2` of a 2x2
-    matrix instead.  :meth:`unitary` forms exp(i theta J_n) in O(N^3) time and O(N^2)
-    memory, unitary to rounding at any N: it is the dense reference that the selftest and
-    the tests compare the other routes against, and no library route calls it.
+    From the Euler reading of :func:`apply_su2`, Gamma(u) = diag(left) V (e^{-i beta Lambda}
+    V^T diag(right)): the bracket scales V^T's rows and columns, and one real
+    (N+1) x (N+1) x 2(N+1) product with V forms the rest, O(N^3) time, O(N^2) memory.
     """
+    if n_particles < 0:
+        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
+    sector = _sector(n_particles)
+    right, tilt, left, _ = _euler_phases(u, sector)
+    v = sector.jx_eigenvectors
+    scaled = np.multiply(v.T, np.multiply.outer(tilt, right), order="C")
+    image = (v @ scaled.view(float)).view(complex)
+    image *= left[:, None]
+    return image
 
-    def __init__(self, n_particles: int, n: Direction):
-        sector = _sector(n_particles)
-        self.eigenvalues = sector.jz
-        self._v, self._p = sector.jx_eigenvectors, sector.phases
-        # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
-        beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
-        phi = math.atan2(n.n_y, n.n_x)
-        angle = beta * self.eigenvalues
-        self._cos, self._sin = np.cos(angle), np.sin(angle)
-        # e^{-i beta Lambda} as a column, as `_coordinates` uses it, and the row phases of Q,
-        # diag(e^{-ik phi}) P
-        self._tilt = (self._cos - 1j * self._sin)[:, None]
-        self._outer = np.exp(-1j * phi * sector.k) * self._p
 
-    @functools.cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Q, formed on first read."""
-        v = self._v
-        # e^{-i beta J_x} = V e^{-i beta Lambda} V^T; P (.) P^dag makes it e^{-i beta J_y}
-        rot = (v * self._cos) @ v.T - 1j * ((v * self._sin) @ v.T)
-        rot *= self._outer[:, None]
-        rot *= self._p.conj()
-        return rot
+def su2_rotation(n: Direction, theta: float) -> tuple[complex, complex]:
+    """The first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma,
+    whose image on the sector is exp(i theta J_n)."""
+    cos, sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
 
-    def unitary(self, theta: float) -> np.ndarray:
-        phase = np.exp(1j * theta * self.eigenvalues)
-        return (self.eigenvectors * phase) @ self.eigenvectors.conj().T
 
-    def _coordinates(self, c) -> np.ndarray:
-        """y = P^dag Q^dag c = conj(M) P^dag diag(e^{ik phi}) c as a complex column, from two
-        real products of V or V^T with the (N+1, 2) real view of a complex column."""
-        v = self._v
-        x = (self._outer.conj() * np.asarray(c, dtype=complex))[:, None].view(float)
-        return (v @ ((v.T @ x).view(complex) * self._tilt.conj()).view(float)).view(complex)
-
-    def projections(self, c) -> np.ndarray:
-        """A = Q diag(Q^dag c) up to one unit phase per row, without forming Q: column j is
-        c's projection onto J_n's eigenvector j.
-
-        With y = P^dag Q^dag c, A = diag(e^{-ik phi}) P M diag(y), as the P^dag of Q and the
-        P of Q^dag cancel.  The rows' phases diag(e^{-ik phi}) P are dropped, which leaves
-        M diag(y) = V (e^{-i beta Lambda} V^T diag(y)): the two products of `_coordinates`
-        that give y, and one (N+1) x (N+1) x 2(N+1) real product.
-        """
-        y = self._coordinates(c)
-        scaled = np.multiply(self._v.T, self._tilt * y.T, order="C")  # rows of complex pairs
-        return (self._v @ scaled.view(float)).view(complex)
+def eigenbasis(n_particles: int, n: Direction) -> np.ndarray:
+    """Q with J_n = Q diag(k - N/2) Q^dag: the image of w = e^{-i phi sigma_z/2}
+    e^{-i beta sigma_y/2}, which takes z to n, for beta and phi the polar and azimuthal
+    angles of n.  Its first column is (e^{-i phi/2} cos(beta/2), e^{i phi/2} sin(beta/2)),
+    and :func:`su2_image` forms Q from it."""
+    # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
+    beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
+    phi = math.atan2(n.n_y, n.n_x)
+    half = complex(math.cos(0.5 * phi), math.sin(0.5 * phi))
+    return su2_image((half.conjugate() * math.cos(0.5 * beta), half * math.sin(0.5 * beta)),
+                     n_particles)
 
 
 # Pure states of at least this many particles are rotated, and moved between frames, by the
-# Propagator rather than through V.  The threshold follows an estimate's crossover (3 trials
+# Propagator rather than through V, and the sector's data is no longer cached.  A dense image
+# (`su2_image`: J_n's eigenbasis, a density matrix's rotation and frame change, the frame
+# unitary) takes one product with V at every N.  The threshold follows an estimate's crossover (3 trials
 # x 10^4 shots about x, one BLAS thread; the tables are in CHANGES.md).  One rotation at one
 # angle costs two O(N^2) products through V against about |theta| N/2 + 30 banded O(N)
 # products propagated, and that step is an open question in ROADMAP.md.

@@ -8,9 +8,10 @@ of U gives the new mode b_i as a combination of (a_1, a_2),
 The change-of-basis unitary V maps spatial-frame amplitudes to amplitudes
 over the new frame's Fock basis.  It is the image of U on the N-particle
 sector: with U = e^{ia} u, u in SU(2), V = Gamma(U) = e^{iaN} Gamma(u), and
-Gamma(U1) Gamma(U2) = Gamma(U1 U2).  Gamma(u) comes from u's Euler angles
-through :func:`~modefisher.collective.apply_su2`, which moves a pure state
-without forming V at any N.
+Gamma(U1) Gamma(U2) = Gamma(U1 U2).  Gamma(u) comes from u's Euler angles:
+:func:`~modefisher.collective.apply_su2` moves a pure state without forming V
+at any N, and :func:`~modefisher.collective.su2_image` forms V, for the frame
+unitary and a density matrix's move, with one product of J_x's real eigenbasis.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import apply_su2, frozen
+from .collective import apply_su2, frozen, su2_image
 
 UNITARITY_TOL = 1e-12
 
@@ -70,24 +71,25 @@ def custom_frame(mixing) -> ModeFrame:
     return ModeFrame(np.asarray(mixing, dtype=complex), label="custom")
 
 
-def _spin_image_times(n_particles: int, u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Gamma(U) c = e^{iaN} Gamma(e^{-ia} U) c with a = arg(det U)/2; the normalised first
-    column of e^{-ia} U stands for it, so a mixing that ModeFrame accepts as unitary is in
-    SU(2) to rounding."""
+def _su2_part(u: np.ndarray) -> tuple[float, np.ndarray]:
+    """a and u' with U = e^{ia} u', a = arg(det U)/2, so Gamma(U) = e^{iaN} Gamma(u').  u' is
+    given as the normalised first column of e^{-ia} U, so a mixing that ModeFrame accepts as
+    unitary is in SU(2) to rounding."""
     a = 0.5 * float(np.angle(np.linalg.det(u)))
     column = np.exp(-1j * a) * u[:, 0]
-    return np.exp(1j * a * n_particles) * apply_su2(column / np.linalg.norm(column), c)
+    return a, column / np.linalg.norm(column)
 
 
 def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     """(N+1)x(N+1) unitary V whose column k expands |k, N-k> over the frame's Fock basis.
 
-    V = Gamma(U) is the spin-N/2 image of the frame's mixing U, applied to the identity
-    in O(N^3) time and O(N^2) memory; it is unitary to rounding at any N.
+    V = Gamma(U) is the spin-N/2 image of the frame's mixing U, formed in O(N^3) time and
+    O(N^2) memory; it is unitary to rounding at any N.
     """
     if n_particles < 0:
         raise ValueError(f"n_particles must be >= 0, got {n_particles}")
-    return _spin_image_times(n_particles, frame.mixing, np.eye(n_particles + 1))
+    a, column = _su2_part(frame.mixing)
+    return np.exp(1j * a * n_particles) * su2_image(column, n_particles)
 
 
 def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> np.ndarray:
@@ -107,9 +109,9 @@ def transform_state(state, frame: ModeFrame):
 
     if np.array_equal(frame.mixing, state.frame.mixing):
         return SectorState(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
-    change = frame.mixing @ state.frame.mixing.conj().T
+    a, column = _su2_part(frame.mixing @ state.frame.mixing.conj().T)
     if state.amplitudes is not None:
-        return SectorState(state.n_particles, frame,
-                           amplitudes=_spin_image_times(state.n_particles, change, state.amplitudes))
-    v = _spin_image_times(state.n_particles, change, np.eye(state.n_particles + 1))
+        c = np.exp(1j * a * state.n_particles) * apply_su2(column, state.amplitudes)
+        return SectorState(state.n_particles, frame, amplitudes=c)
+    v = su2_image(column, state.n_particles)  # the phase e^{iaN} cancels in V rho V^dag
     return SectorState(state.n_particles, frame, rho=v @ state.rho @ v.conj().T)

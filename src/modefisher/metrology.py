@@ -14,11 +14,11 @@ of J_x, cached per N.  A pure state at one angle (`rotate`, `classical_fisher`,
 `measurement_probabilities` at a scalar angle, an estimate's true-angle state) is rotated
 by ``collective.apply_su2`` as the image of the 2x2 matrix exp(i theta n.sigma/2): two
 real O(N^2) products with V, without J_n's eigenbasis.  `rotate` of a density matrix
-forms that image as ``apply_su2`` of the identity, in O(N^3).  Every other
+forms that image with ``collective.su2_image``, one O(N^3) product with V.  Every other
 dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
 p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
-model from ``collective.Rotation``, for a pure state from V without forming J_n's
-eigenbasis Q.  The estimation grid,
+model from J_n's eigenbasis Q, ``collective.eigenbasis``, the image of the 2x2 matrix
+that takes z to n.  The estimation grid,
 whose table T depends on N alone and is cached per N below PROPAGATOR_MIN_N,
 `measurement_probabilities` at an array of angles and a density matrix's F_cl are then
 one real matrix product each, and so is each refinement step, which stacks the tables of
@@ -30,7 +30,7 @@ refinement, is read off the probability current between neighbouring Fock states
 once c(theta) is known.
 
 Costs, for R trials: sampling O(N) per trial whatever the number of shots.  Dense path:
-W in O(N^2 log N) for a pure state and O(N^3) for a density matrix, once per model; the
+W in O(N^3) once per model (Q, then two FFTs for a pure state or Q^dag rho Q); the
 grid one (G x 2(N+1)) @ (2(N+1) x (N+1)) product for G = max(512, N/2 + 1) points; a
 refinement step one (3R x 2(N+1)) product.  Propagated path: a rotation by theta takes
 about |theta| N/2 + 30 banded O(N) products, a grid block of GRID_BLOCK points about
@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (Direction, Propagator, Rotation, apply_su2, direction_generator, frozen,
-                         su2_bands, uses_propagator)
+from .collective import (Direction, Propagator, apply_su2, direction_generator, eigenbasis, frozen,
+                         su2_bands, su2_image, su2_rotation, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .qfi import qfi_state
 
@@ -118,11 +118,10 @@ class _RotationModel:
     eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
     :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
     path a pure state at one angle is rotated by :func:`~modefisher.collective.apply_su2`
-    with two O(N^2) products, a density matrix by the unitary that `apply_su2` forms from the
-    identity, and no :class:`~modefisher.collective.Rotation` is built.  Any other dense call
-    evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.
-    It is built once per model, from a `Rotation` that nothing keeps: in O(N^2 log N) for a
-    pure state (from V without Q, and two FFTs) and in O(N^3) for a density matrix.  The
+    with two O(N^2) products and without J_n's eigenbasis, a density matrix by the unitary
+    that :func:`~modefisher.collective.su2_image` forms.  Any other dense call evaluates
+    :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.  It is built
+    once per model, from J_n's eigenbasis Q that nothing keeps, in O(N^3).  The
     512-point estimation grid then takes one
     (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, and a
     refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p''
@@ -145,13 +144,7 @@ class _RotationModel:
         if self.propagator is not None:
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
-        return apply_su2(self._su2_column(theta), self.state.amplitudes)
-
-    def _su2_column(self, theta: float) -> tuple[complex, complex]:
-        """The first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma,
-        whose image on the sector is exp(i theta J_n)."""
-        n, cos, sin = self.n, math.cos(0.5 * theta), math.sin(0.5 * theta)
-        return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
+        return apply_su2(su2_rotation(self.n, theta), self.state.amplitudes)
 
     def rotated(self, theta: float) -> SectorState:
         """The state rotated by theta; its new array is handed over read-only, not copied."""
@@ -159,7 +152,7 @@ class _RotationModel:
             c = self.amplitudes(theta)
             c.setflags(write=False)
             return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
-        u = apply_su2(self._su2_column(_angles(theta)), np.eye(self.state.dim))
+        u = su2_image(su2_rotation(self.n, _angles(theta)), self.state.n_particles)
         rho = u @ self.state.rho @ u.conj().T
         rho.setflags(write=False)
         return SectorState(self.state.n_particles, self.state.frame, rho=rho)
@@ -172,19 +165,17 @@ class _RotationModel:
         J_n's eigenvalues are k - N/2, so p_m(theta) = Re sum_d w_d C_md z^d with w_0 = 1,
         w_d = 2 for d > 0 and C_md = sum_k Q_m,k+d r_k+d,k Q*_mk, r = Q^dag rho Q; W holds
         the real view of w_d conj(C_md).  A pure state's C_m. is the autocorrelation of the
-        row A_m. = Q_m. * (Q^dag c), taken with two FFTs: O(N^2 log N).  A unit phase on a
-        row cancels there, so A comes from :meth:`~modefisher.collective.Rotation.projections`
-        up to such phases, without forming Q.  A density matrix sums each diagonal of r:
-        O(N^3), once.
+        row A_m. = Q_m. * (Q^dag c), taken with two FFTs: O(N^2 log N).  A density matrix sums
+        each diagonal of r: O(N^3).  Q is :func:`~modefisher.collective.eigenbasis`, one
+        O(N^3) product with V, read once for either kind of state.
         """
-        dim, rotation = self.state.dim, Rotation(self.state.n_particles, self.n)
+        dim, q = self.state.dim, eigenbasis(self.state.n_particles, self.n)
         if self.state.is_pure:
-            a = rotation.projections(self.state.amplitudes)
+            a = q * (self.state.amplitudes.conj() @ q).conj()  # Q^dag c without forming Q^dag
             size = 1 << (2 * dim - 2).bit_length()  # at least 2N + 1: no lag wraps around
             f = np.fft.fft(a, size, axis=1)
             coef = np.fft.rfft(f.real ** 2 + f.imag ** 2, axis=1)[:, :dim] / size
         else:
-            q = rotation.eigenvectors
             q_conj = q.conj()
             r = q_conj.T @ self.state.rho @ q
             coef = np.empty((dim, dim), dtype=complex)

@@ -2,7 +2,7 @@
 
 State object:
   {"N": int, "kind": "fock"|"pure"|"diagonal"|"density",
-   "k": int                               (fock)
+   "k": int                               (fock; N and k integral numbers, 4 or 4.0)
    "amplitudes_re": [..], "amplitudes_im": [..]   (pure)
    "p": [..]                              (diagonal)
    "rho_re": [[..]], "rho_im": [[..]]     (density)
@@ -68,12 +68,21 @@ def state_to_json(state: SectorState) -> dict:
     return obj
 
 
+def _integer(obj: dict, field: str) -> int:
+    """obj[field] as an int: an integral JSON number (4 or 4.0); a bool, a string, NaN or a
+    fraction raises ValueError naming the field."""
+    value = obj[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_json(obj: dict) -> SectorState:
-    big_n = int(obj["N"])
+    big_n = _integer(obj, "N")
     frame = frame_from_json(obj.get("frame", {"kind": "spatial"}))
     kind = obj.get("kind")
     if kind == "fock":
-        return make_fock_state(int(obj["k"]), big_n, frame)
+        return make_fock_state(_integer(obj, "k"), big_n, frame)
     if kind == "pure":
         c = _complex_array(obj["amplitudes_re"], obj["amplitudes_im"])
         if c.shape != (big_n + 1,):

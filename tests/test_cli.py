@@ -322,7 +322,7 @@ def test_mixed_estimate_decomposes_rho_once(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
                                                "p": (p / p.sum()).tolist()})
     # caches the real eigenbasis of J_x at N = 30
-    collective.Rotation(big_n, collective.Direction(1, 0, 0))
+    collective.eigenbasis(big_n, collective.Direction(1, 0, 0))
     calls = _count_solvers(monkeypatch)
     code, out = run_cli(capsys, ["estimate", "--state", path, "--direction", "1,0,0",
                                  "--theta", "0.6", "--trials", "3", "--shots", "500"])
@@ -391,7 +391,42 @@ def test_density_file_is_checked_once(capsys, tmp_path, monkeypatch, argv):
     assert len(checks) == 1
 
 
+@pytest.fixture
+def coherent_x(tmp_path):
+    # the spin-coherent state along x at N = 2: about x its p does not depend on theta
+    return write_json(tmp_path / "coherent_x.json",
+                      {"N": 2, "kind": "pure", "amplitudes_re": [0.5, math.sqrt(0.5), 0.5],
+                       "amplitudes_im": [0.0, 0.0, 0.0]})
+
+
 class TestSweepCommand:
+    def test_non_identifiable_value_keeps_its_row(self, capsys, coherent_x):
+        # phi = 0 is the axis x, where the estimate raises; the other rows are as without it
+        argv = ["sweep", "--state", coherent_x, "--param", "phi", "--trials", "20",
+                "--shots", "2000", "--values"]
+        code, out = run_cli(capsys, [*argv, "0,0.5,1.0"])
+        assert code == 0, out
+        rows = json.loads(out)["rows"]
+        code, out = run_cli(capsys, [*argv, "0.5,1.0"])
+        assert code == 0, out
+        assert len(rows) == 3 and rows[1:] == json.loads(out)["rows"]
+        flat = rows[0]
+        assert set(flat) == set(rows[1]) and flat["param"] == 0.0
+        assert math.isnan(flat["empirical_std"])
+        assert all(math.isfinite(flat[key]) for key in ("F_spectral", "F_cl", "qcrb", "ccrb"))
+        code, out = run_cli(capsys, ["estimate", "--state", coherent_x, "--direction", "1,0,0",
+                                     "--theta", "0.3", "--trials", "20", "--shots", "2000"])
+        assert (code, json.loads(out)["error"]["type"]) == (2, "NonIdentifiableError")
+
+    def test_other_estimate_errors_still_exit_2(self, capsys, coherent_x, monkeypatch):
+        def failing(*args):
+            raise ValueError("not an identifiability error")
+
+        monkeypatch.setattr(metrology.PhaseEstimator, "estimate", failing)
+        code, out = run_cli(capsys, ["sweep", "--state", coherent_x, "--param", "phi",
+                                     "--values", "0.5,1.0", "--trials", "20"])
+        assert (code, json.loads(out)["error"]["type"]) == (2, "ValueError")
+
     def test_theta_sweep_columns(self, capsys, twin4):
         code, out = run_cli(capsys, ["sweep", "--state", twin4, "--direction", "1,0,0",
                                      "--param", "theta", "--values", "0.2,0.4",
@@ -499,7 +534,7 @@ class TestSweepCommand:
         path = write_json(tmp_path / "diag.json", {"N": big_n, "kind": "diagonal",
                                                    "p": (p / p.sum()).tolist()})
         # caches the real eigenbasis of J_x
-        collective.Rotation(big_n, collective.Direction(1, 0, 0))
+        collective.eigenbasis(big_n, collective.Direction(1, 0, 0))
         calls = _count_solvers(monkeypatch)
         code, out = run_cli(capsys, ["sweep", "--state", path, "--param", "theta",
                                      "--values", "0.3,0.6,0.9,1.2", "--trials", "3",
@@ -873,6 +908,31 @@ def test_state_file_not_matching_its_schema_exits_2(capsys, tmp_path, obj, messa
     path = write_json(tmp_path / "state.json", obj)
     code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0"])
     assert (code, json.loads(out)["error"]) == (2, {"type": "ValueError", "message": message})
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"N": 2.9, "kind": "fock", "k": 1}, "N"),
+    ({"N": 2, "kind": "fock", "k": 1.7}, "k"),
+    ({"N": True, "kind": "fock", "k": 0}, "N"),
+    ({"N": "4", "kind": "fock", "k": 2}, "N"),
+    ({"N": math.nan, "kind": "fock", "k": 0}, "N"),
+    ({"N": 4, "kind": "fock", "k": math.nan}, "k"),
+    ({"N": 2.5, "kind": "pure", "amplitudes_re": [1, 0, 0], "amplitudes_im": [0, 0, 0]}, "N"),
+], ids=["n_fraction", "k_fraction", "n_bool", "n_string", "n_nan", "k_nan", "pure_n_fraction"])
+def test_state_file_with_non_integer_count_exits_2(capsys, tmp_path, obj, field):
+    # before, int() read N = 2.9 as 2 and k = 1.7 as 1, and true as 1
+    path = write_json(tmp_path / "state.json", obj)
+    code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0"])
+    error = json.loads(out)["error"]
+    assert (code, error["type"]) == (2, "ValueError")
+    assert error["message"].startswith(f"{field} must be an integer"), error
+
+
+def test_state_file_counts_may_be_integral_floats(capsys, tmp_path):
+    path = write_json(tmp_path / "state.json", {"N": 4.0, "kind": "fock", "k": 2.0})
+    code, out = run_cli(capsys, ["qfi", "--state", path, "--direction", "1,0,0"])
+    assert code == 0
+    assert json.loads(out)["fisher"] == pytest.approx(12.0, rel=1e-12)
 
 
 def test_unparseable_tolerance_variable_is_named(capsys, monkeypatch):

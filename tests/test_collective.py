@@ -8,8 +8,8 @@ import pytest
 from modefisher import (CollectiveObservable, Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, collective, commutator_residual, custom_frame,
                         direction_generator, frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import (Propagator, Rotation, _bessel_j, apply_su2, ladder,
-                                   propagate)
+from modefisher.collective import (Propagator, _bessel_j, apply_su2, eigenbasis, ladder,
+                                   propagate, su2_image)
 
 
 class TestDirection:
@@ -265,12 +265,12 @@ class TestPropagator:
     def test_matches_dense_rotation(self, big_n):
         rng = np.random.default_rng(big_n)
         c, n = _random_state_and_direction(rng, big_n)
-        rotation = Rotation(big_n, n)
-        in_eigenbasis = rotation.eigenvectors.conj().T @ c
+        q, eigenvalues = eigenbasis(big_n, n), np.arange(big_n + 1) - big_n / 2
+        in_eigenbasis = q.conj().T @ c
         many = propagate(big_n, n, c, PROPAGATOR_ANGLES)
         for theta, row in zip(PROPAGATOR_ANGLES, many):
-            # Rotation.unitary(theta) @ c, without forming the unitary
-            dense = rotation.eigenvectors @ (np.exp(1j * theta * rotation.eigenvalues) * in_eigenbasis)
+            # Q e^{i theta Lambda} Q^dag c, without forming the unitary
+            dense = q @ (np.exp(1j * theta * eigenvalues) * in_eigenbasis)
             one = propagate(big_n, n, c, theta)
             assert np.abs(one - dense).max() <= 1e-12
             assert np.abs(row - dense).max() <= 1e-12
@@ -283,9 +283,10 @@ class TestPropagator:
         rows = rng.normal(size=(4, big_n + 1)) + 1j * rng.normal(size=(4, big_n + 1))
         angles = np.array([0.0, 0.5, -4.0, 9.0])
         out = propagate(big_n, n, rows, angles)
-        rotation = Rotation(big_n, n)
+        q, eigenvalues = eigenbasis(big_n, n), np.arange(big_n + 1) - big_n / 2
         for row, theta, got in zip(rows, angles, out):
-            assert np.abs(got - rotation.unitary(theta) @ row).max() <= 1e-12
+            dense = q @ (np.exp(1j * theta * eigenvalues) * (q.conj().T @ row))
+            assert np.abs(got - dense).max() <= 1e-12
 
     def test_coefficients_reused_across_vectors(self):
         big_n, n = 25, Direction(0.0, 1.0, 0.0)
@@ -348,42 +349,45 @@ def _rotation_directions(rng, count):
     return dirs
 
 
+def _eigh_unitary(big_n, n, theta):
+    """exp(i theta J_n) from the complex `eigh` of the dense J_n: the independent oracle."""
+    lam, vec = np.linalg.eigh(direction_generator(big_n, n).matrix)
+    return (vec * np.exp(1j * theta * lam)) @ vec.conj().T
+
+
 class TestRotation:
-    """J_n's eigenbasis from the real J_x eigenbasis and the angles of n."""
+    """J_n's eigenbasis and exp(i theta J_n) as SU(2) images, against the dense J_n."""
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 1000])
     def test_eigenpairs(self, big_n):
         rng = np.random.default_rng(big_n)
+        eigenvalues = np.arange(big_n + 1) - big_n / 2
         for n in _rotation_directions(rng, 8 if big_n < 1000 else 2):
-            rotation = Rotation(big_n, n)
-            assert np.array_equal(rotation.eigenvalues, np.arange(big_n + 1) - big_n / 2)
-            q = rotation.eigenvectors
-            residual = np.abs(direction_generator(big_n, n).matrix @ q - q * rotation.eigenvalues)
+            q = eigenbasis(big_n, n)
+            residual = np.abs(direction_generator(big_n, n).matrix @ q - q * eigenvalues)
             assert residual.max() <= 1e-16 * (big_n + 1) ** 2, n
 
     @pytest.mark.parametrize("big_n", [1, 7, 60, 249])
     def test_unitary_matches_complex_eigh(self, big_n):
         rng = np.random.default_rng(big_n + 1)
         for n in _rotation_directions(rng, 3):
-            lam, vec = np.linalg.eigh(direction_generator(big_n, n).matrix)
-            rotation = Rotation(big_n, n)
             for theta in (0.3, -2.0, 7.5):
-                oracle = (vec * np.exp(1j * theta * lam)) @ vec.conj().T
-                assert np.abs(rotation.unitary(theta) - oracle).max() <= 1e-12, (n, theta)
+                got = su2_image(_su2(n, theta), big_n)
+                assert np.abs(got - _eigh_unitary(big_n, n, theta)).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 250])
     def test_apply_matches_unitary(self, big_n):
         # apply_su2 of exp(i theta n.sigma/2), given as the matrix or its first column
         rng = np.random.default_rng(big_n + 3)
         for n in _rotation_directions(rng, 3):
-            rotation = Rotation(big_n, n)
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
             c /= np.linalg.norm(c)
             for theta in (0.0, 0.3, -2.0, 7.5):
                 u = _su2(n, theta)
                 got = apply_su2(u, c)
                 assert np.array_equal(apply_su2(u[:, 0], c), got)
-                assert np.abs(got - rotation.unitary(theta) @ c).max() <= 1e-12, (n, theta)
+                oracle = _eigh_unitary(big_n, n, theta) @ c
+                assert np.abs(got - oracle).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 7, 200, 2000])
     def test_frame_change_unitary_to_rounding(self, big_n):
@@ -399,14 +403,14 @@ class TestRotation:
     def test_cache_holds_small_n_only_read_only(self):
         cached = collective._cached_sector
         cached.cache_clear()
-        Rotation(collective.PROPAGATOR_MIN_N, Direction(1.0, 0.0, 0.0))
+        eigenbasis(collective.PROPAGATOR_MIN_N, Direction(1.0, 0.0, 0.0))
         assert cached.cache_info().currsize == 0
-        Rotation(10, Direction(1.0, 0.0, 0.0))
-        Rotation(10, Direction(0.0, 0.6, 0.8))
+        eigenbasis(10, Direction(1.0, 0.0, 0.0))
+        eigenbasis(10, Direction(0.0, 0.6, 0.8))
         assert cached.cache_info().currsize == 1 and cached.cache_info().hits == 1
         sector = cached(10)
         assert cached.cache_info().maxsize == 8
-        for array in (sector.jx_eigenvectors, sector.phases, sector.k, sector.jz, sector.raising):
+        for array in (sector.jx_eigenvectors, sector.k, sector.jz, sector.raising):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -416,7 +420,8 @@ SU2_SIZES = [0, 1, 2, 7, 40, 249]
 
 
 class TestApplySu2:
-    """Gamma(u) c from the Euler angles of u, with two real products of V."""
+    """Gamma(u) c from the Euler angles of u, with two real products of V, and Gamma(u)
+    formed from the same angles with one."""
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
     def test_homomorphism(self, big_n):
@@ -446,25 +451,44 @@ class TestApplySu2:
 
     @pytest.mark.parametrize("big_n", SU2_SIZES + [300])
     def test_block_matches_vector_route(self, big_n):
-        # a block's columns are moved as the vectors are: by the same two products of V below
-        # PROPAGATOR_MIN_N, against the propagated vector route from it on
-        rng = np.random.default_rng(big_n + 7)
-        c = rng.normal(size=(big_n + 1, 3)) + 1j * rng.normal(size=(big_n + 1, 3))
-        c /= np.linalg.norm(c, axis=0)
+        # Gamma(u)'s columns are the images of the Fock states: from the same Euler phases and
+        # products of V below PROPAGATOR_MIN_N, against the propagated vector route from it on
         u = _su2(Direction(0.48, 0.64, 0.6), 2.3)
-        block = apply_su2(u, c)
-        assert block.shape == c.shape
-        assert np.array_equal(apply_su2(u, np.asfortranarray(c)), block)
-        bound = 4 * np.finfo(float).eps if big_n < collective.PROPAGATOR_MIN_N else 1e-12
-        for j in range(c.shape[1]):
-            assert np.abs(block[:, j] - apply_su2(u, c[:, j])).max() <= bound, j
+        image = su2_image(u, big_n)
+        assert image.shape == (big_n + 1, big_n + 1)
+        assert np.array_equal(su2_image(u[:, 0], big_n), image)
+        dense = big_n < collective.PROPAGATOR_MIN_N
+        bound = 4 * np.finfo(float).eps if dense else 1e-12
+        for j in range(big_n + 1) if dense else (0, big_n // 3, big_n // 2, big_n):
+            fock = np.zeros(big_n + 1, dtype=complex)
+            fock[j] = 1.0
+            assert np.abs(image[:, j] - apply_su2(u, fock)).max() <= bound, j
+
+    @pytest.mark.parametrize("big_n", SU2_SIZES)
+    def test_dense_homomorphism(self, big_n):
+        # Gamma(u1) Gamma(u2) = Gamma(u1 u2) on the formed images, poles included
+        rng = np.random.default_rng(big_n + 8)
+        mats = [_su2(Direction(0.0, 0.0, 1.0), 0.9), _su2(Direction(0.0, 0.0, -1.0), -2.5),
+                -np.eye(2)]
+        for _ in range(3):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q = np.linalg.qr(z)[0]
+            mats.append(q / np.sqrt(np.linalg.det(q)))
+        for u1, u2 in zip(mats, mats[1:] + mats[:1]):
+            both = su2_image(u1 @ u2, big_n)
+            product = su2_image(u1, big_n) @ su2_image(u2, big_n)
+            assert np.abs(product - both).max() <= 1e-15 * (big_n + 1) ** 2
 
     def test_result_owns_its_data(self):
-        # a vector, a block, one column and a vector on the propagated route
-        for shape in ((5,), (5, 3), (5, 1), (251,)):
-            c = np.ones(shape, dtype=complex) / math.sqrt(shape[0])
-            out = apply_su2(_su2(Direction(0.48, 0.64, 0.6), 0.7), c)
-            assert out.base is None and out.flags.writeable and out.shape == shape, shape
+        # a vector, one on the propagated route, and formed images
+        u = _su2(Direction(0.48, 0.64, 0.6), 0.7)
+        for size in (5, 251):
+            out = apply_su2(u, np.ones(size, dtype=complex) / math.sqrt(size))
+            assert out.base is None and out.flags.writeable and out.shape == (size,), size
+        for big_n in (0, 4):  # a complex view of a new real array, apart from the cached V
+            out = su2_image(u, big_n)
+            assert out.flags.writeable, big_n
+            assert not np.shares_memory(out, collective._sector(big_n).jx_eigenvectors), big_n
 
     @pytest.mark.parametrize("u", [
         np.diag([1.0, -1.0]),  # unitary, det -1
@@ -477,17 +501,23 @@ class TestApplySu2:
     def test_rejects_non_su2(self, u):
         with pytest.raises(ValueError, match="SU\\(2\\)"):
             apply_su2(u, np.ones(3))
+        with pytest.raises(ValueError, match="SU\\(2\\)"):
+            su2_image(u, 2)
 
     @pytest.mark.parametrize("u, c", [
         (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones(())),
         (np.eye(2), np.ones((2, 3, 2))), (np.eye(2), np.ones(0)),
-        (np.eye(2), np.ones((0, 3))), (np.eye(2), np.ones((3, 0))),
+        (np.eye(2), np.ones((0, 3))), (np.eye(2), np.ones((3, 0))), (np.eye(2), np.ones((3, 2))),
     ], ids=["u_3x3", "u_length_3", "c_scalar", "c_3d", "c_empty", "c_no_rows",
-            "c_no_columns"])
+            "c_no_columns", "c_block"])
     def test_rejects_malformed_shapes(self, u, c):
-        # a 2-D c is a block of columns, each a vector of N+1 amplitudes
+        # c is one vector of N+1 amplitudes; a dense image is `su2_image`'s
         with pytest.raises(ValueError):
             apply_su2(u, c)
+
+    def test_image_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n_particles"):
+            su2_image(np.eye(2), -1)
 
 
 class TestPropagatorGenerator:

@@ -239,8 +239,8 @@ class TestPropagatedPath:
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n + 1)
         dense_state = transform_state(state, new).amplitudes
         dense_fock = fock_expansion_coefficients(k, big_n, new)
-        # a vector and the identity's columns take the same two products of V, but BLAS may
-        # sum a matrix-vector product in another order than a matrix-matrix one
+        # the formed image's columns take the same Euler phases and products of V as a vector,
+        # but scaled in another order, and BLAS may sum a matrix product in another order
         column = frame_change_unitary(big_n, new)[:, k]
         assert np.abs(dense_fock - column).max() <= 4 * np.finfo(float).eps
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)

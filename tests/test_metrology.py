@@ -386,11 +386,16 @@ class TestMonteCarloEstimate:
         assert 0 < at_edge < trials
 
 
+def _eigh_unitary(big_n, n, theta):
+    """exp(i theta J_n) from the complex `eigh` of the dense J_n: the independent oracle."""
+    lam, vec = np.linalg.eigh(direction_generator(big_n, n).matrix)
+    return (vec * np.exp(1j * theta * lam)) @ vec.conj().T
+
+
 def _per_angle(state, n, theta):
     """p and dp/dtheta at one angle from the formed unitary and the dense J_n: the per-angle
     route the trigonometric series replaced."""
-    rotation = collective.Rotation(state.n_particles, n)
-    u = rotation.unitary(theta)
+    u = _eigh_unitary(state.n_particles, n, theta)
     rho = u @ state.density_matrix() @ u.conj().T
     jn = direction_generator(state.n_particles, n).matrix
     dp = -2.0 * np.einsum("mj,jm->m", jn, rho).imag
@@ -409,9 +414,8 @@ class TestTrigonometricSeries:
         for n in (Direction(0.48, 0.64, 0.6), Direction(1, 0, 0)):
             p = measurement_probabilities(state, n, angles)
             assert p.shape == angles.shape + (big_n + 1,)
-            rotation = collective.Rotation(big_n, n)
             for theta, row in zip(angles.ravel(), p.reshape(-1, big_n + 1)):
-                oracle = np.abs(rotation.unitary(theta) @ state.amplitudes) ** 2
+                oracle = np.abs(_eigh_unitary(big_n, n, theta) @ state.amplitudes) ** 2
                 assert np.abs(row - oracle).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["full-rank", "rank-3", "diagonal"])
@@ -445,7 +449,7 @@ class TestTrigonometricSeries:
             return call
 
         state, n = density_state(np.diag([0.1, 0.2, 0.3, 0.4])), Direction(1, 0, 0)
-        collective.Rotation(3, n)  # caches the real eigenbasis of J_x at N = 3
+        collective.eigenbasis(3, n)  # caches the real eigenbasis of J_x at N = 3
         for solver in (np.linalg.eigh, np.linalg.eigvalsh):
             monkeypatch.setattr(np.linalg, solver.__name__, counting(solver))
         run = monte_carlo_estimate(state, n, 0.6, 3, 500, 2)
@@ -468,10 +472,10 @@ class TestTrigonometricSeries:
         assert str(caught.value) == expected
 
     def test_mixed_estimate_forms_no_unitary(self, monkeypatch):
-        def no_unitary(self, theta):
+        def no_unitary(u, n_particles):
             raise AssertionError("a per-angle unitary was formed")
 
-        monkeypatch.setattr(collective.Rotation, "unitary", no_unitary)
+        monkeypatch.setattr(metrology, "su2_image", no_unitary)
         state = diagonal_state(np.random.default_rng(3).dirichlet(np.ones(31)))
         run = monte_carlo_estimate(state, Direction(1, 0, 0), 0.6, 5, 2000, 9)
         assert run.classical_fisher > 0.0
@@ -479,15 +483,15 @@ class TestTrigonometricSeries:
 
 
 def _record_rotations(monkeypatch):
-    """Every `Rotation` the rotation model builds from here on."""
+    """The name of every `eigenbasis` and `su2_image` call the rotation model makes from here
+    on: each forms an (N+1)^2 array."""
     made = []
+    for name in ("eigenbasis", "su2_image"):
+        def recording(*args, name=name, original=getattr(metrology, name)):
+            made.append(name)
+            return original(*args)
 
-    class RecordingRotation(collective.Rotation):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(metrology, "Rotation", RecordingRotation)
+        monkeypatch.setattr(metrology, name, recording)
     return made
 
 
@@ -554,8 +558,8 @@ class TestPropagatedPath:
 
 
 def test_one_angle_forms_no_eigenbasis(monkeypatch):
-    # one angle on the dense path rotates the state through V in O(N^2) and builds no
-    # Rotation: J_n's eigenbasis, an (N+1)^2 complex array of 1 MB at N = 249, is never formed
+    # one angle on the dense path rotates the state through V in O(N^2) and forms no dense
+    # image: J_n's eigenbasis, an (N+1)^2 complex array of 1 MB at N = 249, is never formed
     big_n = collective.PROPAGATOR_MIN_N - 1
     made = _record_rotations(monkeypatch)
     state, n = make_fock_state(big_n // 3, big_n), Direction(0.48, 0.64, 0.6)
@@ -910,14 +914,15 @@ def test_pure_series_slope_is_the_current_on_rows(big_n):
 @pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
                          ids=["pure", "rho"])
 def test_series_builds_one_rotation_and_keeps_none(state, monkeypatch):
-    # W reads J_n's eigenbasis data once; the model holds no handle on it afterwards
+    # W reads J_n's eigenbasis once; the model holds no handle on it afterwards
     made = _record_rotations(monkeypatch)
     model = metrology._RotationModel(state, Direction(0.48, 0.64, 0.6))
     for _ in range(2):
         model.probabilities(np.array([0.3, 0.9]))
         model.classical_fisher(0.7)
-    assert len(made) == 1
-    assert not any(isinstance(value, collective.Rotation) for value in vars(model).values())
+    assert made == ["eigenbasis"]
+    square = (state.dim, state.dim)
+    assert not any(np.shape(value) == square for value in vars(model).values())
 
 
 @pytest.mark.parametrize("amplitudes", [
@@ -1075,10 +1080,34 @@ def test_grid_table_cached_below_propagator_min_n_read_only():
     assert metrology._cached_grid_table.cache_info().currsize == 1
 
 
-def _q_route(rotation, c):
-    """A = Q diag(Q^dag c) from the formed eigenbasis: the route `projections` replaced."""
-    q = rotation.eigenvectors
-    return q * (q.conj().T @ c)
+# A pure state's W reads A = Q diag(Q^dag c) off the formed eigenbasis Q; before, the former
+# `Rotation.projections` gave A up to one unit phase per row without forming Q.  Against a
+# test-local copy of that route, as the documented golden change.
+
+def _former_projections(big_n, n, c):
+    """The former `Rotation.projections`: the polar and azimuthal angles of n, P = diag((-i)^k)
+    and J_x = V Lambda V^T give A up to the row phases diag(e^{-ik phi}) P, from two products
+    of V with a column and one with a block."""
+    v, k = _reference_v(big_n), np.arange(big_n + 1)
+    beta, phi = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z), math.atan2(n.n_y, n.n_x)
+    angle = beta * (k - big_n / 2)
+    tilt = (np.cos(angle) - 1j * np.sin(angle))[:, None]
+    outer = np.exp(-1j * phi * k) * np.array([1.0, -1.0j, -1.0, 1.0j])[k % 4]
+    x = (outer.conj() * np.asarray(c, dtype=complex))[:, None].view(float)
+    y = (v @ ((v.T @ x).view(complex) * tilt.conj()).view(float)).view(complex)
+    return (v @ np.multiply(v.T, tilt * y.T, order="C").view(float)).view(complex)
+
+
+def _former_fourier(model):
+    """A pure state's W with A from `_former_projections`: the autocorrelation of each row of A
+    by two FFTs, as `fourier` takes it."""
+    state = model.state
+    a = _former_projections(state.n_particles, model.n, state.amplitudes)
+    size = 1 << (2 * state.dim - 2).bit_length()
+    f = np.fft.fft(a, size, axis=1)
+    coef = np.fft.rfft(f.real ** 2 + f.imag ** 2, axis=1)[:, :state.dim] / size
+    coef[:, 1:] *= 2.0
+    return np.ascontiguousarray(coef.view(float).T)
 
 
 @pytest.mark.parametrize("big_n", [1, 2, 7, 40, 100, collective.PROPAGATOR_MIN_N - 1])
@@ -1092,13 +1121,14 @@ def test_projections_match_q_route(big_n, monkeypatch):
     angles = rng.uniform(-4.0, 4.0, size=6)
     for state in _sample_states(big_n, rng)[:2]:
         for n in directions:
-            rotation = collective.Rotation(big_n, n)
-            a, a_q = rotation.projections(state.amplitudes), _q_route(rotation, state.amplitudes)
+            q = collective.eigenbasis(big_n, n)
+            a_q = q * (q.conj().T @ state.amplitudes)
+            a = _former_projections(big_n, n, state.amplitudes)
             assert np.abs(np.abs(a) - np.abs(a_q)).max() <= 1e-14
-            p = measurement_probabilities(state, n, angles)
+            p_q = measurement_probabilities(state, n, angles)
             with monkeypatch.context() as patch:
-                patch.setattr(collective.Rotation, "projections", _q_route)
-                p_q = measurement_probabilities(state, n, angles)
+                patch.setattr(metrology._RotationModel, "fourier", property(_former_fourier))
+                p = measurement_probabilities(state, n, angles)
             assert np.abs(p - p_q).max() <= 1e-14, n
 
 
@@ -1111,7 +1141,7 @@ def test_estimate_budgets_within_refine_tol_of_q_route(big_n, trials, shots, mon
     for n, theta, seed in ((Direction.in_plane(2.1), 0.8, 5), (Direction.in_plane(0.4), 0.5, 6)):
         run = monte_carlo_estimate(state, n, theta, trials, shots, seed)
         with monkeypatch.context() as patch:
-            patch.setattr(collective.Rotation, "projections", _q_route)
+            patch.setattr(metrology._RotationModel, "fourier", property(_former_fourier))
             reference = monte_carlo_estimate(state, n, theta, trials, shots, seed)
         assert np.abs(run.estimates - reference.estimates).max() <= REFINE_TOL
         assert run.fisher == reference.fisher
