@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Checks the `modefisher` command found on PATH: the console script that pyproject.toml
+# declares, after `pip install .`.  The tests call cli.main() in-process; this runs the
+# entry point as a user does, importing modefisher.cli on top of the lazy package.
+#
+#     bash scripts/check_console_script.sh
+#
+# It writes its input and output files into the current directory.  A failing
+# `a && b` does not stop a `set -e` script, so each check is a command of its own.
+set -e
+trap 'echo "check failed at line $LINENO: $BASH_COMMAND" >&2' ERR
+
+modefisher selftest
+modefisher frames --n 2
+# writes a CSV report
+modefisher frames --n 2 --format csv
+
+# A reader that closes the pipe early ends the process quietly with exit 141: buffered,
+# unbuffered with a JSON report larger than a pipe holds, and on a usage error, whose
+# report is written while argv is parsed.
+modefisher frames --n 60 --format csv 2>err.txt | head -1 >/dev/null; test "${PIPESTATUS[0]}" -eq 141
+test ! -s err.txt
+PYTHONUNBUFFERED=1 modefisher frames --n 60 2>err.txt | head -c 10 >/dev/null; test "${PIPESTATUS[0]}" -eq 141; test ! -s err.txt
+(sleep 1; exec modefisher frames --n x) 2>err.txt | true; test "${PIPESTATUS[0]}" -eq 141; ! grep -q -e Traceback -e "Exception ignored" err.txt
+
+# a bad tolerance, by option or by MODEFISHER_TOL, exits 2
+code=0; modefisher selftest --tol=nan || code=$?; test "$code" -eq 2
+code=0; modefisher selftest --tol=0 || code=$?; test "$code" -eq 2
+code=0; MODEFISHER_TOL=abc modefisher selftest || code=$?; test "$code" -eq 2
+
+# a density matrix that is not positive exits 2, naming positivity
+echo '{"N": 1, "kind": "density", "rho_re": [[1.2, 0], [0, -0.2]], "rho_im": [[0, 0], [0, 0]]}' > rho.json
+code=0; modefisher qfi --state rho.json --direction 1,0,0 > out.json || code=$?
+test "$code" -eq 2
+grep -q positivity out.json
+
+# a finite classical Cramer-Rao bound for twin-Fock N = 4 at theta = 0 and 1e-8, where
+# every outcome but one has p_m = 0 or nearly so
+echo '{"N": 4, "kind": "fock", "k": 2}' > twin4.json
+modefisher sweep --state twin4.json --direction 1,0,0 --param theta --values 0,1e-8 --trials 0 > sweep.json
+python -c "import json, math, sys; rows = json.load(open('sweep.json'))['rows']; sys.exit(not all(math.isfinite(r['ccrb']) for r in rows))"
+
+# twin-Fock N = 2 estimated next to a window edge, where many maxima sit on the edge
+echo '{"N": 2, "kind": "fock", "k": 1}' > twin2.json
+modefisher estimate --state twin2.json --direction 1,0,0 --theta 0.02 --trials 40 --shots 2000 > edge.json
+python -c "import json, math, sys; est = json.load(open('edge.json'))['estimates']; sys.exit(not all(math.isfinite(e) for e in est))"
+
+# an estimate about an axis 1e-9 from +z, where p moves less than the log-likelihood's
+# rounding resolves, exits 2
+echo '{"N": 2, "kind": "pure", "amplitudes_re": [0.6, 0, 0], "amplitudes_im": [0, 0.8, 0]}' > pole.json
+code=0; modefisher estimate --state pole.json --direction 1e-9,0,1 --theta 0.6 --trials 20 --shots 2000 > flat.json || code=$?
+test "$code" -eq 2
+grep -q NonIdentifiableError flat.json
+
+# a phi sweep keeps all three rows when one value (phi = 0, about the state's own axis)
+# cannot be estimated
+echo '{"N": 2, "kind": "pure", "amplitudes_re": [0.5, 0.7071067811865476, 0.5], "amplitudes_im": [0, 0, 0]}' > coherent.json
+modefisher sweep --state coherent.json --param phi --values 0,0.5,1.0 --trials 20 --shots 2000 > phi.json
+python -c "import json, sys; sys.exit(len(json.load(open('phi.json'))['rows']) != 3)"
+
+# a state file with N = 2.5 exits 2, naming N
+echo '{"N": 2.5, "kind": "fock", "k": 1}' > half.json
+code=0; modefisher qfi --state half.json --direction 1,0,0 > half_out.json || code=$?
+test "$code" -eq 2
+grep -q "N must be an integer" half_out.json

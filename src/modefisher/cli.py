@@ -10,6 +10,15 @@ quietly with status BROKEN_PIPE_STATUS (141, as a shell reports a process killed
 SIGPIPE), and no report is written.
 The MODEFISHER_TOL environment variable overrides the default tolerance.
 
+Both process entries, the ``modefisher`` console script and ``python -m
+modefisher.cli``, end through `run`.  It calls `main`, then freezes the heap with
+``gc.freeze()``, so that the interpreter's last collection pass at exit does not walk
+the objects numpy and modefisher made; what only that pass would free is freed with
+the process.  The rest of a normal exit stays: stdout and stderr are flushed, atexit
+handlers run and the exit status is `main`'s.  `run` does not end the process with
+``os._exit``, which would skip those flushes and handlers as well.  `main` touches no
+collector state, as tests and benchmarks call it in-process.
+
 Each subcommand loads only the modules it uses, as ``import modefisher`` is lazy:
 a handler imports its library modules after its inputs are read, so an input it
 rejects loads none of them.  A state file is checked once, by the library call it
@@ -18,6 +27,7 @@ is passed to, and the error report names the file.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -391,5 +401,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Process entry: exit with `main`'s status, the heap frozen for the exit (see above)."""
+    try:
+        status = main()
+    finally:
+        gc.freeze()  # also before a usage error's or an uncaught exception's exit
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -995,15 +996,93 @@ def test_report_cut_short_ends_quietly(fmt, unbuffered):
     _assert_quiet_broken_pipe(proc)
 
 
-def _cli_process(argv, unbuffered):
-    """`python -m modefisher.cli argv` with stdout and stderr piped, PYTHONUNBUFFERED set only
-    if `unbuffered`."""
+# one argv per subcommand, and a usage error; {state} and {frame} name files in tmp_path
+ENTRY_ARGV = {
+    "qfi": ["qfi", "--state", "{state}", "--direction", "1,0,0"],
+    "separability": ["separability", "--state", "{state}", "--frame", "{frame}", "--witnesses"],
+    "rotate": ["rotate", "--state", "{state}", "--direction", "1,0,0", "--theta", "0.3"],
+    "estimate": ["estimate", "--state", "{state}", "--direction", "1,1,1", "--theta", "0.3"],
+    "sweep": ["sweep", "--state", "{state}", "--param", "theta", "--values", "0.1,0.2",
+              "--trials", "4", "--shots", "100", "--format", "csv"],
+    "frames": ["frames", "--n", "3", "--phi", "0.4"],
+    "selftest": ["selftest"],
+    "usage_error": USAGE_ERROR,
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_ARGV)
+def test_module_entry_matches_main(capsysbinary, twin4, bogo0, name):
+    """`python -m modefisher.cli` exits with the status of in-process `main` and writes the
+    same bytes, and `main` leaves the collector as it found it."""
+    argv = [arg.format(state=twin4, frame=bogo0) for arg in ENTRY_ARGV[name]]
+    collector = gc.isenabled(), gc.get_freeze_count()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
+    assert code in (0, 2)
+    proc = _cli_process(argv, unbuffered=False)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    assert out == capsysbinary.readouterr().out
+    assert b"Traceback" not in err, err
+
+
+def test_import_leaves_the_collector_alone():
+    probe = ("import gc; before = gc.isenabled(), gc.get_freeze_count(); import modefisher.cli; "
+             "print(before == (gc.isenabled(), gc.get_freeze_count()))")
+    proc = _cli_process(["-c", probe], unbuffered=False, module=False)
+    assert proc.communicate(timeout=60)[0] == b"True\n"
+
+
+# Runs cli.run on argv with an atexit handler that writes, unflushed, whether the heap was
+# frozen; "raise" in place of argv runs `frames --n 2` with a handler that raises.
+RUN_PROBE = """
+import atexit, gc, sys
+from modefisher import cli
+atexit.register(lambda: sys.stdout.write(f"atexit: frozen={gc.get_freeze_count() > 0}\\n"))
+if sys.argv[1:] == ["raise"]:
+    def _fail(args):
+        raise RuntimeError("handler failed")
+    cli._cmd_frames = _fail
+    sys.argv[1:] = ["frames", "--n", "2"]
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["frames", "--n", "2"], 0),
+    (USAGE_ERROR, 2),
+    (["raise"], 1),
+], ids=["report", "usage_error", "uncaught_exception"])
+def test_run_freezes_the_heap_and_keeps_a_normal_exit(argv, code):
+    """`run` exits with `main`'s status, or 1 and a traceback when `main` raises; atexit
+    handlers still run after the heap is frozen, and what they write is still flushed."""
+    proc = _cli_process(["-c", RUN_PROBE, *argv], unbuffered=False, module=False)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code, err
+    frozen = b"atexit: frozen=True\n"
+    assert out.endswith(frozen), out
+    report = out.removesuffix(frozen)
+    if code == 1:
+        assert report == b""
+        assert b"Traceback" in err and err.rstrip().endswith(b"RuntimeError: handler failed")
+    else:
+        assert json.loads(report)
+        assert b"Traceback" not in err, err
+
+
+def _cli_process(argv, unbuffered, module=True):
+    """`python -m modefisher.cli argv`, or with `module` false `python argv`, with stdout and
+    stderr piped, PYTHONUNBUFFERED set only if `unbuffered`."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(Path(modefisher.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "modefisher.cli", *argv], env=env,
+    entry = ["-m", "modefisher.cli"] if module else []
+    return subprocess.Popen([sys.executable, *entry, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 

@@ -1,10 +1,15 @@
-"""The two example scripts, run in-process through main() with tiny arguments."""
+"""The two example scripts, run in-process through main() with tiny arguments, and the
+console-script checks."""
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import modefisher
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -38,3 +43,22 @@ def test_twin_fock_scaling(monkeypatch, capsys):
         n, fisher = row.split(",")[:2]
         assert int(n) == big_n
         assert float(fisher) == pytest.approx(big_n ** 2 / 2 + big_n, rel=1e-12)
+
+
+def test_console_script_checks(tmp_path):
+    """check_console_script.sh, with a `modefisher` first on PATH that does what the
+    installed console script does: ``sys.exit(run())``."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "modefisher"
+    shim.write_text(f"#!{sys.executable}\nimport sys\nfrom modefisher.cli import run\n"
+                    "sys.exit(run())\n")
+    shim.chmod(0o755)
+    (bin_dir / "python").symlink_to(sys.executable)
+    env = {k: v for k, v in os.environ.items() if k not in ("MODEFISHER_TOL", "PYTHONUNBUFFERED")}
+    env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
+    src = str(Path(modefisher.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(["bash", str(SCRIPTS / "check_console_script.sh")], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
