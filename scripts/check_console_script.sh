@@ -21,7 +21,9 @@ modefisher frames --n 2 --format csv
 modefisher frames --n 60 --format csv 2>err.txt | head -1 >/dev/null; test "${PIPESTATUS[0]}" -eq 141
 test ! -s err.txt
 PYTHONUNBUFFERED=1 modefisher frames --n 60 2>err.txt | head -c 10 >/dev/null; test "${PIPESTATUS[0]}" -eq 141; test ! -s err.txt
-(sleep 1; exec modefisher frames --n x) 2>err.txt | true; test "${PIPESTATUS[0]}" -eq 141; ! grep -q -e Traceback -e "Exception ignored" err.txt
+(sleep 1; exec modefisher frames --n x) 2>err.txt | true; test "${PIPESTATUS[0]}" -eq 141
+# `set -e` ignores a command negated with `!`, so a found line fails through `false`
+if grep -q -e Traceback -e "Exception ignored" err.txt; then false; fi
 
 # a bad tolerance, by option or by MODEFISHER_TOL, exits 2
 code=0; modefisher selftest --tol=nan || code=$?; test "$code" -eq 2
@@ -63,3 +65,16 @@ echo '{"N": 2.5, "kind": "fock", "k": 1}' > half.json
 code=0; modefisher qfi --state half.json --direction 1,0,0 > half_out.json || code=$?
 test "$code" -eq 2
 grep -q "N must be an integer" half_out.json
+
+# a state whose frame is null, and a frame file holding null, exit 2 with the JSON error
+# and nothing on stderr, so no traceback
+echo '{"N": 2, "kind": "fock", "k": 1, "frame": null}' > null_frame_state.json
+code=0; modefisher qfi --state null_frame_state.json --direction 1,0,0 > null_out.json 2>err.txt || code=$?
+test "$code" -eq 2
+grep -q "frame must be a JSON object" null_out.json
+test ! -s err.txt
+echo 'null' > null_frame.json
+code=0; modefisher frames --n 2 --frame null_frame.json > null_out.json 2>err.txt || code=$?
+test "$code" -eq 2
+grep -q "frame must be a JSON object" null_out.json
+test ! -s err.txt

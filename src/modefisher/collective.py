@@ -4,10 +4,10 @@ Every sector operator comes from :func:`ladder`, the band of a monomial.  The ob
 are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
 :class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
 itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
-:func:`apply_su2` applies the sector's image Gamma(u) of a 2x2 SU(2) matrix u to a vector,
-from u's Euler angles and the real eigenbasis V of J_x, and :func:`su2_image` forms Gamma(u)
-from the same angles with one product of V: every frame change, J_n's eigenbasis
-(:func:`eigenbasis`) and every rotation but the propagated series go through them.
+:func:`apply_su2` applies the sector's image Gamma(u) of u in SU(2), given as its first
+column, to a vector, from u's Euler angles and the real eigenbasis V of J_x, and
+:func:`su2_image` forms Gamma(u) from the same angles with one product of V: every frame
+change, rotation at one angle and J_n's eigenbasis (:func:`eigenbasis`) go through them.
 :class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
 """
 from __future__ import annotations
@@ -173,9 +173,12 @@ class _Sector:
     """
 
     def __init__(self, n_particles: int):
+        if n_particles < 0:
+            raise ValueError(f"n_particles must be >= 0, got {n_particles}")
         self.n_particles = n_particles
-        self.raising = ladder(n_particles, 1, 0, 0, 1)[:-1]
         self.k = np.arange(n_particles + 1)
+        # exact integer products below 2^53, so the same bits as `ladder`'s band
+        self.raising = np.sqrt((self.k[:-1] + 1.0) * (n_particles - self.k[:-1]))
         self.jz = self.k - n_particles / 2.0
         for band in (self.raising, self.k, self.jz):
             band.setflags(write=False)
@@ -230,8 +233,8 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
 
 def _euler_phases(u, sector: _Sector):
     """The diagonals e^{i(a+b) J_z}, e^{-i beta J_z} and e^{i(a-b) J_z} of u's ZXZ Euler
-    reading on the sector, and beta; u in SU(2) as a 2x2 matrix or its first column
-    (u_00, u_10).
+    reading on the sector, and beta; u = [[u_00, -conj(u_10)], [u_10, conj(u_00)]] in SU(2)
+    given as its first column (u_00, u_10).
 
     Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n), and Gamma(u) = e^{-i alpha J_z}
     e^{-i beta J_x} e^{-i gamma J_z}.  u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 =
@@ -239,15 +242,11 @@ def _euler_phases(u, sector: _Sector):
     their phases a and b, so u = -1 gives (-1)^N.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape == (2, 2):  # an SU(2) matrix is [[u_00, -conj(u_10)], [u_10, conj(u_00)]]
-        (u00, u01), (u10, u11) = u.tolist()
-        deviation = abs(u11 - u00.conjugate()) + abs(u01 + u10.conjugate())
-    elif u.shape == (2,):
-        (u00, u10), deviation = u.tolist(), 0.0
-    else:
-        raise ValueError(f"u must be a 2x2 matrix or its first column, got shape {u.shape}")
-    deviation += abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0)
-    if not deviation <= SU2_TOL:  # NaN fails too
+    if u.shape != (2,):
+        raise ValueError(f"u must be the first column (u_00, u_10) of an SU(2) matrix, "
+                         f"got shape {u.shape}")
+    u00, u10 = u.tolist()
+    if not abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) <= SU2_TOL:  # NaN fails too
         raise ValueError("u must be in SU(2)")
     # the phases of u_00 and i u_10: alpha = b - a, gamma = -a - b
     a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
@@ -258,15 +257,15 @@ def _euler_phases(u, sector: _Sector):
 
 
 def apply_su2(u, c) -> np.ndarray:
-    """Gamma(u) c for u in SU(2), given as a 2x2 matrix or its first column (u_00, u_10),
-    without forming Gamma(u); c is one vector of N+1 amplitudes, and the result a new array.
+    """Gamma(u) c for u in SU(2), given as its first column (u_00, u_10), without forming
+    Gamma(u); c is one vector of N+1 amplitudes, and the result a new array.
 
     Gamma(u) = e^{-i alpha J_z} V e^{-i beta Lambda} V^T e^{-i gamma J_z} from u's ZXZ Euler
     angles (:func:`_euler_phases`), with the sector's real J_x = V Lambda V^T: two real
     products of V, cached below PROPAGATOR_MIN_N, with the (N+1, 2) real view of a column,
     O(N^2).  From PROPAGATOR_MIN_N on the middle factor e^{-i beta J_x} comes from
-    :func:`propagate` instead: about beta N/2 + 30 banded O(N) products, and no (N+1)^2
-    array.
+    :func:`propagate` instead: about beta N/2 + 30 banded O(N) products with the in-plane
+    J_x, and no (N+1)^2 array.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or not c.size:
@@ -283,16 +282,14 @@ def apply_su2(u, c) -> np.ndarray:
 
 
 def su2_image(u, n_particles: int) -> np.ndarray:
-    """Gamma(u), the (N+1)x(N+1) image of u in SU(2) (a 2x2 matrix or its first column) on
-    the N-particle sector, a new array, unitary to rounding at any N.
+    """Gamma(u), the (N+1)x(N+1) image of u in SU(2) (its first column) on the N-particle
+    sector, a new array, unitary to rounding at any N.
 
     From the Euler reading of :func:`apply_su2`, Gamma(u) = diag(left) V (e^{-i beta Lambda}
     V^T diag(right)): the bracket scales V^T's rows and columns, and one real
     (N+1) x (N+1) x 2(N+1) product with V forms the rest, O(N^3) time, O(N^2) memory.
     """
-    if n_particles < 0:
-        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
-    sector = _sector(n_particles)
+    sector = _sector(n_particles)  # raises for N < 0
     right, tilt, left, _ = _euler_phases(u, sector)
     v = sector.jx_eigenvectors
     scaled = np.multiply(v.T, np.multiply.outer(tilt, right), order="C")
@@ -321,13 +318,12 @@ def eigenbasis(n_particles: int, n: Direction) -> np.ndarray:
                      n_particles)
 
 
-# Pure states of at least this many particles are rotated, and moved between frames, by the
-# Propagator rather than through V, and the sector's data is no longer cached.  A dense image
-# (`su2_image`: J_n's eigenbasis, a density matrix's rotation and frame change, the frame
-# unitary) takes one product with V at every N.  The threshold follows an estimate's crossover (3 trials
-# x 10^4 shots about x, one BLAS thread; the tables are in CHANGES.md).  One rotation at one
-# angle costs two O(N^2) products through V against about |theta| N/2 + 30 banded O(N)
-# products propagated, and that step is an open question in ROADMAP.md.
+# Pure states of at least this many particles are moved by `apply_su2` propagating about x,
+# and rotated over arrays of angles by the Propagator about n, rather than through V; the
+# sector's data is no longer cached.  Dense images (`su2_image`) take one product with V at
+# every N.  The threshold follows an estimate's crossover (3 trials x 10^4 shots about x, one
+# BLAS thread; tables in CHANGES.md).  One move costs two O(N^2) products through V against
+# about beta N/2 + 30 banded O(N) products propagated; the step is open in ROADMAP.md.
 PROPAGATOR_MIN_N = 250
 BESSEL_CUTOFF = 1e-17
 CHEBYSHEV_CHUNK = 64

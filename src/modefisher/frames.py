@@ -8,10 +8,10 @@ of U gives the new mode b_i as a combination of (a_1, a_2),
 The change-of-basis unitary V maps spatial-frame amplitudes to amplitudes
 over the new frame's Fock basis.  It is the image of U on the N-particle
 sector: with U = e^{ia} u, u in SU(2), V = Gamma(U) = e^{iaN} Gamma(u), and
-Gamma(U1) Gamma(U2) = Gamma(U1 U2).  Gamma(u) comes from u's Euler angles:
-:func:`~modefisher.collective.apply_su2` moves a pure state without forming V
-at any N, and :func:`~modefisher.collective.su2_image` forms V, for the frame
-unitary and a density matrix's move, with one product of J_x's real eigenbasis.
+Gamma(U1) Gamma(U2) = Gamma(U1 U2).  :func:`move_state`, the one move of a state by 2x2
+data (a frame change or a rotation), reads Gamma(u) off the Euler angles of u's first
+column: :func:`~modefisher.collective.apply_su2` moves a pure state without forming V at
+any N; :func:`~modefisher.collective.su2_image` forms V with one real product.
 """
 from __future__ import annotations
 
@@ -86,8 +86,6 @@ def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     V = Gamma(U) is the spin-N/2 image of the frame's mixing U, formed in O(N^3) time and
     O(N^2) memory; it is unitary to rounding at any N.
     """
-    if n_particles < 0:
-        raise ValueError(f"n_particles must be >= 0, got {n_particles}")
     a, column = _su2_part(frame.mixing)
     return np.exp(1j * a * n_particles) * su2_image(column, n_particles)
 
@@ -99,19 +97,32 @@ def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> n
     return transform_state(make_fock_state(k, n_particles), frame).amplitudes
 
 
+def move_state(state, u, frame: ModeFrame):
+    """The state moved by Gamma(u), u in SU(2) given as its first column, labelled `frame`: a
+    pure state by `apply_su2`, a density matrix as V rho V^dag with V = `su2_image(u, N)`.
+    The new array is handed over read-only, so the SectorState keeps it without a copy."""
+    if state.is_pure:
+        c = apply_su2(u, state.amplitudes)
+        c.setflags(write=False)
+        return type(state)(state.n_particles, frame, amplitudes=c)
+    v = su2_image(u, state.n_particles)
+    rho = v @ state.rho @ v.conj().T
+    rho.setflags(write=False)
+    return type(state)(state.n_particles, frame, rho=rho)
+
+
 def transform_state(state, frame: ModeFrame):
     """Re-express a SectorState in a new mode frame; norm and trace are preserved.
 
-    The change is Gamma(U_new U_old^dag); a frame with a bitwise-equal mixing keeps the data.
-    A pure state is moved without forming Gamma(U); a density matrix as Gamma rho Gamma^dag.
+    The change is Gamma(U_new U_old^dag) = e^{iaN} Gamma(u), by :func:`move_state`; a frame
+    with a bitwise-equal mixing keeps the data.
     """
-    from .fock import SectorState
-
     if np.array_equal(frame.mixing, state.frame.mixing):
-        return SectorState(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
+        return type(state)(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
     a, column = _su2_part(frame.mixing @ state.frame.mixing.conj().T)
-    if state.amplitudes is not None:
-        c = np.exp(1j * a * state.n_particles) * apply_su2(column, state.amplitudes)
-        return SectorState(state.n_particles, frame, amplitudes=c)
-    v = su2_image(column, state.n_particles)  # the phase e^{iaN} cancels in V rho V^dag
-    return SectorState(state.n_particles, frame, rho=v @ state.rho @ v.conj().T)
+    moved = move_state(state, column, frame)
+    if moved.is_pure:  # the phase e^{iaN} cancels in a density matrix's V rho V^dag
+        c = np.exp(1j * a * state.n_particles) * moved.amplitudes
+        c.setflags(write=False)
+        moved = type(state)(state.n_particles, frame, amplitudes=c)
+    return moved

@@ -10,31 +10,32 @@ rotation model per estimate gives them all.
 
 The model has two paths.  Density matrices and pure states below
 ``collective.PROPAGATOR_MIN_N`` (250) take the dense path, through the real eigenbasis V
-of J_x, cached per N.  A pure state at one angle (`rotate`, `classical_fisher`,
-`measurement_probabilities` at a scalar angle, an estimate's true-angle state) is rotated
-by ``collective.apply_su2`` as the image of the 2x2 matrix exp(i theta n.sigma/2): two
-real O(N^2) products with V, without J_n's eigenbasis.  `rotate` of a density matrix
-forms that image with ``collective.su2_image``, one O(N^3) product with V.  Every other
-dense call reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so
-p_m(theta) has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per
-model from J_n's eigenbasis Q, ``collective.eigenbasis``, the image of the 2x2 matrix
-that takes z to n.  The estimation grid,
-whose table T depends on N alone and is cached per N below PROPAGATOR_MIN_N,
-`measurement_probabilities` at an array of angles and a density matrix's F_cl are then
-one real matrix product each, and so is each refinement step, which stacks the tables of
-p, p' and p''.  One product of the counts with the log-probabilities gives every trial's
-best grid point.  Pure states from PROPAGATOR_MIN_N on use the matrix-free propagator,
-stream the grid block by block and refine each trial from its best grid point, with p''
-from J_n c and J_n^2 c.  A pure state's p', in its F_cl on either path and in the propagated
-refinement, is read off the probability current between neighbouring Fock states in O(N),
-once c(theta) is known.
+of J_x, cached per N; pure states from it on the propagated path.  On both, a pure state
+at one angle (`classical_fisher`, `measurement_probabilities` at a scalar angle, an
+estimate's true-angle state) is rotated by ``collective.apply_su2``, the image of
+exp(i theta n.sigma/2) given as its first column, and `rotate` moves a state by that
+column through ``frames.move_state``, as a frame change does.  Every other dense call
+reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so p_m(theta)
+has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per model from
+J_n's eigenbasis Q, ``collective.eigenbasis``, the image of the 2x2 matrix that takes z to
+n.  The estimation grid, whose table T depends on N alone and is cached per N below
+PROPAGATOR_MIN_N, `measurement_probabilities` at an array of angles and a density
+matrix's F_cl are then one real matrix product each, and so is each refinement step,
+which stacks the tables of p, p' and p''.  One product of the counts with the
+log-probabilities gives every trial's best grid point.  On the propagated path the
+matrix-free propagator about n rotates arrays of angles: it streams the grid block by
+block and refines each trial from its best grid point, with p'' from J_n c and J_n^2 c.
+A pure state's p', in its F_cl on either path and in the propagated refinement, is read
+off the probability current between neighbouring Fock states in O(N), once c(theta) is
+known.
 
 Costs, for R trials: sampling O(N) per trial whatever the number of shots.  Dense path:
 W in O(N^3) once per model (Q, then two FFTs for a pure state or Q^dag rho Q); the
 grid one (G x 2(N+1)) @ (2(N+1) x (N+1)) product for G = max(512, N/2 + 1) points; a
-refinement step one (3R x 2(N+1)) product.  Propagated path: a rotation by theta takes
-about |theta| N/2 + 30 banded O(N) products, a grid block of GRID_BLOCK points about
-1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by less than a grid spacing.
+refinement step one (3R x 2(N+1)) product.  Propagated path: one angle takes about
+beta N/2 + 30 banded O(N) products (beta <= |theta| mod 2 pi), a grid block of GRID_BLOCK
+points about 1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by less than a
+grid spacing.
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
 9 at N = 400 and 11 at N = 1000.  A trial whose maximum sits on a window edge ends on the
 edge itself: the refinement's first step evaluates the edge where l' points toward it, and
@@ -49,8 +50,7 @@ shots cancel.
 
 Each trial's counts are one multinomial draw of `shots` outcomes from numpy's
 Philox counter-based generator keyed by (seed, trial_index), so runs are
-reproducible from the seed, trials are independent, and sampling costs O(N) time
-and memory per trial whatever the number of shots.
+reproducible from the seed and trials are independent.
 """
 from __future__ import annotations
 
@@ -61,8 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collective import (Direction, Propagator, apply_su2, direction_generator, eigenbasis, frozen,
-                         su2_bands, su2_image, su2_rotation, uses_propagator)
+                         su2_bands, su2_rotation, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
+from .frames import move_state
 from .qfi import qfi_state
 
 DEFAULT_WINDOW = (0.0, math.pi / 2)
@@ -112,21 +113,12 @@ class EstimationRun:
 
 
 class _RotationModel:
-    """exp(i theta J_n) for repeated rotations of one state about `n`.
-
-    Two paths.  Density matrices and pure states below PROPAGATOR_MIN_N use J_n's dense
-    eigenbasis; pure states from PROPAGATOR_MIN_N on use the matrix-free
-    :class:`~modefisher.collective.Propagator`, which forms no (N+1)^2 array.  On the dense
-    path a pure state at one angle is rotated by :func:`~modefisher.collective.apply_su2`
-    with two O(N^2) products and without J_n's eigenbasis, a density matrix by the unitary
-    that :func:`~modefisher.collective.su2_image` forms.  Any other dense call evaluates
-    :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta}.  It is built
-    once per model, from J_n's eigenbasis Q that nothing keeps, in O(N^3).  The
-    512-point estimation grid then takes one
-    (512 x 2(N+1)) @ (2(N+1) x (N+1)) real product with the cached table T, and a
-    refinement step one (3R x 2(N+1)) product for R trials, which gives p, p' and p''
-    together.  A pure state's F_cl needs c(theta) and O(N) more on either path; the model
-    builds J_n only for the propagator.
+    """exp(i theta J_n) for repeated rotations of one state about `n`, on the module
+    docstring's two paths.  One angle takes :func:`~modefisher.collective.apply_su2`; from
+    PROPAGATOR_MIN_N on, arrays of angles take the matrix-free
+    :class:`~modefisher.collective.Propagator`, built once from J_n.  Any other call
+    evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta},
+    built once per model from J_n's eigenbasis Q that nothing keeps, in O(N^3).
 
     The public entry points check the state, and the model trusts its input.
     """
@@ -138,24 +130,13 @@ class _RotationModel:
             self.propagator = Propagator(direction_generator(state.n_particles, n))
 
     def amplitudes(self, theta) -> np.ndarray:
-        """exp(i theta J_n) c (pure states): at one angle on the dense path, at every angle of
-        `theta` (shape theta.shape + (N+1,)) on the propagated path."""
+        """exp(i theta J_n) c (pure states): at one angle by `apply_su2`, at every angle of an
+        array `theta` (shape theta.shape + (N+1,)) by the propagator (propagated path)."""
         theta = _angles(theta)
-        if self.propagator is not None:
+        if getattr(theta, "ndim", 0):  # a float or a 0-d array is one angle
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
         return apply_su2(su2_rotation(self.n, theta), self.state.amplitudes)
-
-    def rotated(self, theta: float) -> SectorState:
-        """The state rotated by theta; its new array is handed over read-only, not copied."""
-        if self.state.is_pure:
-            c = self.amplitudes(theta)
-            c.setflags(write=False)
-            return SectorState(self.state.n_particles, self.state.frame, amplitudes=c)
-        u = su2_image(su2_rotation(self.n, _angles(theta)), self.state.n_particles)
-        rho = u @ self.state.rho @ u.conj().T
-        rho.setflags(write=False)
-        return SectorState(self.state.n_particles, self.state.frame, rho=rho)
 
     @functools.cached_property
     def fourier(self) -> np.ndarray:
@@ -363,9 +344,9 @@ def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_TOL) -> SectorState:
-    """Apply exp(i theta J_n): dense below PROPAGATOR_MIN_N or for rho, matrix-free above."""
+    """Apply exp(i theta J_n), the image of exp(i theta n.sigma/2), by `frames.move_state`."""
     check_state(state, tol)
-    return _RotationModel(state, n).rotated(theta)
+    return move_state(state, su2_rotation(n, _angles(theta)), state.frame)
 
 
 def measurement_probabilities(state: SectorState, n: Direction, theta,
@@ -408,8 +389,8 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
     l' = 0 and l'' < 0): its estimate is then the edge exactly.  It ends at the bracket's
     midpoint, as golden section does, once the bracket is narrower than REFINE_TOL, where l
     is flat to rounding.  All rows step together, so the slowest row sets the number of
-    calls: 3-4 at N = 4 to 40, 6-8 at N = 100-150, 9 at N = 400 and 11 at N = 1000.  A row
-    whose maximum sits on an edge ends after two: its golden pair and the edge.
+    calls (see the module docstring).  A row whose maximum sits on an edge ends after two:
+    its golden pair and the edge.
     """
     trials = len(a)
     every = np.arange(trials)
@@ -605,17 +586,10 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
                          tol: float = DEFAULT_TOL) -> EstimationRun:
     """Run `trials` independent maximum-likelihood estimations of theta_true.
 
-    Each trial draws its counts of `shots` outcomes from p(theta_true) with one
-    multinomial call, which costs O(N) per trial whatever `shots` is, and
-    maximizes the log-likelihood on a grid over DEFAULT_WINDOW of
-    max(GRID_POINTS, N//2 + 1) points, so that the spacing stays below the
-    likelihood's fringe period of about 2 pi/N.  All trials are then refined
-    together: golden section until a bracket is narrower than pi/(20 N), then
-    safeguarded Newton steps to NEWTON_TOL, and a trial whose maximum sits on a
-    window edge ends on the edge (see `_refine_max`), in 3-11 likelihood calls
-    for N = 4 to 1000.  On the propagated path each refinement rotates from its
-    trial's best grid point.  A density matrix is eigendecomposed once, by the
-    spectral Fisher information.  Raises NonIdentifiableError when p moves less
-    over the window than the log-likelihood resolves (see `_grid_maxima`).
+    Each trial draws its `shots` outcomes from p(theta_true) in O(N) whatever `shots` is, and
+    maximizes the log-likelihood on a grid of max(GRID_POINTS, N//2 + 1) points over
+    DEFAULT_WINDOW, refined as the module docstring describes.  A density matrix is
+    eigendecomposed once, by the spectral Fisher information.  Raises NonIdentifiableError
+    when p moves less over the window than the log-likelihood resolves (see `_grid_maxima`).
     """
     return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)

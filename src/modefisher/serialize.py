@@ -11,6 +11,8 @@ State object:
 Frame object:
   {"kind": "spatial"} | {"kind": "bogolubov", "phi": real}
   | {"kind": "unitary", "u_re": [[..]], "u_im": [[..]]}
+
+A state or frame that is not an object, or a field not holding numbers, raises ValueError.
 """
 from __future__ import annotations
 
@@ -37,22 +39,47 @@ def frame_to_json(frame: ModeFrame) -> dict:
 
 
 def frame_from_json(obj: dict) -> ModeFrame:
-    kind = obj.get("kind")
+    kind = _object(obj, "frame").get("kind")
     if kind == "spatial":
         return spatial_frame()
     if kind == "bogolubov":
-        return bogolubov_frame(float(obj["phi"]))
+        return bogolubov_frame(_number(obj, "phi"))
     if kind == "unitary":
-        return custom_frame(_complex_array(obj["u_re"], obj["u_im"]))
+        return custom_frame(_complex_array(obj, "u_re", "u_im"))
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
-def _complex_array(re, im) -> np.ndarray:
-    """re + i im, set part by part: 1j * inf would make a NaN real part and a numpy warning."""
-    re, im = np.broadcast_arrays(np.array(re, dtype=float), np.array(im, dtype=float))
+def _object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r:.40}")
+    return obj
+
+
+def _number(obj: dict, field: str, integral: bool = False):
+    """obj[field], a JSON number as a float, or with `integral` an integral one (4 or 4.0) as
+    an int; a bool, a string, an array, NaN or a fraction raises ValueError naming the field."""
+    value = obj[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or integral and value % 1:
+        raise ValueError(f"{field} must be {'an integer' if integral else 'a number'}, "
+                         f"got {value!r:.40}")
+    return int(value) if integral else float(_floats(obj, field))
+
+
+def _complex_array(obj: dict, re: str, im: str) -> np.ndarray:
+    """obj[re] + i obj[im], set part by part: 1j * inf would make a NaN real part and a numpy
+    warning."""
+    re, im = np.broadcast_arrays(_floats(obj, re), _floats(obj, im))
     out = re.astype(complex)
     out.imag = im
     return out
+
+
+def _floats(obj: dict, field: str) -> np.ndarray:
+    try:
+        return np.array(obj[field], dtype=float)
+    except (TypeError, ValueError, OverflowError):  # an object, a word, a ragged array, 10**400
+        message = f"{field} must hold numbers in double range, got {obj[field]!r:.40}"
+        raise ValueError(message) from None
 
 
 def state_to_json(state: SectorState) -> dict:
@@ -68,33 +95,24 @@ def state_to_json(state: SectorState) -> dict:
     return obj
 
 
-def _integer(obj: dict, field: str) -> int:
-    """obj[field] as an int: an integral JSON number (4 or 4.0); a bool, a string, NaN or a
-    fraction raises ValueError naming the field."""
-    value = obj[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
 def state_from_json(obj: dict) -> SectorState:
-    big_n = _integer(obj, "N")
+    big_n = _number(_object(obj, "state"), "N", integral=True)
     frame = frame_from_json(obj.get("frame", {"kind": "spatial"}))
     kind = obj.get("kind")
     if kind == "fock":
-        return make_fock_state(_integer(obj, "k"), big_n, frame)
+        return make_fock_state(_number(obj, "k", integral=True), big_n, frame)
     if kind == "pure":
-        c = _complex_array(obj["amplitudes_re"], obj["amplitudes_im"])
+        c = _complex_array(obj, "amplitudes_re", "amplitudes_im")
         if c.shape != (big_n + 1,):
             raise ValueError(f"amplitudes must have length N+1 = {big_n + 1}")
         return pure_state(c, frame)
     if kind == "diagonal":
-        p = np.array(obj["p"], dtype=float)
+        p = _floats(obj, "p")
         if p.shape != (big_n + 1,):
             raise ValueError(f"p must have length N+1 = {big_n + 1}")
         return diagonal_state(p, frame)
     if kind == "density":
-        rho = _complex_array(obj["rho_re"], obj["rho_im"])
+        rho = _complex_array(obj, "rho_re", "rho_im")
         if rho.shape != (big_n + 1, big_n + 1):
             raise ValueError(f"rho must be (N+1)x(N+1) = {big_n + 1}x{big_n + 1}")
         return density_state(rho, frame)

@@ -8,10 +8,11 @@ import pytest
 from modefisher import (Direction, bogolubov_frame, bose_hubbard,
                         commutator_residual, custom_frame, density_state,
                         diagonal_state, direction_generator, factorization_residual,
-                        frame_change_unitary, is_separable, make_fock_state,
+                        frame_change_unitary, is_separable, make_fock_state, pure_state,
                         monte_carlo_estimate, qfi_diagonal_closed_form, qfi_spectral,
-                        schwinger, spatial_frame, transform_state, variance_bound,
+                        rotate, schwinger, spatial_frame, transform_state, variance_bound,
                         witness_monomials)
+from modefisher.qfi import qfi_state
 from tests.test_frames import random_unitary_2x2
 
 
@@ -179,3 +180,70 @@ def test_10_bose_hubbard_structure():
         h_b = v @ h1 @ v.conj().T
         assert np.abs(h_b - np.diag(np.diag(h_b))).max() <= 1e-10
     _report("10 Bose-Hubbard structure")
+
+
+# The paper's claims checked matrix-free at condensate scale, N = 10^4: every move goes
+# through `apply_su2`, which propagates there, and each round trip rounds by about N eps, so
+# the bounds are stated multiples of N eps.
+LARGE_N = 10 ** 4
+PAULI = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),
+         np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def _rotation_image(u):
+    """R(U)_ab = tr(sigma_a U sigma_b U^dag)/2: Gamma(U) J_b Gamma(U)^dag = sum_a R_ab J_a."""
+    return np.array([[0.5 * np.trace(a @ u @ b @ u.conj().T).real for b in PAULI]
+                     for a in PAULI])
+
+
+def test_rotation_image_matches_dense_conjugation():
+    """The convention of R(U), pinned against the dense frame unitary for N <= 20."""
+    rng = np.random.default_rng(11)
+    mixings = [random_unitary_2x2(rng) for _ in range(3)] + [bogolubov_frame(0.4).mixing]
+    for big_n in (1, 2, 7, 20):
+        j = [o.matrix for o in schwinger(big_n)]
+        for u in mixings:
+            v, r = frame_change_unitary(big_n, custom_frame(u)), _rotation_image(u)
+            for b in range(3):
+                image = sum(r[a, b] * j[a] for a in range(3))
+                assert np.abs(v @ j[b] @ v.conj().T - image).max() <= 1e-12
+
+
+def test_11_fock_state_separable_only_in_its_own_frame_at_large_n():
+    rng = np.random.default_rng(12)
+    frame = custom_frame(random_unitary_2x2(rng))
+    state = make_fock_state(LARGE_N // 3, LARGE_N, frame)
+    own = is_separable(state, frame)
+    assert own.separable and own.max_offdiagonal == 0.0
+    assert not is_separable(state, spatial_frame()).separable
+    _report("11 Fock state separable only in its own frame, N = 10^4")
+
+
+def test_12_locality_of_exponentials_at_large_n():
+    """Spatial |k> moved into the phi = 0.4 frame, rotated there about the image R(U) z of
+    J_z, and moved back is e^{i theta (k - N/2)} |k>: to 2 N eps (0.41 N eps seen)."""
+    k, theta, frame = LARGE_N // 3, 0.9, bogolubov_frame(0.4)
+    moved = transform_state(make_fock_state(k, LARGE_N), frame)
+    axis = Direction(*_rotation_image(frame.mixing)[:, 2])
+    back = transform_state(rotate(moved, axis, theta), spatial_frame())
+    expected = np.zeros(LARGE_N + 1, dtype=complex)
+    expected[k] = np.exp(1j * theta * (k - LARGE_N / 2))
+    bound = 2 * LARGE_N * np.finfo(float).eps
+    assert np.abs(back.amplitudes - expected).max() <= bound
+    _report("12 locality of exponentials, N = 10^4")
+
+
+def test_13_frame_invariance_of_qfi_at_large_n():
+    """F(c, n) = F(Gamma(U) c, R(U) n) for a random state, frame and axis: relative to
+    N eps / 4 (0.0014 N eps here; 0.013 N eps at most over three other seeds)."""
+    rng = np.random.default_rng(13)
+    c = rng.normal(size=LARGE_N + 1) + 1j * rng.normal(size=LARGE_N + 1)
+    state = pure_state(c / np.linalg.norm(c))
+    v3 = rng.normal(size=3)
+    n = Direction(*(v3 / np.linalg.norm(v3)))
+    frame = custom_frame(random_unitary_2x2(rng))
+    before = qfi_state(state, n)
+    after = qfi_state(transform_state(state, frame),
+                      Direction(*(_rotation_image(frame.mixing) @ n.as_array())))
+    assert abs(after - before) <= 0.25 * LARGE_N * np.finfo(float).eps * before
+    _report("13 frame invariance of QFI, N = 10^4")

@@ -936,6 +936,41 @@ def test_state_file_counts_may_be_integral_floats(capsys, tmp_path):
     assert json.loads(out)["fisher"] == pytest.approx(12.0, rel=1e-12)
 
 
+FOCK = {"N": 2, "kind": "fock", "k": 1}
+
+
+@pytest.mark.parametrize("subcommand, obj, message", [
+    ("qfi", {**FOCK, "frame": None}, "frame must be a JSON object, got None"),
+    ("qfi", {**FOCK, "frame": [1]}, "frame must be a JSON object, got [1]"),
+    ("qfi", [1, 2], "state must be a JSON object, got [1, 2]"),
+    ("qfi", "hello", "state must be a JSON object, got 'hello'"),
+    ("qfi", {"N": 1, "kind": "diagonal", "p": {"a": 1}}, "p must hold numbers"),
+    ("qfi", {**FOCK, "frame": {"kind": "bogolubov", "phi": None}},
+     "phi must be a number, got None"),
+    ("qfi", {**FOCK, "frame": {"kind": "bogolubov", "phi": [1]}},
+     "phi must be a number, got [1]"),
+    ("qfi", {**FOCK, "frame": {"kind": "unitary", "u_re": {"a": 1}, "u_im": [[0, 0], [0, 0]]}},
+     "u_re must hold numbers"),
+    ("qfi", {**FOCK, "frame": {"kind": "bogolubov", "phi": 10 ** 400}}, "phi must hold numbers"),
+    ("qfi", {"N": 1, "kind": "diagonal", "p": [10 ** 400, 0]}, "p must hold numbers"),
+    ("frames", None, "frame must be a JSON object, got None"),
+    ("frames", 3, "frame must be a JSON object, got 3"),
+], ids=["state_frame_null", "state_frame_array", "state_array", "state_string", "p_object",
+        "phi_null", "phi_array", "u_re_object", "phi_past_double_range", "p_past_double_range",
+        "frame_file_null", "frame_file_number"])
+def test_malformed_json_exits_2_naming_the_field(capsys, tmp_path, subcommand, obj, message):
+    # each of these ended in a TypeError, AttributeError or OverflowError traceback, exit 1
+    path = write_json(tmp_path / "input.json", obj)
+    argv = (["qfi", "--state", path, "--direction", "1,0,0"] if subcommand == "qfi"
+            else ["frames", "--n", "2", "--frame", path])
+    code = main(argv)
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (code, error["type"]) == (2, "ValueError")
+    assert error["message"].startswith(message), error
+    assert "Traceback" not in captured.err
+
+
 def test_unparseable_tolerance_variable_is_named(capsys, monkeypatch):
     # `--tol abc` is an argparse usage error; the variable is parsed by `main`
     monkeypatch.setenv("MODEFISHER_TOL", "abc")

@@ -68,10 +68,12 @@ class TestSchwinger:
 
 class TestLadder:
     def test_raising_band_is_sqrt_of_integer_product(self):
-        for big_n in [*range(0, 2001, 7), 2000]:
+        # the sector builds the J_+ band directly: the same bits as the ladder's
+        for big_n in [*range(0, 2001, 7), 2000, 10 ** 4, 10 ** 5]:
             k = np.arange(big_n)
             band = ladder(big_n, 1, 0, 0, 1)
             assert np.array_equal(band[:-1], np.sqrt((k + 1.0) * (big_n - k)))
+            assert np.array_equal(collective._sector(big_n).raising, band[:-1])
             assert band[-1] == 0.0
 
     def test_su2_bands_cached_below_propagator_min_n_read_only(self):
@@ -372,20 +374,18 @@ class TestRotation:
         rng = np.random.default_rng(big_n + 1)
         for n in _rotation_directions(rng, 3):
             for theta in (0.3, -2.0, 7.5):
-                got = su2_image(_su2(n, theta), big_n)
+                got = su2_image(_su2(n, theta)[:, 0], big_n)
                 assert np.abs(got - _eigh_unitary(big_n, n, theta)).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 250])
     def test_apply_matches_unitary(self, big_n):
-        # apply_su2 of exp(i theta n.sigma/2), given as the matrix or its first column
+        # apply_su2 of exp(i theta n.sigma/2), given as its first column
         rng = np.random.default_rng(big_n + 3)
         for n in _rotation_directions(rng, 3):
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
             c /= np.linalg.norm(c)
             for theta in (0.0, 0.3, -2.0, 7.5):
-                u = _su2(n, theta)
-                got = apply_su2(u, c)
-                assert np.array_equal(apply_su2(u[:, 0], c), got)
+                got = apply_su2(_su2(n, theta)[:, 0], c)
                 oracle = _eigh_unitary(big_n, n, theta) @ c
                 assert np.abs(got - oracle).max() <= 1e-12, (n, theta)
 
@@ -417,11 +417,12 @@ class TestRotation:
 
 
 SU2_SIZES = [0, 1, 2, 7, 40, 249]
+IDENTITY = np.array([1.0, 0.0])  # the first column of the 2x2 identity
 
 
 class TestApplySu2:
     """Gamma(u) c from the Euler angles of u, with two real products of V, and Gamma(u)
-    formed from the same angles with one."""
+    formed from the same angles with one; u is given as its first column."""
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
     def test_homomorphism(self, big_n):
@@ -435,8 +436,9 @@ class TestApplySu2:
             q = np.linalg.qr(z)[0]
             mats.append(q / np.sqrt(np.linalg.det(q)))
         for u1, u2 in zip(mats, mats[1:] + mats[:1]):
-            both = apply_su2(u1 @ u2, c)
-            assert np.abs(apply_su2(u1, apply_su2(u2, c)) - both).max() <= 1e-15 * (big_n + 1)
+            both = apply_su2((u1 @ u2)[:, 0], c)
+            twice = apply_su2(u1[:, 0], apply_su2(u2[:, 0], c))
+            assert np.abs(twice - both).max() <= 1e-15 * (big_n + 1)
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
     def test_full_turn_is_parity(self, big_n):
@@ -445,7 +447,7 @@ class TestApplySu2:
         c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
         c /= np.linalg.norm(c)
         for n in _rotation_directions(rng, 2):
-            for u in (_su2(n, 2.0 * math.pi), -np.eye(2)):
+            for u in (_su2(n, 2.0 * math.pi)[:, 0], [-1.0, 0.0]):
                 got = apply_su2(u, c)
                 assert np.abs(got - (-1) ** big_n * c).max() <= 1e-15 * (big_n + 1), n
 
@@ -453,10 +455,9 @@ class TestApplySu2:
     def test_block_matches_vector_route(self, big_n):
         # Gamma(u)'s columns are the images of the Fock states: from the same Euler phases and
         # products of V below PROPAGATOR_MIN_N, against the propagated vector route from it on
-        u = _su2(Direction(0.48, 0.64, 0.6), 2.3)
+        u = _su2(Direction(0.48, 0.64, 0.6), 2.3)[:, 0]
         image = su2_image(u, big_n)
         assert image.shape == (big_n + 1, big_n + 1)
-        assert np.array_equal(su2_image(u[:, 0], big_n), image)
         dense = big_n < collective.PROPAGATOR_MIN_N
         bound = 4 * np.finfo(float).eps if dense else 1e-12
         for j in range(big_n + 1) if dense else (0, big_n // 3, big_n // 2, big_n):
@@ -475,13 +476,13 @@ class TestApplySu2:
             q = np.linalg.qr(z)[0]
             mats.append(q / np.sqrt(np.linalg.det(q)))
         for u1, u2 in zip(mats, mats[1:] + mats[:1]):
-            both = su2_image(u1 @ u2, big_n)
-            product = su2_image(u1, big_n) @ su2_image(u2, big_n)
+            both = su2_image((u1 @ u2)[:, 0], big_n)
+            product = su2_image(u1[:, 0], big_n) @ su2_image(u2[:, 0], big_n)
             assert np.abs(product - both).max() <= 1e-15 * (big_n + 1) ** 2
 
     def test_result_owns_its_data(self):
         # a vector, one on the propagated route, and formed images
-        u = _su2(Direction(0.48, 0.64, 0.6), 0.7)
+        u = _su2(Direction(0.48, 0.64, 0.6), 0.7)[:, 0]
         for size in (5, 251):
             out = apply_su2(u, np.ones(size, dtype=complex) / math.sqrt(size))
             assert out.base is None and out.flags.writeable and out.shape == (size,), size
@@ -491,12 +492,12 @@ class TestApplySu2:
             assert not np.shares_memory(out, collective._sector(big_n).jx_eigenvectors), big_n
 
     @pytest.mark.parametrize("u", [
-        np.diag([1.0, -1.0]),  # unitary, det -1
-        2.0 * np.eye(2),  # scaled
-        [[0.6, 0.8], [0.8, -0.6]],  # a first column of unit norm, not SU(2)
+        np.diag([1.0, -1.0]),  # a 2x2 matrix, unitary with det -1: u is a column
+        [2.0, 0.0],  # scaled
+        [[0.6, 0.8], [0.8, -0.6]],  # a 2x2 matrix: a reflection
         [0.6, 0.7],  # a column off unit norm
         [math.nan, 0.0],
-        [[math.inf, 0.0], [0.0, 1.0]],
+        [math.inf, 0.0],
     ], ids=["det_minus_one", "scaled", "reflection", "column_norm", "nan", "inf"])
     def test_rejects_non_su2(self, u):
         with pytest.raises(ValueError, match="SU\\(2\\)"):
@@ -505,9 +506,9 @@ class TestApplySu2:
             su2_image(u, 2)
 
     @pytest.mark.parametrize("u, c", [
-        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones(())),
-        (np.eye(2), np.ones((2, 3, 2))), (np.eye(2), np.ones(0)),
-        (np.eye(2), np.ones((0, 3))), (np.eye(2), np.ones((3, 0))), (np.eye(2), np.ones((3, 2))),
+        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (IDENTITY, np.ones(())),
+        (IDENTITY, np.ones((2, 3, 2))), (IDENTITY, np.ones(0)),
+        (IDENTITY, np.ones((0, 3))), (IDENTITY, np.ones((3, 0))), (IDENTITY, np.ones((3, 2))),
     ], ids=["u_3x3", "u_length_3", "c_scalar", "c_3d", "c_empty", "c_no_rows",
             "c_no_columns", "c_block"])
     def test_rejects_malformed_shapes(self, u, c):
@@ -517,7 +518,15 @@ class TestApplySu2:
 
     def test_image_rejects_negative_n(self):
         with pytest.raises(ValueError, match="n_particles"):
-            su2_image(np.eye(2), -1)
+            su2_image(IDENTITY, -1)
+
+    @pytest.mark.parametrize("u", [np.eye(2), -np.eye(2), _su2(Direction(0.48, 0.64, 0.6), 0.7)],
+                             ids=["identity", "minus_identity", "rotation"])
+    def test_rejects_a_matrix(self, u):
+        # SU(2) is given as the first column (u_00, u_10) alone, the form every caller has
+        for call in (lambda: apply_su2(u, np.ones(3) / math.sqrt(3)), lambda: su2_image(u, 2)):
+            with pytest.raises(ValueError, match="first column"):
+                call()
 
 
 class TestPropagatorGenerator:

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modefisher import (Direction, NonIdentifiableError, classical_fisher, density_state,
-                        diagonal_state, direction_generator, make_fock_state,
+from modefisher import (Direction, NonIdentifiableError, bogolubov_frame, classical_fisher,
+                        density_state, diagonal_state, direction_generator, make_fock_state,
                         measurement_probabilities, monte_carlo_estimate,
-                        pure_state, qfi_spectral, rotate, validate_state)
-from modefisher import collective, fock, metrology, qfi
+                        pure_state, qfi_spectral, rotate, transform_state, validate_state)
+from modefisher import collective, fock, frames, metrology, qfi
 from modefisher.collective import ladder
 from modefisher.fock import DEFAULT_TOL
 from modefisher.metrology import DEFAULT_WINDOW, GRID_POINTS, REFINE_TOL
@@ -475,7 +475,8 @@ class TestTrigonometricSeries:
         def no_unitary(u, n_particles):
             raise AssertionError("a per-angle unitary was formed")
 
-        monkeypatch.setattr(metrology, "su2_image", no_unitary)
+        # a density matrix's rotation forms its unitary in `frames.move_state`
+        monkeypatch.setattr(frames, "su2_image", no_unitary)
         state = diagonal_state(np.random.default_rng(3).dirichlet(np.ones(31)))
         run = monte_carlo_estimate(state, Direction(1, 0, 0), 0.6, 5, 2000, 9)
         assert run.classical_fisher > 0.0
@@ -483,15 +484,16 @@ class TestTrigonometricSeries:
 
 
 def _record_rotations(monkeypatch):
-    """The name of every `eigenbasis` and `su2_image` call the rotation model makes from here
-    on: each forms an (N+1)^2 array."""
+    """The name of every `eigenbasis` call the rotation model makes, and every `su2_image` call
+    a move of a state (`frames.move_state`, which `rotate` takes) makes, from here on: each
+    forms an (N+1)^2 array."""
     made = []
-    for name in ("eigenbasis", "su2_image"):
-        def recording(*args, name=name, original=getattr(metrology, name)):
+    for module, name in ((metrology, "eigenbasis"), (frames, "su2_image")):
+        def recording(*args, name=name, original=getattr(module, name)):
             made.append(name)
             return original(*args)
 
-        monkeypatch.setattr(metrology, name, recording)
+        monkeypatch.setattr(module, name, recording)
     return made
 
 
@@ -970,9 +972,12 @@ def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
     assert np.array_equal(model.propagator.generator.lower, reference.lower)
     assert np.array_equal(model.propagator.generator.diagonal, reference.diagonal)
     built.clear()
+    model.probabilities(np.array([0.7, 1.1]))  # arrays of angles take the model's propagator
+    assert built == []
+    # one angle takes `apply_su2`, which propagates about x: it builds J_x, never J_n again
     model.classical_fisher(0.7)
     model.classical_fisher(1.1)
-    assert built == []
+    assert built == [(state.n_particles, Direction(1.0, 0.0, 0.0))] * 2
 
 
 @pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
@@ -1148,15 +1153,61 @@ def test_estimate_budgets_within_refine_tol_of_q_route(big_n, trials, shots, mon
         assert run.classical_fisher == reference.classical_fisher
 
 
-def test_rotated_state_keeps_its_new_array(monkeypatch):
-    # the rotated amplitudes and rho are handed over read-only, not copied again
-    n = Direction(0.48, 0.64, 0.6)
-    for state in (make_fock_state(13, 40), diagonal_state(np.full(5, 0.2))):
-        model = metrology._RotationModel(state, n)
-        if state.is_pure:
-            fresh = model.amplitudes(0.3)
-            monkeypatch.setattr(model, "amplitudes", lambda theta: fresh)
-            assert model.rotated(0.3).amplitudes is fresh
-        rotated = model.rotated(0.3)
-        array = rotated.amplitudes if state.is_pure else rotated.rho
-        assert array.base is None and not array.flags.writeable
+def test_moved_state_keeps_its_new_array(monkeypatch):
+    # `rotate` and `transform_state` hand their new amplitudes or rho over read-only, and every
+    # SectorState they build keeps the array it is given rather than copying it
+    kept = []
+
+    def recording(values, dtype, original=fock.frozen):
+        out = original(values, dtype)
+        kept.append(out is values)
+        return out
+
+    monkeypatch.setattr(fock, "frozen", recording)
+    n, frame = Direction(0.48, 0.64, 0.6), bogolubov_frame(0.4)
+    states = (make_fock_state(13, 40), make_fock_state(100, collective.PROPAGATOR_MIN_N + 50),
+              diagonal_state(np.full(5, 0.2)))
+    for state in states:
+        for move in (lambda s: rotate(s, n, 0.3), lambda s: transform_state(s, frame)):
+            kept.clear()
+            moved = move(state)
+            array = moved.amplitudes if state.is_pure else moved.rho
+            assert kept and all(kept), (state.n_particles, kept)
+            assert array.base is None and not array.flags.writeable
+
+
+# From PROPAGATOR_MIN_N on, a pure state at one angle is rotated by `apply_su2`, which
+# propagates about x, where the model's propagator about n rotated it before.  Against a
+# test-local copy of that route, as the documented golden change.
+
+def _former_propagated(state, n, theta):
+    """exp(i theta J_n) c as the rotation model's propagator gave it at one angle."""
+    propagator = collective.Propagator(direction_generator(state.n_particles, n))
+    return propagator.apply(state.amplitudes, propagator.coefficients(theta))
+
+
+@pytest.mark.parametrize("big_n", [collective.PROPAGATOR_MIN_N, 300, 1000])
+def test_one_angle_calls_read_one_rotation_from_the_crossover_on(big_n):
+    # p at a scalar angle is |rotate(...)|^2 and F_cl reads the same c(theta), bit for bit.
+    # Against the former route the amplitudes and p move by at most N eps (the largest moves
+    # over these cases are 0.23 and 0.022 N eps), and F_cl by at most 1e-12 F (1.0e-14 F)
+    rng = np.random.default_rng(big_n + 17)
+    bound = big_n * np.finfo(float).eps
+    c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+    v = rng.normal(size=3)
+    directions = [Direction(1, 0, 0), Direction(0.48, 0.64, 0.6), Direction(0.6, 0.0, 0.8),
+                  Direction(*(v / np.linalg.norm(v)))]
+    for state in (pure_state(c / np.linalg.norm(c)), make_fock_state(big_n // 3, big_n)):
+        for n in directions:
+            lower = 0.5 * complex(n.n_x, -n.n_y) * collective.su2_bands(big_n)[1]
+            fisher = qfi.qfi_state(state, n)
+            for theta in (0.3, 0.9, -2.0, math.pi, 7.5):
+                amplitudes = rotate(state, n, theta).amplitudes
+                p = measurement_probabilities(state, n, theta)
+                f_cl = classical_fisher(state, n, theta)
+                assert np.array_equal(p, np.abs(amplitudes) ** 2), (n, theta)
+                assert f_cl == metrology._pure_fisher(lower, amplitudes), (n, theta)
+                former = _former_propagated(state, n, theta)
+                assert np.abs(amplitudes - former).max() <= bound, (n, theta)
+                assert np.abs(p - np.abs(former) ** 2).max() <= bound, (n, theta)
+                assert abs(f_cl - metrology._pure_fisher(lower, former)) <= 1e-12 * fisher
