@@ -78,3 +78,16 @@ code=0; modefisher frames --n 2 --frame null_frame.json > null_out.json 2>err.tx
 test "$code" -eq 2
 grep -q "frame must be a JSON object" null_out.json
 test ! -s err.txt
+
+# numeric arrays hold JSON numbers only: a string and booleans, each read as 1.0 by numpy's
+# float conversion, exit 2 with the JSON error naming the field and nothing on stderr
+echo '{"N": 1, "kind": "pure", "amplitudes_re": ["1", 0], "amplitudes_im": [0, 0]}' > string_amplitudes.json
+code=0; modefisher qfi --state string_amplitudes.json --direction 1,0,0 > array_out.json 2>err.txt || code=$?
+test "$code" -eq 2
+grep -q "amplitudes_re must hold numbers" array_out.json
+test ! -s err.txt
+echo '{"N": 1, "kind": "diagonal", "p": [true, false]}' > bool_p.json
+code=0; modefisher qfi --state bool_p.json --direction 1,0,0 > array_out.json 2>err.txt || code=$?
+test "$code" -eq 2
+grep -q "p must hold numbers" array_out.json
+test ! -s err.txt

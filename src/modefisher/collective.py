@@ -8,7 +8,7 @@ itself to a vector in O(N) and builds the dense matrix only when `.matrix` is re
 column, to a vector, from u's Euler angles and the real eigenbasis V of J_x, and
 :func:`su2_image` forms Gamma(u) from the same angles with one product of V: every frame
 change, rotation at one angle and J_n's eigenbasis (:func:`eigenbasis`) go through them.
-:class:`Propagator` applies exp(i theta J_n) from J_n's bands without forming a matrix.
+:class:`Propagator` applies exp(i theta J_n), built from the axis n, without forming a matrix.
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECTION_NORM_TOL = 1e-6
-# how far a 2x2 matrix may be from SU(2), or an observable's bands from those of a J_n
-# (relative to N), and still be taken as one
+# how far a first column (u_00, u_10) may be from unit norm and still be taken as SU(2)
 SU2_TOL = 1e-12
 
 
@@ -365,29 +364,18 @@ class Propagator:
     The spectrum of J_n is exactly {-N/2, ..., N/2}, so with A = 2 J_n / N and x = theta N/2
     the Jacobi-Anger series exp(i x A) = J_0(x) + 2 sum_k i^k J_k(x) T_k(A) converges on
     A's spectrum, and each Chebyshev vector T_k(A) c is one banded product with the bands
-    of `generator`, the J_n the caller built and owns, as :func:`direction_generator` gives
-    it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta is first reduced
-    mod 2 pi with exp(2 pi i J_n) = (-1)^N, so a call costs about |theta| N/2 + 30 banded
-    products for |theta| <= pi.  Coefficients are computed once per set of angles by
-    :meth:`coefficients` and can be reused for every call with those angles.  The series
-    and the reduction rest on J_n's spectrum, so the bands are checked in O(N) on
-    construction: another observable, such as the Hamiltonian of :func:`bose_hubbard`,
-    raises ValueError.
+    of `generator`, J_n as :func:`direction_generator` builds it from (N, n) (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)).  theta is first reduced mod 2 pi with
+    exp(2 pi i J_n) = (-1)^N, so a call costs about |theta| N/2 + 30 banded products for
+    |theta| <= pi.  Coefficients are computed once per set of angles by :meth:`coefficients`
+    and can be reused for every call with those angles.  The series and the reduction rest
+    on J_n's spectrum, which is why the propagator takes the axis n and not bands.
     """
 
-    def __init__(self, generator: CollectiveObservable):
-        self.generator = generator
-        self.n_particles = generator.n_particles
-        # the least-squares n_z and (n_x - i n_y)/2 of the bands n_z J_z and (n_x - i n_y) J_+/2
-        jz, raising = su2_bands(self.n_particles)
-        n_z = generator.diagonal @ jz / ((jz @ jz) or 1.0)  # both bands vanish at N = 0
-        half = generator.lower @ raising / ((raising @ raising) or 1.0)
-        residual = max(np.abs(generator.diagonal - n_z * jz).max(),
-                       np.abs(generator.lower - half * raising).max(initial=0.0))
-        norm = n_z ** 2 + 4.0 * abs(half) ** 2 if self.n_particles else 1.0  # any n at N = 0
-        if not (residual <= SU2_TOL * max(self.n_particles, 1) and abs(norm - 1.0) <= SU2_TOL):
-            raise ValueError("the propagator needs the bands of a J_n for a unit n")
-        scale = 4.0 / max(self.n_particles, 1)  # the bands of 2A
+    def __init__(self, n_particles: int, n: Direction):
+        self.n_particles = n_particles
+        self.generator = generator = direction_generator(n_particles, n)
+        scale = 4.0 / max(n_particles, 1)  # the bands of 2A
         # an in-plane J_n has a zero diagonal: skipping it saves two of six passes per product
         self._diagonal = generator.diagonal * scale if generator.diagonal.any() else None
         self._lower = generator.lower * scale
@@ -447,7 +435,7 @@ class Propagator:
 
 def propagate(n_particles: int, n: Direction, c, theta) -> np.ndarray:
     """exp(i theta J_n) c without forming a matrix; see :meth:`Propagator.apply` for shapes."""
-    propagator = Propagator(direction_generator(n_particles, n))
+    propagator = Propagator(n_particles, n)
     return propagator.apply(c, propagator.coefficients(theta))
 
 

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (Direction, Propagator, apply_su2, direction_generator, eigenbasis, frozen,
-                         su2_bands, su2_rotation, uses_propagator)
+from .collective import (Direction, Propagator, apply_su2, eigenbasis, frozen, su2_bands,
+                         su2_rotation, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .frames import move_state
 from .qfi import qfi_state
@@ -114,20 +114,24 @@ class EstimationRun:
 
 class _RotationModel:
     """exp(i theta J_n) for repeated rotations of one state about `n`, on the module
-    docstring's two paths.  One angle takes :func:`~modefisher.collective.apply_su2`; from
-    PROPAGATOR_MIN_N on, arrays of angles take the matrix-free
-    :class:`~modefisher.collective.Propagator`, built once from J_n.  Any other call
-    evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of e^{i theta},
-    built once per model from J_n's eigenbasis Q that nothing keeps, in O(N^3).
+    docstring's two paths, chosen once on construction: `propagated` for a pure state from
+    PROPAGATOR_MIN_N on.  One angle takes :func:`~modefisher.collective.apply_su2`; on the
+    propagated path arrays of angles take the matrix-free
+    :class:`~modefisher.collective.Propagator` about n, built by the first of them.  Any
+    other call evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of
+    e^{i theta}, built once per model from J_n's eigenbasis Q that nothing keeps, in O(N^3).
 
     The public entry points check the state, and the model trusts its input.
     """
 
     def __init__(self, state: SectorState, n: Direction):
         self.state, self.n = state, n
-        self.propagator = None
-        if state.is_pure and uses_propagator(state.n_particles):
-            self.propagator = Propagator(direction_generator(state.n_particles, n))
+        self.propagated = state.is_pure and uses_propagator(state.n_particles)
+
+    @functools.cached_property
+    def propagator(self) -> Propagator:
+        """exp(i theta J_n) about n, built on first read (propagated path only)."""
+        return Propagator(self.state.n_particles, self.n)
 
     def amplitudes(self, theta) -> np.ndarray:
         """exp(i theta J_n) c (pure states): at one angle by `apply_su2`, at every angle of an
@@ -178,7 +182,7 @@ class _RotationModel:
         A pure state at one angle, or on the propagated path, is rotated; every other call
         evaluates the series :attr:`fourier`.
         """
-        if self.state.is_pure and (self.propagator is not None or np.ndim(theta) == 0):
+        if self.propagated or (self.state.is_pure and np.ndim(theta) == 0):
             return np.abs(self.amplitudes(theta)) ** 2
         p = self.series(_angles(theta))[0]
         np.clip(p, 0.0, None, out=p)
@@ -193,7 +197,7 @@ class _RotationModel:
         the whole grid as one block, without amplitudes: one product of the grid's table T,
         which depends on N alone, with W, equal to `probabilities(grid)`.
         """
-        if self.propagator is None:
+        if not self.propagated:
             p = _grid_table(self.state.n_particles) @ self.fourier
             np.clip(p, 0.0, None, out=p)
             yield 0, p, None
@@ -474,7 +478,7 @@ def _grid_maxima(model: _RotationModel, grid: np.ndarray, counts: np.ndarray):
     """
     trials = np.arange(len(counts))
     best, best_ll = np.zeros(len(counts), dtype=int), np.full(len(counts), -np.inf)
-    anchors = np.empty(counts.shape, dtype=complex) if model.propagator is not None else None
+    anchors = np.empty(counts.shape, dtype=complex) if model.propagated else None
     p_max, p_min = np.full(counts.shape[1], -np.inf), np.full(counts.shape[1], np.inf)
     p_sum = np.zeros(counts.shape[1])
     for start, p, amp in model.grid_blocks(grid):

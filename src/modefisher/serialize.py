@@ -75,11 +75,17 @@ def _complex_array(obj: dict, re: str, im: str) -> np.ndarray:
 
 
 def _floats(obj: dict, field: str) -> np.ndarray:
-    try:
-        return np.array(obj[field], dtype=float)
-    except (TypeError, ValueError, OverflowError):  # an object, a word, a ragged array, 10**400
-        message = f"{field} must hold numbers in double range, got {obj[field]!r:.40}"
-        raise ValueError(message) from None
+    """obj[field] as a float array.  An element that is not a JSON number (a bool, a string,
+    null, an object, a ragged row) or lies past double range raises ValueError naming the
+    field: numpy's own float conversion would read "1" and true as 1.0, and null as NaN."""
+    values = np.array(obj[field], dtype=object)
+    kinds = set(map(type, values.flat))
+    if all(kind is not bool and issubclass(kind, (int, float)) for kind in kinds):
+        try:
+            return values.astype(float)
+        except OverflowError:  # an integer such as 10**400
+            pass
+    raise ValueError(f"{field} must hold numbers in double range, got {obj[field]!r:.40}")
 
 
 def state_to_json(state: SectorState) -> dict:

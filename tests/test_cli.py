@@ -14,7 +14,7 @@ import pytest
 
 import modefisher
 from modefisher import (Direction, collective, fock, make_fock_state, metrology,
-                        monte_carlo_estimate, schwinger)
+                        monte_carlo_estimate, schwinger, serialize)
 from modefisher.cli import BROKEN_PIPE_STATUS, main
 
 
@@ -955,11 +955,20 @@ FOCK = {"N": 2, "kind": "fock", "k": 1}
     ("qfi", {"N": 1, "kind": "diagonal", "p": [10 ** 400, 0]}, "p must hold numbers"),
     ("frames", None, "frame must be a JSON object, got None"),
     ("frames", 3, "frame must be a JSON object, got 3"),
+    ("qfi", {"N": 1, "kind": "pure", "amplitudes_re": ["1", 0], "amplitudes_im": [0, 0]},
+     "amplitudes_re must hold numbers"),
+    ("qfi", {"N": 1, "kind": "diagonal", "p": [True, False]}, "p must hold numbers"),
+    ("frames", {"kind": "unitary", "u_re": [["1", 0], [0, 1]], "u_im": [[0, 0], [0, 0]]},
+     "u_re must hold numbers"),
+    ("qfi", {"N": 1, "kind": "diagonal", "p": [None, 1.0]}, "p must hold numbers"),
 ], ids=["state_frame_null", "state_frame_array", "state_array", "state_string", "p_object",
         "phi_null", "phi_array", "u_re_object", "phi_past_double_range", "p_past_double_range",
-        "frame_file_null", "frame_file_number"])
+        "frame_file_null", "frame_file_number", "amplitudes_string", "p_bool", "u_re_string",
+        "p_null"])
 def test_malformed_json_exits_2_naming_the_field(capsys, tmp_path, subcommand, obj, message):
-    # each of these ended in a TypeError, AttributeError or OverflowError traceback, exit 1
+    # the first ten ended in a TypeError, AttributeError or OverflowError traceback, exit 1;
+    # numpy's float conversion read the strings and booleans as numbers, exit 0, and null as
+    # NaN, rejected for its finiteness without naming the field
     path = write_json(tmp_path / "input.json", obj)
     argv = (["qfi", "--state", path, "--direction", "1,0,0"] if subcommand == "qfi"
             else ["frames", "--n", "2", "--frame", path])
@@ -969,6 +978,15 @@ def test_malformed_json_exits_2_naming_the_field(capsys, tmp_path, subcommand, o
     assert (code, error["type"]) == (2, "ValueError")
     assert error["message"].startswith(message), error
     assert "Traceback" not in captured.err
+
+
+def test_integers_past_int64_are_numbers(capsys, tmp_path):
+    # 10**20 fits no 64-bit integer, and numpy makes an object array of it
+    state = {**FOCK, "frame": {"kind": "bogolubov", "phi": 10 ** 20}}
+    code, out = run_cli(capsys, ["qfi", "--state", write_json(tmp_path / "state.json", state),
+                                 "--direction", "1,0,0"])
+    assert code == 0, out
+    assert serialize._floats({"p": [10 ** 20, 1]}, "p").tolist() == [1e20, 1.0]
 
 
 def test_unparseable_tolerance_variable_is_named(capsys, monkeypatch):

@@ -292,7 +292,7 @@ class TestPropagator:
 
     def test_coefficients_reused_across_vectors(self):
         big_n, n = 25, Direction(0.0, 1.0, 0.0)
-        propagator = Propagator(direction_generator(big_n, n))
+        propagator = Propagator(big_n, n)
         coef = propagator.coefficients(np.array([0.2, 0.4]))
         c = np.zeros(big_n + 1, dtype=complex)
         c[3] = 1.0
@@ -530,23 +530,7 @@ class TestApplySu2:
 
 
 class TestPropagatorGenerator:
-    """The propagator checks in O(N) that it was given a J_n's bands."""
-
-    def test_rejects_bose_hubbard(self):
-        # unchecked, its series and its reduction mod 2 pi give a vector of norm 1.3e26 at
-        # theta = 0.5 on |10>
-        with pytest.raises(ValueError, match="J_n"):
-            Propagator(bose_hubbard(20, 0.0, 0.0, 1.0, 1.0))
-
-    @pytest.mark.parametrize("bands", [
-        lambda jn: (2.0 * jn.diagonal, 2.0 * jn.lower),  # 2 J_n
-        lambda jn: (jn.diagonal + 1e-3, jn.lower),  # J_n + a multiple of the identity
-        lambda jn: (jn.diagonal, jn.lower * (1.0 + 1e-3 * np.arange(jn.lower.size))),
-    ], ids=["scaled", "shifted", "bent_band"])
-    def test_rejects_other_observables(self, bands):
-        jn = direction_generator(20, Direction(0.48, 0.64, 0.6))
-        with pytest.raises(ValueError, match="J_n"):
-            Propagator(CollectiveObservable(*bands(jn)))
+    """The propagator builds J_n from its axis: it takes no bands."""
 
     @pytest.mark.parametrize("big_n", [0, 1, 250])
     def test_accepts_every_direction_generator(self, big_n):
@@ -555,9 +539,8 @@ class TestPropagatorGenerator:
         directions = [Direction(*axis) for axis in axes]
         directions += [Direction(*(v / np.linalg.norm(v))) for v in rng.normal(size=(4, 3))]
         for n in directions:
-            assert Propagator(direction_generator(big_n, n)).n_particles == big_n
-
-    def test_zero_particles_needs_a_zero_diagonal(self):
-        # at N = 0 every J_n is the 1x1 zero matrix
-        with pytest.raises(ValueError, match="J_n"):
-            Propagator(CollectiveObservable(np.ones(1), np.zeros(0)))
+            propagator, reference = Propagator(big_n, n), direction_generator(big_n, n)
+            assert propagator.n_particles == big_n
+            for band in ("diagonal", "lower"):
+                got, want = getattr(propagator.generator, band), getattr(reference, band)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, band)

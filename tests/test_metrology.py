@@ -512,7 +512,7 @@ class TestPropagatedPath:
         angles = np.array([0.0, 0.4, 1.3, -2.0, 8.0])
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n + 1)
         dense = metrology._RotationModel(state, n)
-        assert dense.propagator is None
+        assert not dense.propagated
         p_dense, f_dense = dense.probabilities(angles), dense.classical_fisher(0.7)
         c_dense = rotate(state, n, 1.1).amplitudes
         monkeypatch.setattr(collective, "PROPAGATOR_MIN_N", big_n)
@@ -948,7 +948,7 @@ def _count_generator_builds(monkeypatch):
         built.append(args)
         return original(*args)
 
-    for module in (collective, qfi, metrology):
+    for module in (collective, qfi):
         monkeypatch.setattr(module, "direction_generator", counting)
     return built
 
@@ -967,17 +967,37 @@ def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
     built = _count_generator_builds(monkeypatch)
     state, n = make_fock_state(100, collective.PROPAGATOR_MIN_N), Direction(0.48, 0.64, 0.6)
     model = metrology._RotationModel(state, n)
+    assert model.propagated and built == []  # the path is chosen; nothing is built yet
+    # one angle takes `apply_su2`, which propagates about x: it builds J_x, never J_n
+    model.classical_fisher(0.7)
+    model.classical_fisher(1.1)
+    assert built == [(state.n_particles, Direction(1.0, 0.0, 0.0))] * 2
+    built.clear()
+    model.probabilities(np.array([0.7, 1.1]))  # the first array of angles builds J_n's propagator
     assert built == [(state.n_particles, n)]
     reference = direction_generator(state.n_particles, n)
     assert np.array_equal(model.propagator.generator.lower, reference.lower)
     assert np.array_equal(model.propagator.generator.diagonal, reference.diagonal)
     built.clear()
-    model.probabilities(np.array([0.7, 1.1]))  # arrays of angles take the model's propagator
+    model.probabilities(np.array([0.3]))  # later arrays reuse it
+    model.amplitudes(np.array([0.2, 0.9]))
     assert built == []
-    # one angle takes `apply_su2`, which propagates about x: it builds J_x, never J_n again
-    model.classical_fisher(0.7)
-    model.classical_fisher(1.1)
-    assert built == [(state.n_particles, Direction(1.0, 0.0, 0.0))] * 2
+
+
+@pytest.mark.parametrize("big_n", [collective.PROPAGATOR_MIN_N, 1000])
+def test_one_angle_calls_build_no_model_propagator(big_n, monkeypatch):
+    # the rotation model's propagators; `apply_su2` builds its own about x in `collective`
+    built, original = [], metrology.Propagator
+    monkeypatch.setattr(metrology, "Propagator",
+                        lambda *args: built.append(args) or original(*args))
+    state, n = make_fock_state(big_n // 3, big_n), Direction(0.48, 0.64, 0.6)
+    measurement_probabilities(state, n, 0.7)
+    classical_fisher(state, n, 0.7)
+    assert built == []
+    # an estimate rotates its true-angle state at one angle, and the grid and the refinement
+    # by the one propagator it builds
+    monte_carlo_estimate(state, n, 0.7, 3, 1000, 5)
+    assert built == [(big_n, n)]
 
 
 @pytest.mark.parametrize("state", [make_fock_state(13, 40), diagonal_state(np.full(41, 1 / 41))],
@@ -1182,7 +1202,7 @@ def test_moved_state_keeps_its_new_array(monkeypatch):
 
 def _former_propagated(state, n, theta):
     """exp(i theta J_n) c as the rotation model's propagator gave it at one angle."""
-    propagator = collective.Propagator(direction_generator(state.n_particles, n))
+    propagator = collective.Propagator(state.n_particles, n)
     return propagator.apply(state.amplitudes, propagator.coefficients(theta))
 
 
