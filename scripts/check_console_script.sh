@@ -91,3 +91,23 @@ code=0; modefisher qfi --state bool_p.json --direction 1,0,0 > array_out.json 2>
 test "$code" -eq 2
 grep -q "p must hold numbers" array_out.json
 test ! -s err.txt
+
+# an estimate ends each trial where its log-likelihood stops resolving, so the BLAS thread
+# count, which changes how W's products round, leaves a random N = 120 state's estimates the
+# same to 1e-12
+python -c "
+import json, numpy as np
+rng = np.random.default_rng(4)
+c = rng.normal(size=121) + 1j * rng.normal(size=121)
+c /= np.linalg.norm(c)
+json.dump({'N': 120, 'kind': 'pure', 'amplitudes_re': c.real.tolist(),
+           'amplitudes_im': c.imag.tolist()}, open('random120.json', 'w'))
+"
+for threads in 1 2; do
+    OPENBLAS_NUM_THREADS=$threads modefisher estimate --state random120.json --direction 0.48,0.64,0.6 --theta 0.7 --trials 200 --shots 2000 --seed 3 > "threads$threads.json"
+done
+python -c "
+import json, sys
+one, two = (json.load(open(f'threads{t}.json'))['estimates'] for t in (1, 2))
+sys.exit(max(abs(a - b) for a, b in zip(one, two, strict=True)) > 1e-12)
+"

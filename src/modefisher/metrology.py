@@ -6,7 +6,12 @@ p_m(theta) = <m, N-m| U rho U^dag |m, N-m>.  Phase estimates maximize the
 multinomial log-likelihood over a grid on (0, pi/2), refined for all trials
 together: golden section narrows each trial's bracket to pi/(20 N), and safeguarded
 Newton steps on the likelihood's exact first and second derivatives finish it.  One
-rotation model per estimate gives them all.
+rotation model per estimate gives them all.  Each trial ends where its log-likelihood l
+stops resolving, judged against l's rounding r = _RESOLUTION sum_m n_m (|log p_m| + 1/p_m):
+once the Newton step predicts a gain |l''| s^2 / 2 <= r, or l's second-order model changes
+by at most r over the whole bracket.  So an estimate is resolved to about
+sqrt(2 r / |l''|), and the rounding of p, which changes with the BLAS thread count or with
+the trials that share a batch, moves it far less than that.
 
 The model has two paths.  Density matrices and pure states below
 ``collective.PROPAGATOR_MIN_N`` (250) take the dense path, through the real eigenbasis V
@@ -36,10 +41,11 @@ refinement step one (3R x 2(N+1)) product.  Propagated path: one angle takes abo
 beta N/2 + 30 banded O(N) products (beta <= |theta| mod 2 pi), a grid block of GRID_BLOCK
 points about 1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by less than a
 grid spacing.
-A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 6-8 at N = 100-150,
-9 at N = 400 and 11 at N = 1000.  A trial whose maximum sits on a window edge ends on the
-edge itself: the refinement's first step evaluates the edge where l' points toward it, and
-an edge that beats the best point, with l' pointing out of the window, is the estimate.
+A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 5-7 at N = 100-150,
+8-11 at N = 400 and 10-13 at N = 1000 (twin-Fock about axes in the plane).  A trial whose
+maximum sits on a window edge ends on the edge itself: the refinement's first step
+evaluates the edge where l' points toward it, and an edge that beats the best point, with
+l' pointing out of the window, is the estimate.
 Twin-Fock N = 2 and 4 about x at theta = 0.02 and pi/2 - 0.02 take at most 4 calls.
 
 An estimate raises NonIdentifiableError when p moves over the grid by less than the
@@ -71,10 +77,6 @@ GRID_POINTS = 512
 # grid points per propagated step: a block costs about 1.6 GRID_BLOCK + 35 banded products
 # and one matrix product; 16 gave the least time per point at N = 10^4
 GRID_BLOCK = 16
-REFINE_TOL = 1e-8
-# a Newton step this short ends a refinement: far below REFINE_TOL, and reached in one or
-# two steps once Newton converges quadratically
-NEWTON_TOL = 1e-2 * REFINE_TOL
 # log-likelihoods clip p_m at this absolute floor, so an outcome of p_m = 0 adds a finite
 # log on the grid and in the refinement
 PROBABILITY_FLOOR = 1e-300
@@ -224,13 +226,14 @@ class _RotationModel:
         above r, as a small eigenvalue of rho gives, keeps p'^2/p.  h = 0 (n = ±z) leaves
         every p_m constant, so F_cl is exactly 0 there, and nothing is built.
         """
+        theta = _angles(theta, one=True)
         half = 0.5 * complex(self.n.n_x, -self.n.n_y)
         if half == 0:
             return 0.0
         if self.state.is_pure:
             c = self.amplitudes(theta) if amplitudes is None else amplitudes
             return _pure_fisher(half * su2_bands(self.state.n_particles)[1], c)
-        p, dp, ddp = self.series(_angles(theta), order=2)
+        p, dp, ddp = self.series(theta, order=2)
         rounding = AMPLITUDE_ROUNDING * self.state.dim
         zero = (p <= rounding) | ((ddp > 0.0)
                                   & (np.abs(2.0 * ddp * p - dp ** 2) <= 2.0 * ddp * rounding))
@@ -272,13 +275,15 @@ def _half_slope(lower: np.ndarray, c: np.ndarray) -> np.ndarray:
     return half_slope
 
 
-def _angles(theta):
+def _angles(theta, one: bool = False):
     """A float `theta` as it is, anything else as a float array; non-finite angles raise on
-    the dense path as on the propagator's."""
+    the dense path as on the propagator's, and with `one` so does anything but one angle."""
     if isinstance(theta, float):
         finite = math.isfinite(theta)
     else:
         theta = np.asarray(theta, dtype=float)
+        if one and theta.ndim:
+            raise ValueError(f"theta must be one angle, not an array of shape {theta.shape}")
         finite = np.isfinite(theta).all()
     if not finite:
         raise ValueError("rotation angles must be finite")
@@ -330,27 +335,34 @@ def _pure_series(generator, c: np.ndarray) -> np.ndarray:
 
 
 def _log_likelihood(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """l, l' and l'' (shape (3, R)) of the counts (R, N+1), from p, p' and p'' (shape (3, R, N+1)).
+    """l, l', l'' and r (shape (4, R)) of the counts (R, N+1), from p, p' and p'' (shape
+    (3, R, N+1)).
 
     l = sum_m n_m log p_m, l' = sum_m n_m p'_m / p_m and
     l'' = sum_m n_m (p''_m / p_m - (p'_m / p_m)^2), with p_m clipped at PROBABILITY_FLOOR as on
-    the grid.
+    the grid.  r = _RESOLUTION sum_m n_m (|log p_m| + 1/p_m) is the rounding of l: each log
+    rounds relative to itself, and p_m rounds by about eps absolute (amplitudes have unit
+    norm), which moves log p_m by eps/p_m.  It is the per-trial form of the rounding that
+    `_grid_maxima` judges flatness by; `_refine_max` ends a row where l stops resolving.
     Unobserved outcomes add nothing.  Where an observed p_m is near that floor the ratios can
     overflow: l' and l'' are then not finite, and the refinement takes no Newton step there.
     """
     prob = np.clip(p[0], PROBABILITY_FLOOR, None)
-    terms = np.zeros(p.shape)
+    terms = np.zeros((4,) + p.shape[1:])
     np.log(prob, out=terms[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(p[1:], prob, out=terms[1:], where=counts > 0)
+        np.divide(p[1:], prob, out=terms[1:3], where=counts > 0)
         terms[2] -= terms[1] ** 2
-        return np.einsum("im,kim->ki", counts, terms)
+        terms[3] = np.abs(terms[0]) + 1.0 / prob
+        f = np.einsum("im,kim->ki", counts, terms)
+    f[3] *= _RESOLUTION
+    return f
 
 
 def rotate(state: SectorState, n: Direction, theta: float, tol: float = DEFAULT_TOL) -> SectorState:
     """Apply exp(i theta J_n), the image of exp(i theta n.sigma/2), by `frames.move_state`."""
     check_state(state, tol)
-    return move_state(state, su2_rotation(n, _angles(theta)), state.frame)
+    return move_state(state, su2_rotation(n, _angles(theta, one=True)), state.frame)
 
 
 def measurement_probabilities(state: SectorState, n: Direction, theta,
@@ -379,22 +391,27 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
     section until the bracket is narrower than `switch`, then safeguarded Newton steps, and the
     window's edge itself where the maximum sits on it.
 
-    `loglik(theta, rows)` gives l, l' and l'' (shape (3, len(rows))) of trials `rows` at angles
-    `theta`.  A row holds a bracket [a, b] and x, its best point so far.  Each step evaluates
-    one point u; golden section's comparison of x and u then keeps [a, right] when the left
-    of the two is better, else [left, b], and the better becomes x.  The first u is the
-    window edge for a bracket that ends on that edge with l' at x pointing toward it (keyed on
-    the sign of l', so a row with l'' >= 0 is pulled too).  Otherwise u is the Newton point
-    x - l'/l'' when the bracket is narrower than `switch`, l'' < 0, the point lies strictly
-    inside (a, b) and the step is at most half the previous one; else u is a golden-section
-    step into the larger of [a, x] and [x, b], so the bracket always shrinks.  A row ends at
-    x once its Newton step is below NEWTON_TOL, once a Newton step fails to beat x by a gain
-    l cannot resolve, or once the edge beats x with l' there pointing out of the window (or
-    l' = 0 and l'' < 0): its estimate is then the edge exactly.  It ends at the bracket's
-    midpoint, as golden section does, once the bracket is narrower than REFINE_TOL, where l
-    is flat to rounding.  All rows step together, so the slowest row sets the number of
-    calls (see the module docstring).  A row whose maximum sits on an edge ends after two:
-    its golden pair and the edge.
+    `loglik(theta, rows)` gives l, l', l'' and r, the rounding of l (shape (4, len(rows))), of
+    trials `rows` at angles `theta`.  A row holds a bracket [a, b] and x, its best point so
+    far.  Each step evaluates one point u; golden section's comparison of x and u then keeps
+    [a, right] when the left of the two is better, else [left, b], and the better becomes x.
+    The first u is the window edge for a bracket that ends on that edge with l' at x pointing
+    toward it (keyed on the sign of l', so a row with l'' >= 0 is pulled too).  Otherwise u is
+    the Newton point x + s, s = -l'/l'', when the bracket is narrower than `switch`, l'' < 0,
+    the point lies strictly inside (a, b) and the step is at most half the previous one; else
+    u is a golden-section step into the larger of [a, x] and [x, b], so the bracket always
+    shrinks.
+
+    A row ends at x where l stops resolving: once the Newton step predicts a gain
+    |l''| s^2 / 2 <= r, once the second-order model of l about x changes by at most r over the
+    whole bracket, |l'| w + |l''| w^2 / 2 <= r with w the larger distance from x to either
+    end, or once u equals x in floating point (which ends a row whose l'' is not finite).  So
+    an estimate is resolved to about sqrt(2 r / |l''|), and rounding in p or in the order of a
+    batch's rows moves it by less.  A row also ends once the edge beats x with l' there
+    pointing out of the window (or l' = 0 and l'' < 0): its estimate is then the edge exactly.
+    All rows step together, so the slowest row sets the number of calls (see the module
+    docstring).  A row whose maximum sits on an edge ends after two: its golden pair and the
+    edge.
     """
     trials = len(a)
     every = np.arange(trials)
@@ -404,30 +421,31 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
     left = f[0, :trials] > f[0, trials:]  # the maximum lies in [a, d]
     a, b = np.where(left, a, c), np.where(left, d, b)
     x, fx = np.where(left, c, d), np.where(left, f[:, :trials], f[:, trials:])
-    step, stalled = b - a, np.zeros(trials, dtype=bool)
+    step, on_edge = b - a, np.zeros(trials, dtype=bool)
     # a bracket that ends on a window edge, with l' at x toward it, steps to the edge first
     pull = np.where(fx[1] < 0, a == low, (fx[1] > 0) & (b == high))
     pull = pull if pull.any() else None
     estimates = np.empty(trials)
     active = every
     while True:
-        lo, hi, best, slope, curve = a[active], b[active], x[active], fx[1, active], fx[2, active]
+        lo, hi, best = a[active], b[active], x[active]
+        slope, curve, rounding = fx[1:, active]
+        width = np.maximum(hi - best, best - lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = -slope / curve
+            resolved = 0.5 * np.abs(curve) * newton ** 2 <= rounding  # the Newton step's gain
+            flat = np.abs(slope) * width + 0.5 * np.abs(curve) * width ** 2 <= rounding
         u = best + newton
         take = ((hi - lo < switch) & (-np.inf < curve) & (curve < 0.0) & (lo < u) & (u < hi)
                 & (np.abs(newton) <= 0.5 * np.abs(step[active])))
-        converged = (take & (np.abs(newton) < NEWTON_TOL)) | stalled[active]
-        done = converged | (hi - lo <= REFINE_TOL)
-        estimates[active[done]] = np.where(converged, best, 0.5 * (lo + hi))[done]
         golden = np.where(hi - best > best - lo, best + _CGOLD * (hi - best),
                           best - _CGOLD * (best - lo))
         u = np.where(take, u, golden)
+        done = on_edge[active] | (take & resolved) | flat | (u == best)
+        estimates[active[done]] = best[done]
         if pull is not None:  # the first step, where `active` holds every row
-            take &= ~pull
             u = np.where(pull, np.where(slope < 0, low, high), u)
-        u, take = u[~done], take[~done]
-        active = active[~done]
+        u, active = u[~done], active[~done]
         if not active.size:
             return estimates
         step[active] = u - x[active]
@@ -437,16 +455,12 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
         a[active] = np.where(keep_left, a[active], np.minimum(u, x[active]))
         b[active] = np.where(keep_left, np.maximum(u, x[active]), b[active])
         moved = keep_left == u_left
-        # a Newton step that does not beat x, with a predicted gain |l''| s^2 / 2 within the
-        # rounding of l, is below what l resolves: x is the maximum
-        gain = 0.5 * np.abs(fx[2, active]) * step[active] ** 2
-        stalled[active] = take & ~moved & (gain <= _RESOLUTION * np.abs(fx[0, active]))
         if pull is not None:
             # an edge that beats x, with l' there pointing out of the window (or l' = 0 and
             # l'' < 0), is the maximum
             outward = np.where(u == low, -fu[1], fu[1])
-            stalled[active] |= pull[active] & moved & ((outward > 0)
-                                                       | ((outward == 0) & (fu[2] < 0)))
+            on_edge[active] = pull[active] & moved & ((outward > 0)
+                                                      | ((outward == 0) & (fu[2] < 0)))
             pull = None
         x[active] = np.where(moved, u, x[active])
         fx[:, active] = np.where(moved, fu, fx[:, active])
@@ -554,6 +568,7 @@ class PhaseEstimator:
             raise ValueError("shots must be below 2**63")
         if not 0 <= seed < 2 ** 64:  # the seed is one 64-bit word of the Philox key
             raise ValueError("seed must be in [0, 2**64)")
+        _angles(theta_true, one=True)  # one finite angle
         model, n_particles = self.model, self.model.state.n_particles
         psi_true = model.amplitudes(theta_true) if model.state.is_pure else None
         p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
@@ -592,8 +607,11 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
 
     Each trial draws its `shots` outcomes from p(theta_true) in O(N) whatever `shots` is, and
     maximizes the log-likelihood on a grid of max(GRID_POINTS, N//2 + 1) points over
-    DEFAULT_WINDOW, refined as the module docstring describes.  A density matrix is
-    eigendecomposed once, by the spectral Fisher information.  Raises NonIdentifiableError
-    when p moves less over the window than the log-likelihood resolves (see `_grid_maxima`).
+    DEFAULT_WINDOW, refined as the module docstring describes: each trial ends where its
+    log-likelihood stops resolving against its rounding r, so it is resolved to about
+    sqrt(2 r / |l''|) (see `_refine_max`).  A density matrix is eigendecomposed once, by the
+    spectral Fisher information.  Raises ValueError unless theta_true is one finite angle, and
+    NonIdentifiableError when p moves less over the window than the log-likelihood resolves
+    (see `_grid_maxima`).
     """
     return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)
