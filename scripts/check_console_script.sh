@@ -92,6 +92,33 @@ test "$code" -eq 2
 grep -q "p must hold numbers" array_out.json
 test ! -s err.txt
 
+# a Fock state built in a frame of det U = -1 is separable against e^{0.3i} U: the change is
+# the phase e^{0.3iN}, which the determinant's reading gives
+python -c "
+import json, math
+r = 1 / math.sqrt(2)
+u = [[r, r], [r, -r]]
+frame = {'kind': 'unitary', 'u_re': u, 'u_im': [[0, 0], [0, 0]]}
+json.dump({'N': 3, 'kind': 'fock', 'k': 1, 'frame': frame}, open('det_state.json', 'w'))
+json.dump({'kind': 'unitary', 'u_re': [[math.cos(0.3) * x for x in row] for row in u],
+           'u_im': [[math.sin(0.3) * x for x in row] for row in u]}, open('phase_frame.json', 'w'))
+"
+modefisher separability --state det_state.json --frame phase_frame.json > phase_sep.json
+python -c "import json, sys; sys.exit(json.load(open('phase_sep.json'))['separable'] is not True)"
+
+# an estimate of an angle outside the window [0, pi/2] exits 2, naming the window
+code=0; modefisher estimate --state twin4.json --direction 1,0,0 --theta 2.0 --trials 4 --shots 200 > window.json || code=$?
+test "$code" -eq 2
+grep -q "estimation window" window.json
+
+# a state file without amplitudes_im exits 2 with the JSON error naming the field and nothing
+# on stderr
+echo '{"N": 1, "kind": "pure", "amplitudes_re": [1, 0]}' > no_im.json
+code=0; modefisher qfi --state no_im.json --direction 1,0,0 > no_im_out.json 2>err.txt || code=$?
+test "$code" -eq 2
+grep -q "amplitudes_im is missing" no_im_out.json
+test ! -s err.txt
+
 # an estimate ends each trial where its log-likelihood stops resolving, so the BLAS thread
 # count, which changes how W's products round, leaves a random N = 120 state's estimates the
 # same to 1e-12

@@ -4,14 +4,15 @@ Every sector operator comes from :func:`ladder`, the band of a monomial.  The ob
 are tridiagonal in the ascending Fock basis of :mod:`modefisher.fock`: a
 :class:`CollectiveObservable` holds the J_z or number diagonal and the J_+ band, applies
 itself to a vector in O(N) and builds the dense matrix only when `.matrix` is read.
-:func:`apply_su2` applies the sector's image Gamma(u) of u in SU(2), given as its first
-column, to a vector, from u's Euler angles and the real eigenbasis V of J_x, and
-:func:`su2_image` forms Gamma(u) from the same angles with one product of V: every frame
+:func:`apply_u2` applies the sector's image Gamma(U) of a 2x2 mode mixing U in U(2) to a
+vector, from U's determinant phase and Euler angles and the real eigenbasis V of J_x, and
+:func:`u2_image` forms Gamma(U) from the same angles with one product of V: every frame
 change, rotation at one angle and J_n's eigenbasis (:func:`eigenbasis`) go through them.
 :class:`Propagator` applies exp(i theta J_n), built from the axis n, without forming a matrix.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECTION_NORM_TOL = 1e-6
-# how far a first column (u_00, u_10) may be from unit norm and still be taken as SU(2)
-SU2_TOL = 1e-12
+# how far from 1 an entry of U^dag U may be for a 2x2 mode mixing U to be taken as unitary
+UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,40 +232,44 @@ def direction_generator(n_particles: int, n: Direction) -> CollectiveObservable:
 
 
 def _euler_phases(u, sector: _Sector):
-    """The diagonals e^{i(a+b) J_z}, e^{-i beta J_z} and e^{i(a-b) J_z} of u's ZXZ Euler
-    reading on the sector, and beta; u = [[u_00, -conj(u_10)], [u_10, conj(u_00)]] in SU(2)
-    given as its first column (u_00, u_10).
+    """The diagonals e^{i(a+b) J_z}, e^{-i beta J_z} and e^{i chi N} e^{i(a-b) J_z} of the 2x2
+    unitary U's reading on the sector, and beta.
 
-    Gamma(exp(i theta n.sigma/2)) = exp(i theta J_n), and Gamma(u) = e^{-i alpha J_z}
-    e^{-i beta J_x} e^{-i gamma J_z}.  u_00 = e^{-i(alpha+gamma)/2} cos(beta/2) and i u_10 =
-    e^{i(alpha-gamma)/2} sin(beta/2) give beta in [0, pi] by atan2 and alpha -+ gamma by
-    their phases a and b, so u = -1 gives (-1)^N.
+    U = e^{i chi} u, chi = arg(det U)/2, u in SU(2), so Gamma(U) = e^{i chi N} Gamma(u), and
+    Gamma(u) = e^{-i alpha J_z} e^{-i beta J_x} e^{-i gamma J_z}: u_00 = e^{-i(alpha+gamma)/2}
+    cos(beta/2) and i u_10 = e^{i(alpha-gamma)/2} sin(beta/2) give beta in [0, pi] by atan2 and
+    alpha -+ gamma by their phases a and b, so U = -1 gives (-1)^N.  Every angle is an atan2, so
+    nothing is normalised; a rotation's det U is real and positive to the bit, and chi = 0.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2,):
-        raise ValueError(f"u must be the first column (u_00, u_10) of an SU(2) matrix, "
-                         f"got shape {u.shape}")
-    u00, u10 = u.tolist()
-    if not abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) <= SU2_TOL:  # NaN fails too
-        raise ValueError("u must be in SU(2)")
+    if np.shape(u) != (2, 2):
+        raise ValueError(f"u must be a 2x2 unitary, got shape {np.shape(u)}")
+    (u00, u01), (u10, u11) = np.asarray(u, dtype=complex).tolist()
+    # U^dag U - 1 of a frame change U_new U_old^dag is within 4 UNITARITY_TOL plus rounding, as
+    # ModeFrame's mixings are within UNITARITY_TOL (3.15e-12 in 2000 pairs 0.98e-12 off); NaN fails
+    if not (abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) <= 5.0 * UNITARITY_TOL
+            and abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0) <= 5.0 * UNITARITY_TOL
+            and abs(u00.conjugate() * u01 + u10.conjugate() * u11) <= 5.0 * UNITARITY_TOL):
+        raise ValueError("u must be a 2x2 unitary")
+    chi = 0.5 * cmath.phase(u00 * u11 - u01 * u10)
     # the phases of u_00 and i u_10: alpha = b - a, gamma = -a - b
-    a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
+    a, b = math.atan2(u00.imag, u00.real) - chi, math.atan2(u10.real, -u10.imag) - chi
     beta = 2.0 * math.atan2(abs(u10), abs(u00))
     phases = np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), sector.jz)
+    phases[2] += 1j * chi * sector.n_particles
     right, tilt, left = np.exp(phases)
     return right, tilt, left, beta
 
 
-def apply_su2(u, c) -> np.ndarray:
-    """Gamma(u) c for u in SU(2), given as its first column (u_00, u_10), without forming
-    Gamma(u); c is one vector of N+1 amplitudes, and the result a new array.
+def apply_u2(u, c) -> np.ndarray:
+    """Gamma(U) c for a 2x2 unitary U, without forming Gamma(U); c is one vector of N+1
+    amplitudes, and the result a new array.
 
-    Gamma(u) = e^{-i alpha J_z} V e^{-i beta Lambda} V^T e^{-i gamma J_z} from u's ZXZ Euler
-    angles (:func:`_euler_phases`), with the sector's real J_x = V Lambda V^T: two real
-    products of V, cached below PROPAGATOR_MIN_N, with the (N+1, 2) real view of a column,
-    O(N^2).  From PROPAGATOR_MIN_N on the middle factor e^{-i beta J_x} comes from
-    :func:`propagate` instead: about beta N/2 + 30 banded O(N) products with the in-plane
-    J_x, and no (N+1)^2 array.
+    Gamma(U) = e^{i chi N} e^{-i alpha J_z} V e^{-i beta Lambda} V^T e^{-i gamma J_z} from U's
+    determinant phase and ZXZ Euler angles (:func:`_euler_phases`), with the sector's real
+    J_x = V Lambda V^T: two real products of V, cached below PROPAGATOR_MIN_N, with the
+    (N+1, 2) real view of a column, O(N^2).  From PROPAGATOR_MIN_N on the middle factor
+    e^{-i beta J_x} comes from :func:`propagate` instead: about beta N/2 + 30 banded O(N)
+    products with the in-plane J_x, and no (N+1)^2 array.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 1 or not c.size:
@@ -280,11 +285,11 @@ def apply_su2(u, c) -> np.ndarray:
     return left * (v @ y.view(float)).view(complex)[:, 0]
 
 
-def su2_image(u, n_particles: int) -> np.ndarray:
-    """Gamma(u), the (N+1)x(N+1) image of u in SU(2) (its first column) on the N-particle
-    sector, a new array, unitary to rounding at any N.
+def u2_image(u, n_particles: int) -> np.ndarray:
+    """Gamma(U), the (N+1)x(N+1) image of a 2x2 unitary U on the N-particle sector, a new
+    array, unitary to rounding at any N.
 
-    From the Euler reading of :func:`apply_su2`, Gamma(u) = diag(left) V (e^{-i beta Lambda}
+    From the reading of :func:`apply_u2`, Gamma(U) = diag(left) V (e^{-i beta Lambda}
     V^T diag(right)): the bracket scales V^T's rows and columns, and one real
     (N+1) x (N+1) x 2(N+1) product with V forms the rest, O(N^3) time, O(N^2) memory.
     """
@@ -297,29 +302,34 @@ def su2_image(u, n_particles: int) -> np.ndarray:
     return image
 
 
-def su2_rotation(n: Direction, theta: float) -> tuple[complex, complex]:
-    """The first column of exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma,
-    whose image on the sector is exp(i theta J_n)."""
+def _su2(u00: complex, u10: complex) -> np.ndarray:
+    """The SU(2) matrix [[u_00, -conj(u_10)], [u_10, conj(u_00)]] of first column (u_00, u_10)."""
+    return np.array([[u00, -u10.conjugate()], [u10, u00.conjugate()]])
+
+
+def su2_rotation(n: Direction, theta: float) -> np.ndarray:
+    """exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma, whose image on the
+    sector is exp(i theta J_n)."""
     cos, sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
+    return _su2(complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x))
 
 
 def eigenbasis(n_particles: int, n: Direction) -> np.ndarray:
     """Q with J_n = Q diag(k - N/2) Q^dag: the image of w = e^{-i phi sigma_z/2}
     e^{-i beta sigma_y/2}, which takes z to n, for beta and phi the polar and azimuthal
     angles of n.  Its first column is (e^{-i phi/2} cos(beta/2), e^{i phi/2} sin(beta/2)),
-    and :func:`su2_image` forms Q from it."""
+    and :func:`u2_image` forms Q from w."""
     # atan2 keeps beta accurate near the poles, where arccos(n_z) loses digits
     beta = math.atan2(math.hypot(n.n_x, n.n_y), n.n_z)
     phi = math.atan2(n.n_y, n.n_x)
     half = complex(math.cos(0.5 * phi), math.sin(0.5 * phi))
-    return su2_image((half.conjugate() * math.cos(0.5 * beta), half * math.sin(0.5 * beta)),
-                     n_particles)
+    return u2_image(_su2(half.conjugate() * math.cos(0.5 * beta), half * math.sin(0.5 * beta)),
+                    n_particles)
 
 
-# Pure states of at least this many particles are moved by `apply_su2` propagating about x,
+# Pure states of at least this many particles are moved by `apply_u2` propagating about x,
 # and rotated over arrays of angles by the Propagator about n, rather than through V; the
-# sector's data is no longer cached.  Dense images (`su2_image`) take one product with V at
+# sector's data is no longer cached.  Dense images (`u2_image`) take one product with V at
 # every N.  The threshold follows an estimate's crossover (3 trials x 10^4 shots about x, one
 # BLAS thread; tables in CHANGES.md).  One move costs two O(N^2) products through V against
 # about beta N/2 + 30 banded O(N) products propagated; the step is open in ROADMAP.md.

@@ -7,11 +7,11 @@ of U gives the new mode b_i as a combination of (a_1, a_2),
 
 The change-of-basis unitary V maps spatial-frame amplitudes to amplitudes
 over the new frame's Fock basis.  It is the image of U on the N-particle
-sector: with U = e^{ia} u, u in SU(2), V = Gamma(U) = e^{iaN} Gamma(u), and
-Gamma(U1) Gamma(U2) = Gamma(U1 U2).  :func:`move_state`, the one move of a state by 2x2
-data (a frame change or a rotation), reads Gamma(u) off the Euler angles of u's first
-column: :func:`~modefisher.collective.apply_su2` moves a pure state without forming V at
-any N; :func:`~modefisher.collective.su2_image` forms V with one real product.
+sector, V = Gamma(U), and Gamma(U1) Gamma(U2) = Gamma(U1 U2).  :func:`move_state`, the one
+move of a state by a 2x2 unitary (a frame change or a rotation), passes it on as it is:
+:func:`~modefisher.collective.apply_u2` moves a pure state without forming V at any N;
+:func:`~modefisher.collective.u2_image` forms V with one real product.  Both read U's
+determinant phase and Euler angles in :func:`~modefisher.collective._euler_phases`.
 """
 from __future__ import annotations
 
@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import apply_su2, frozen, su2_image
-
-UNITARITY_TOL = 1e-12
+from .collective import UNITARITY_TOL, apply_u2, frozen, u2_image
 
 
 @dataclass(frozen=True)
@@ -71,23 +69,13 @@ def custom_frame(mixing) -> ModeFrame:
     return ModeFrame(np.asarray(mixing, dtype=complex), label="custom")
 
 
-def _su2_part(u: np.ndarray) -> tuple[float, np.ndarray]:
-    """a and u' with U = e^{ia} u', a = arg(det U)/2, so Gamma(U) = e^{iaN} Gamma(u').  u' is
-    given as the normalised first column of e^{-ia} U, so a mixing that ModeFrame accepts as
-    unitary is in SU(2) to rounding."""
-    a = 0.5 * float(np.angle(np.linalg.det(u)))
-    column = np.exp(-1j * a) * u[:, 0]
-    return a, column / np.linalg.norm(column)
-
-
 def frame_change_unitary(n_particles: int, frame: ModeFrame) -> np.ndarray:
     """(N+1)x(N+1) unitary V whose column k expands |k, N-k> over the frame's Fock basis.
 
     V = Gamma(U) is the spin-N/2 image of the frame's mixing U, formed in O(N^3) time and
     O(N^2) memory; it is unitary to rounding at any N.
     """
-    a, column = _su2_part(frame.mixing)
-    return np.exp(1j * a * n_particles) * su2_image(column, n_particles)
+    return u2_image(frame.mixing, n_particles)
 
 
 def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> np.ndarray:
@@ -98,14 +86,14 @@ def fock_expansion_coefficients(k: int, n_particles: int, frame: ModeFrame) -> n
 
 
 def move_state(state, u, frame: ModeFrame):
-    """The state moved by Gamma(u), u in SU(2) given as its first column, labelled `frame`: a
-    pure state by `apply_su2`, a density matrix as V rho V^dag with V = `su2_image(u, N)`.
-    The new array is handed over read-only, so the SectorState keeps it without a copy."""
+    """The state moved by Gamma(U), U a 2x2 unitary, labelled `frame`: a pure state by
+    `apply_u2`, a density matrix as V rho V^dag with V = `u2_image(U, N)`.  The new array is
+    handed over read-only, so the SectorState keeps it without a copy."""
     if state.is_pure:
-        c = apply_su2(u, state.amplitudes)
+        c = apply_u2(u, state.amplitudes)
         c.setflags(write=False)
         return type(state)(state.n_particles, frame, amplitudes=c)
-    v = su2_image(u, state.n_particles)
+    v = u2_image(u, state.n_particles)
     rho = v @ state.rho @ v.conj().T
     rho.setflags(write=False)
     return type(state)(state.n_particles, frame, rho=rho)
@@ -114,15 +102,9 @@ def move_state(state, u, frame: ModeFrame):
 def transform_state(state, frame: ModeFrame):
     """Re-express a SectorState in a new mode frame; norm and trace are preserved.
 
-    The change is Gamma(U_new U_old^dag) = e^{iaN} Gamma(u), by :func:`move_state`; a frame
-    with a bitwise-equal mixing keeps the data.
+    The change is Gamma(U_new U_old^dag), by :func:`move_state`; a frame with a bitwise-equal
+    mixing keeps the data.
     """
     if np.array_equal(frame.mixing, state.frame.mixing):
         return type(state)(state.n_particles, frame, amplitudes=state.amplitudes, rho=state.rho)
-    a, column = _su2_part(frame.mixing @ state.frame.mixing.conj().T)
-    moved = move_state(state, column, frame)
-    if moved.is_pure:  # the phase e^{iaN} cancels in a density matrix's V rho V^dag
-        c = np.exp(1j * a * state.n_particles) * moved.amplitudes
-        c.setflags(write=False)
-        moved = type(state)(state.n_particles, frame, amplitudes=c)
-    return moved
+    return move_state(state, frame.mixing @ state.frame.mixing.conj().T, frame)

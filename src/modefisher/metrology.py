@@ -3,7 +3,7 @@
 The readout is number counting in the frame of the input state: after the
 rotation exp(i theta J_n) the outcome m = 0..N is drawn with probability
 p_m(theta) = <m, N-m| U rho U^dag |m, N-m>.  Phase estimates maximize the
-multinomial log-likelihood over a grid on (0, pi/2), refined for all trials
+multinomial log-likelihood over a grid on [0, pi/2], refined for all trials
 together: golden section narrows each trial's bracket to pi/(20 N), and safeguarded
 Newton steps on the likelihood's exact first and second derivatives finish it.  One
 rotation model per estimate gives them all.  Each trial ends where its log-likelihood l
@@ -17,9 +17,9 @@ The model has two paths.  Density matrices and pure states below
 ``collective.PROPAGATOR_MIN_N`` (250) take the dense path, through the real eigenbasis V
 of J_x, cached per N; pure states from it on the propagated path.  On both, a pure state
 at one angle (`classical_fisher`, `measurement_probabilities` at a scalar angle, an
-estimate's true-angle state) is rotated by ``collective.apply_su2``, the image of
-exp(i theta n.sigma/2) given as its first column, and `rotate` moves a state by that
-column through ``frames.move_state``, as a frame change does.  Every other dense call
+estimate's true-angle state) is rotated by ``collective.apply_u2``, the image of the 2x2
+matrix exp(i theta n.sigma/2), and `rotate` moves a state by that matrix through
+``frames.move_state``, as a frame change does.  Every other dense call
 reads p off one trigonometric polynomial: J_n's eigenvalues are k - N/2, so p_m(theta)
 has degree N in e^{i theta}, and p(theta) = T(theta) @ W with W built once per model from
 J_n's eigenbasis Q, ``collective.eigenbasis``, the image of the 2x2 matrix that takes z to
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import (Direction, Propagator, apply_su2, eigenbasis, frozen, su2_bands,
+from .collective import (Direction, Propagator, apply_u2, eigenbasis, frozen, su2_bands,
                          su2_rotation, uses_propagator)
 from .fock import DEFAULT_TOL, SectorState, check_state
 from .frames import move_state
@@ -117,7 +117,7 @@ class EstimationRun:
 class _RotationModel:
     """exp(i theta J_n) for repeated rotations of one state about `n`, on the module
     docstring's two paths, chosen once on construction: `propagated` for a pure state from
-    PROPAGATOR_MIN_N on.  One angle takes :func:`~modefisher.collective.apply_su2`; on the
+    PROPAGATOR_MIN_N on.  One angle takes :func:`~modefisher.collective.apply_u2`; on the
     propagated path arrays of angles take the matrix-free
     :class:`~modefisher.collective.Propagator` about n, built by the first of them.  Any
     other call evaluates :attr:`fourier`, the coefficients of p(theta) in the powers of
@@ -136,13 +136,13 @@ class _RotationModel:
         return Propagator(self.state.n_particles, self.n)
 
     def amplitudes(self, theta) -> np.ndarray:
-        """exp(i theta J_n) c (pure states): at one angle by `apply_su2`, at every angle of an
+        """exp(i theta J_n) c (pure states): at one angle by `apply_u2`, at every angle of an
         array `theta` (shape theta.shape + (N+1,)) by the propagator (propagated path)."""
         theta = _angles(theta)
         if getattr(theta, "ndim", 0):  # a float or a 0-d array is one angle
             return self.propagator.apply(self.state.amplitudes,
                                          self.propagator.coefficients(theta))
-        return apply_su2(su2_rotation(self.n, theta), self.state.amplitudes)
+        return apply_u2(su2_rotation(self.n, theta), self.state.amplitudes)
 
     @functools.cached_property
     def fourier(self) -> np.ndarray:
@@ -568,7 +568,8 @@ class PhaseEstimator:
             raise ValueError("shots must be below 2**63")
         if not 0 <= seed < 2 ** 64:  # the seed is one 64-bit word of the Philox key
             raise ValueError("seed must be in [0, 2**64)")
-        _angles(theta_true, one=True)  # one finite angle
+        if not DEFAULT_WINDOW[0] <= _angles(theta_true, one=True) <= DEFAULT_WINDOW[1]:
+            raise ValueError(f"theta_true {theta_true} is outside the estimation window [0, pi/2]")
         model, n_particles = self.model, self.model.state.n_particles
         psi_true = model.amplitudes(theta_true) if model.state.is_pure else None
         p_true = model.probabilities(theta_true) if psi_true is None else np.abs(psi_true) ** 2
@@ -610,8 +611,8 @@ def monte_carlo_estimate(state: SectorState, n: Direction, theta_true: float,
     DEFAULT_WINDOW, refined as the module docstring describes: each trial ends where its
     log-likelihood stops resolving against its rounding r, so it is resolved to about
     sqrt(2 r / |l''|) (see `_refine_max`).  A density matrix is eigendecomposed once, by the
-    spectral Fisher information.  Raises ValueError unless theta_true is one finite angle, and
-    NonIdentifiableError when p moves less over the window than the log-likelihood resolves
-    (see `_grid_maxima`).
+    spectral Fisher information.  Raises ValueError unless theta_true is one angle in the window
+    (one outside would be estimated as its alias inside), and NonIdentifiableError when p moves
+    less over the window than the log-likelihood resolves (see `_grid_maxima`).
     """
     return PhaseEstimator(state, n, tol).estimate(theta_true, trials, shots, seed)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .collective import (Direction, bose_hubbard, commutator_residual, direction_generator,
-                         propagate, schwinger, su2_image, su2_rotation)
+                         propagate, schwinger, su2_rotation, u2_image)
 from .fock import diagonal_state, make_fock_state
 from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
 from .qfi import qfi_diagonal_closed_form, qfi_spectral
@@ -58,7 +58,7 @@ def checks():
         for phi in (0.0, 1.1):
             frame = bogolubov_frame(phi)
             v = frame_change_unitary(big_n, frame)
-            u = su2_image(su2_rotation(Direction.in_plane(phi), 0.7), big_n)
+            u = u2_image(su2_rotation(Direction.in_plane(phi), 0.7), big_n)
             u_b = v @ u @ v.conj().T
             ok = ok and np.abs(u_b - np.diag(np.diag(u_b))).max() <= 1e-10
     yield "exponential-locality", ok
@@ -88,6 +88,6 @@ def checks():
         c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
         c /= np.linalg.norm(c)
         for n in (Direction(1.0, 0.0, 0.0), Direction(0.6, 0.0, 0.8)):
-            dense = su2_image(su2_rotation(n, 6.5), big_n) @ c
+            dense = u2_image(su2_rotation(n, 6.5), big_n) @ c
             ok = ok and np.abs(propagate(big_n, n, c, 6.5) - dense).max() <= 1e-12
     yield "propagator-vs-dense", ok

@@ -12,7 +12,7 @@ Frame object:
   {"kind": "spatial"} | {"kind": "bogolubov", "phi": real}
   | {"kind": "unitary", "u_re": [[..]], "u_im": [[..]]}
 
-A state or frame that is not an object, or a field not holding numbers, raises ValueError.
+A state or frame that is not an object, or a missing or non-numeric field, raises ValueError.
 """
 from __future__ import annotations
 
@@ -55,10 +55,16 @@ def _object(obj, what: str) -> dict:
     return obj
 
 
+def _field(obj: dict, field: str):
+    if field not in obj:
+        raise ValueError(f"{field} is missing")
+    return obj[field]
+
+
 def _number(obj: dict, field: str, integral: bool = False):
     """obj[field], a JSON number as a float, or with `integral` an integral one (4 or 4.0) as
     an int; a bool, a string, an array, NaN or a fraction raises ValueError naming the field."""
-    value = obj[field]
+    value = _field(obj, field)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or integral and value % 1:
         raise ValueError(f"{field} must be {'an integer' if integral else 'a number'}, "
                          f"got {value!r:.40}")
@@ -78,7 +84,7 @@ def _floats(obj: dict, field: str) -> np.ndarray:
     """obj[field] as a float array.  An element that is not a JSON number (a bool, a string,
     null, an object, a ragged row) or lies past double range raises ValueError naming the
     field: numpy's own float conversion would read "1" and true as 1.0, and null as NaN."""
-    values = np.array(obj[field], dtype=object)
+    values = np.array(_field(obj, field), dtype=object)
     kinds = set(map(type, values.flat))
     if all(kind is not bool and issubclass(kind, (int, float)) for kind in kinds):
         try:

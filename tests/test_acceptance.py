@@ -183,7 +183,7 @@ def test_10_bose_hubbard_structure():
 
 
 # The paper's claims checked matrix-free at condensate scale, N = 10^4: every move goes
-# through `apply_su2`, which propagates there, and each round trip rounds by about N eps, so
+# through `apply_u2`, which propagates there, and each round trip rounds by about N eps, so
 # the bounds are stated multiples of N eps.
 LARGE_N = 10 ** 4
 PAULI = (np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, -1j], [1j, 0]]),

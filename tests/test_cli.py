@@ -288,6 +288,19 @@ class TestEstimateCommand:
         for key in ("empirical_std", "qcrb", "ccrb", "mean_estimate"):
             assert float(row[key]) == pytest.approx(report[key], abs=1e-12)
 
+    def test_theta_outside_the_window_exits_2(self, capsys, twin4):
+        # an estimate of theta = 2.0 lay at pi - 2 and exited 0
+        for argv in (["estimate", "--direction", "1,0,0", "--theta", "2.0", "--trials", "4"],
+                     ["sweep", "--param", "theta", "--values", "0.3,2.0", "--trials", "4"]):
+            code, out = run_cli(capsys, [*argv, "--state", twin4, "--shots", "200"])
+            error = json.loads(out)["error"]
+            assert (code, error["type"]) == (2, "ValueError"), argv
+            assert "estimation window [0, pi/2]" in error["message"], argv
+        # a sweep without trials reports the bounds at any angle
+        code, out = run_cli(capsys, ["sweep", "--state", twin4, "--param", "theta",
+                                     "--values=-0.3,2.0,3.0", "--trials", "0"])
+        assert code == 0 and len(json.loads(out)["rows"]) == 3, out
+
     def test_non_identifiable_exits_2(self, capsys, tmp_path):
         path = write_json(tmp_path / "diag.json",
                           {"N": 1, "kind": "diagonal", "p": [0.5, 0.5],
@@ -961,14 +974,22 @@ FOCK = {"N": 2, "kind": "fock", "k": 1}
     ("frames", {"kind": "unitary", "u_re": [["1", 0], [0, 1]], "u_im": [[0, 0], [0, 0]]},
      "u_re must hold numbers"),
     ("qfi", {"N": 1, "kind": "diagonal", "p": [None, 1.0]}, "p must hold numbers"),
+    ("qfi", {"kind": "fock", "k": 1}, "N is missing"),
+    ("qfi", {"N": 2, "kind": "fock"}, "k is missing"),
+    ("qfi", {"N": 1, "kind": "pure", "amplitudes_re": [1, 0]}, "amplitudes_im is missing"),
+    ("qfi", {"N": 1, "kind": "diagonal"}, "p is missing"),
+    ("qfi", {**FOCK, "frame": {"kind": "bogolubov"}}, "phi is missing"),
+    ("frames", {"kind": "unitary", "u_re": [[1, 0], [0, 1]]}, "u_im is missing"),
 ], ids=["state_frame_null", "state_frame_array", "state_array", "state_string", "p_object",
         "phi_null", "phi_array", "u_re_object", "phi_past_double_range", "p_past_double_range",
         "frame_file_null", "frame_file_number", "amplitudes_string", "p_bool", "u_re_string",
-        "p_null"])
+        "p_null", "n_missing", "k_missing", "amplitudes_im_missing", "p_missing",
+        "phi_missing", "u_im_missing"])
 def test_malformed_json_exits_2_naming_the_field(capsys, tmp_path, subcommand, obj, message):
     # the first ten ended in a TypeError, AttributeError or OverflowError traceback, exit 1;
     # numpy's float conversion read the strings and booleans as numbers, exit 0, and null as
-    # NaN, rejected for its finiteness without naming the field
+    # NaN, rejected for its finiteness without naming the field; a missing field was a
+    # KeyError whose message was the bare field name
     path = write_json(tmp_path / "input.json", obj)
     argv = (["qfi", "--state", path, "--direction", "1,0,0"] if subcommand == "qfi"
             else ["frames", "--n", "2", "--frame", path])

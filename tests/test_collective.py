@@ -8,8 +8,8 @@ import pytest
 from modefisher import (CollectiveObservable, Direction, MonomialOp, bogolubov_frame,
                         bose_hubbard, collective, commutator_residual, custom_frame,
                         direction_generator, frame_change_unitary, monomial_matrix, schwinger)
-from modefisher.collective import (Propagator, _bessel_j, apply_su2, eigenbasis, ladder,
-                                   propagate, su2_image)
+from modefisher.collective import (Propagator, _bessel_j, apply_u2, eigenbasis, ladder,
+                                   propagate, u2_image)
 
 
 class TestDirection:
@@ -358,7 +358,8 @@ def _eigh_unitary(big_n, n, theta):
 
 
 class TestRotation:
-    """J_n's eigenbasis and exp(i theta J_n) as SU(2) images, against the dense J_n."""
+    """J_n's eigenbasis and exp(i theta J_n) as images of 2x2 unitaries, against the dense
+    J_n."""
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 1000])
     def test_eigenpairs(self, big_n):
@@ -374,18 +375,18 @@ class TestRotation:
         rng = np.random.default_rng(big_n + 1)
         for n in _rotation_directions(rng, 3):
             for theta in (0.3, -2.0, 7.5):
-                got = su2_image(_su2(n, theta)[:, 0], big_n)
+                got = u2_image(_su2(n, theta), big_n)
                 assert np.abs(got - _eigh_unitary(big_n, n, theta)).max() <= 1e-12, (n, theta)
 
     @pytest.mark.parametrize("big_n", [0, 1, 2, 7, 60, 249, 250])
     def test_apply_matches_unitary(self, big_n):
-        # apply_su2 of exp(i theta n.sigma/2), given as its first column
+        # apply_u2 of exp(i theta n.sigma/2)
         rng = np.random.default_rng(big_n + 3)
         for n in _rotation_directions(rng, 3):
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
             c /= np.linalg.norm(c)
             for theta in (0.0, 0.3, -2.0, 7.5):
-                got = apply_su2(_su2(n, theta)[:, 0], c)
+                got = apply_u2(_su2(n, theta), c)
                 oracle = _eigh_unitary(big_n, n, theta) @ c
                 assert np.abs(got - oracle).max() <= 1e-12, (n, theta)
 
@@ -417,27 +418,28 @@ class TestRotation:
 
 
 SU2_SIZES = [0, 1, 2, 7, 40, 249]
-IDENTITY = np.array([1.0, 0.0])  # the first column of the 2x2 identity
+
+
+def _random_u2(rng):
+    """A random 2x2 unitary, det != 1."""
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
 
 
 class TestApplySu2:
-    """Gamma(u) c from the Euler angles of u, with two real products of V, and Gamma(u)
-    formed from the same angles with one; u is given as its first column."""
+    """Gamma(U) c from the determinant phase and Euler angles of a 2x2 unitary U, with two real
+    products of V, and Gamma(U) formed from the same angles with one."""
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
     def test_homomorphism(self, big_n):
-        # Gamma(u1) Gamma(u2) c = Gamma(u1 u2) c for random SU(2) matrices, poles included
+        # Gamma(u1) Gamma(u2) c = Gamma(u1 u2) c for random U(2) matrices, poles included
         rng = np.random.default_rng(big_n + 5)
         c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
         c /= np.linalg.norm(c)
         mats = [_su2(Direction(0.0, 0.0, 1.0), 0.9), _su2(Direction(0.0, 0.0, -1.0), -2.5)]
-        for _ in range(4):
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q = np.linalg.qr(z)[0]
-            mats.append(q / np.sqrt(np.linalg.det(q)))
+        mats += [_random_u2(rng) for _ in range(4)]
         for u1, u2 in zip(mats, mats[1:] + mats[:1]):
-            both = apply_su2((u1 @ u2)[:, 0], c)
-            twice = apply_su2(u1[:, 0], apply_su2(u2[:, 0], c))
+            both = apply_u2(u1 @ u2, c)
+            twice = apply_u2(u1, apply_u2(u2, c))
             assert np.abs(twice - both).max() <= 1e-15 * (big_n + 1)
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
@@ -447,23 +449,44 @@ class TestApplySu2:
         c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
         c /= np.linalg.norm(c)
         for n in _rotation_directions(rng, 2):
-            for u in (_su2(n, 2.0 * math.pi)[:, 0], [-1.0, 0.0]):
-                got = apply_su2(u, c)
+            for u in (_su2(n, 2.0 * math.pi), -np.eye(2)):
+                got = apply_u2(u, c)
                 assert np.abs(got - (-1) ** big_n * c).max() <= 1e-15 * (big_n + 1), n
+
+    @pytest.mark.parametrize("u, oracle", [
+        # a1^dag -> a1^dag, a2^dag -> -a2^dag: |k, N-k> -> (-1)^(N-k) |k, N-k>
+        (np.diag([1.0, -1.0]), lambda big_n: np.diag((-1.0) ** (big_n - np.arange(big_n + 1)))),
+        # diag(1, -1) times exp(i theta sigma_y/2) with cos(theta/2) = 0.6
+        ([[0.6, 0.8], [0.8, -0.6]],
+         lambda big_n: (-1.0) ** (big_n - np.arange(big_n + 1))[:, None]
+         * _eigh_unitary(big_n, Direction(0.0, 1.0, 0.0), 2.0 * math.atan2(0.8, 0.6))),
+        # Gamma(e^{i chi} 1) = e^{i chi N} 1
+        (np.exp(0.3j) * np.eye(2), lambda big_n: np.exp(0.3j * big_n) * np.eye(big_n + 1)),
+    ], ids=["det_minus_one", "reflection", "phase"])
+    def test_accepts_u2(self, u, oracle):
+        # U = e^{i chi} u with u in SU(2) and chi = arg(det U)/2: Gamma(U) = e^{i chi N} Gamma(u)
+        rng = np.random.default_rng(12)
+        for big_n in SU2_SIZES + [300]:
+            expected = oracle(big_n)
+            if big_n < collective.PROPAGATOR_MIN_N:
+                assert np.abs(u2_image(u, big_n) - expected).max() <= 1e-12, big_n
+            c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
+            c /= np.linalg.norm(c)
+            assert np.abs(apply_u2(u, c) - expected @ c).max() <= 1e-12, big_n
 
     @pytest.mark.parametrize("big_n", SU2_SIZES + [300])
     def test_block_matches_vector_route(self, big_n):
         # Gamma(u)'s columns are the images of the Fock states: from the same Euler phases and
         # products of V below PROPAGATOR_MIN_N, against the propagated vector route from it on
-        u = _su2(Direction(0.48, 0.64, 0.6), 2.3)[:, 0]
-        image = su2_image(u, big_n)
+        u = _random_u2(np.random.default_rng(10))
+        image = u2_image(u, big_n)
         assert image.shape == (big_n + 1, big_n + 1)
         dense = big_n < collective.PROPAGATOR_MIN_N
         bound = 4 * np.finfo(float).eps if dense else 1e-12
         for j in range(big_n + 1) if dense else (0, big_n // 3, big_n // 2, big_n):
             fock = np.zeros(big_n + 1, dtype=complex)
             fock[j] = 1.0
-            assert np.abs(image[:, j] - apply_su2(u, fock)).max() <= bound, j
+            assert np.abs(image[:, j] - apply_u2(u, fock)).max() <= bound, j
 
     @pytest.mark.parametrize("big_n", SU2_SIZES)
     def test_dense_homomorphism(self, big_n):
@@ -471,62 +494,51 @@ class TestApplySu2:
         rng = np.random.default_rng(big_n + 8)
         mats = [_su2(Direction(0.0, 0.0, 1.0), 0.9), _su2(Direction(0.0, 0.0, -1.0), -2.5),
                 -np.eye(2)]
-        for _ in range(3):
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q = np.linalg.qr(z)[0]
-            mats.append(q / np.sqrt(np.linalg.det(q)))
+        mats += [_random_u2(rng) for _ in range(3)]
         for u1, u2 in zip(mats, mats[1:] + mats[:1]):
-            both = su2_image((u1 @ u2)[:, 0], big_n)
-            product = su2_image(u1[:, 0], big_n) @ su2_image(u2[:, 0], big_n)
+            both = u2_image(u1 @ u2, big_n)
+            product = u2_image(u1, big_n) @ u2_image(u2, big_n)
             assert np.abs(product - both).max() <= 1e-15 * (big_n + 1) ** 2
 
     def test_result_owns_its_data(self):
         # a vector, one on the propagated route, and formed images
-        u = _su2(Direction(0.48, 0.64, 0.6), 0.7)[:, 0]
+        u = _su2(Direction(0.48, 0.64, 0.6), 0.7)
         for size in (5, 251):
-            out = apply_su2(u, np.ones(size, dtype=complex) / math.sqrt(size))
+            out = apply_u2(u, np.ones(size, dtype=complex) / math.sqrt(size))
             assert out.base is None and out.flags.writeable and out.shape == (size,), size
         for big_n in (0, 4):  # a complex view of a new real array, apart from the cached V
-            out = su2_image(u, big_n)
+            out = u2_image(u, big_n)
             assert out.flags.writeable, big_n
             assert not np.shares_memory(out, collective._sector(big_n).jx_eigenvectors), big_n
 
     @pytest.mark.parametrize("u", [
-        np.diag([1.0, -1.0]),  # a 2x2 matrix, unitary with det -1: u is a column
-        [2.0, 0.0],  # scaled
-        [[0.6, 0.8], [0.8, -0.6]],  # a 2x2 matrix: a reflection
-        [0.6, 0.7],  # a column off unit norm
-        [math.nan, 0.0],
-        [math.inf, 0.0],
-    ], ids=["det_minus_one", "scaled", "reflection", "column_norm", "nan", "inf"])
+        2.0 * np.eye(2),  # scaled
+        [[0.6, -0.7], [0.7, 0.6]],  # a first column off unit norm
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 1.0], [0.0, 1.0]],  # a unit first column and det 1, but not unitary
+        [1.0, 0.0],  # the first column alone
+    ], ids=["scaled", "column_norm", "nan", "inf", "shear", "column"])
     def test_rejects_non_su2(self, u):
-        with pytest.raises(ValueError, match="SU\\(2\\)"):
-            apply_su2(u, np.ones(3))
-        with pytest.raises(ValueError, match="SU\\(2\\)"):
-            su2_image(u, 2)
+        with pytest.raises(ValueError, match="2x2 unitary"):
+            apply_u2(u, np.ones(3))
+        with pytest.raises(ValueError, match="2x2 unitary"):
+            u2_image(u, 2)
 
     @pytest.mark.parametrize("u, c", [
-        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (IDENTITY, np.ones(())),
-        (IDENTITY, np.ones((2, 3, 2))), (IDENTITY, np.ones(0)),
-        (IDENTITY, np.ones((0, 3))), (IDENTITY, np.ones((3, 0))), (IDENTITY, np.ones((3, 2))),
+        (np.eye(3), np.ones(3)), (np.ones(3), np.ones(3)), (np.eye(2), np.ones(())),
+        (np.eye(2), np.ones((2, 3, 2))), (np.eye(2), np.ones(0)),
+        (np.eye(2), np.ones((0, 3))), (np.eye(2), np.ones((3, 0))), (np.eye(2), np.ones((3, 2))),
     ], ids=["u_3x3", "u_length_3", "c_scalar", "c_3d", "c_empty", "c_no_rows",
             "c_no_columns", "c_block"])
     def test_rejects_malformed_shapes(self, u, c):
-        # c is one vector of N+1 amplitudes; a dense image is `su2_image`'s
+        # c is one vector of N+1 amplitudes; a dense image is `u2_image`'s
         with pytest.raises(ValueError):
-            apply_su2(u, c)
+            apply_u2(u, c)
 
     def test_image_rejects_negative_n(self):
         with pytest.raises(ValueError, match="n_particles"):
-            su2_image(IDENTITY, -1)
-
-    @pytest.mark.parametrize("u", [np.eye(2), -np.eye(2), _su2(Direction(0.48, 0.64, 0.6), 0.7)],
-                             ids=["identity", "minus_identity", "rotation"])
-    def test_rejects_a_matrix(self, u):
-        # SU(2) is given as the first column (u_00, u_10) alone, the form every caller has
-        for call in (lambda: apply_su2(u, np.ones(3) / math.sqrt(3)), lambda: su2_image(u, 2)):
-            with pytest.raises(ValueError, match="first column"):
-                call()
+            u2_image(np.eye(2), -1)
 
 
 class TestPropagatorGenerator:

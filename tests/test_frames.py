@@ -227,7 +227,7 @@ def test_fock_states_never_diagonal_in_bogolubov_frames():
 
 
 class TestPropagatedPath:
-    """Pure states change frames through apply_su2 at every N, without forming Gamma(U)."""
+    """Pure states change frames through apply_u2 at every N, without forming Gamma(U)."""
 
     @pytest.mark.parametrize("big_n", [1, 40, 200])
     def test_matches_dense_route(self, big_n, monkeypatch):
@@ -281,13 +281,18 @@ class TestNearlyUnitaryMixing:
     """A mixing that ModeFrame accepts, off unitarity by just under UNITARITY_TOL."""
 
     @staticmethod
-    def _frames():
-        rng = np.random.default_rng(17)
+    def _near(rng, scale=0.9):
+        """A random unitary q, and q moved so that U^dag U is about `scale` UNITARITY_TOL
+        from 1."""
         q = random_unitary_2x2(rng)
         x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        u = q + 0.9 * frames.UNITARITY_TOL / np.abs(q.conj().T @ x + x.conj().T @ q).max() * x
+        u = q + scale * frames.UNITARITY_TOL / np.abs(q.conj().T @ x + x.conj().T @ q).max() * x
         residual = np.abs(u.conj().T @ u - np.eye(2)).max()
         assert 0.5 * frames.UNITARITY_TOL < residual <= frames.UNITARITY_TOL
+        return u, q
+
+    def _frames(self):
+        u, q = self._near(np.random.default_rng(17))
         return custom_frame(u), custom_frame(q)
 
     @pytest.mark.parametrize("big_n", [40, 300])
@@ -309,3 +314,15 @@ class TestNearlyUnitaryMixing:
         moved = transform_state(state, near).rho
         assert np.trace(moved).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(moved - transform_state(state, exact).rho).max() <= 1e-9
+
+    def test_changes_between_two_near_frames(self):
+        # U_new U_old^dag of two mixings that ModeFrame accepts is up to about 3e-12 from
+        # unitary: a 1e-12 bound on it rejected about 60 of 200 such changes.  A round trip
+        # is the image of a product 1e-12 from the identity
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            one, two = (custom_frame(self._near(rng, 0.98)[0]) for _ in range(2))
+            rho = np.diag([0.1, 0.2, 0.3, 0.4])
+            for state in (make_fock_state(1, 3, one), density_state(rho, one)):
+                back = transform_state(transform_state(state, two), one)
+                assert np.abs(back.density_matrix() - state.density_matrix()).max() <= 1e-10

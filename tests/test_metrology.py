@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -480,7 +481,7 @@ class TestTrigonometricSeries:
             raise AssertionError("a per-angle unitary was formed")
 
         # a density matrix's rotation forms its unitary in `frames.move_state`
-        monkeypatch.setattr(frames, "su2_image", no_unitary)
+        monkeypatch.setattr(frames, "u2_image", no_unitary)
         state = diagonal_state(np.random.default_rng(3).dirichlet(np.ones(31)))
         run = monte_carlo_estimate(state, Direction(1, 0, 0), 0.6, 5, 2000, 9)
         assert run.classical_fisher > 0.0
@@ -488,11 +489,11 @@ class TestTrigonometricSeries:
 
 
 def _record_rotations(monkeypatch):
-    """The name of every `eigenbasis` call the rotation model makes, and every `su2_image` call
+    """The name of every `eigenbasis` call the rotation model makes, and every `u2_image` call
     a move of a state (`frames.move_state`, which `rotate` takes) makes, from here on: each
     forms an (N+1)^2 array."""
     made = []
-    for module, name in ((metrology, "eigenbasis"), (frames, "su2_image")):
+    for module, name in ((metrology, "eigenbasis"), (frames, "u2_image")):
         def recording(*args, name=name, original=getattr(module, name)):
             made.append(name)
             return original(*args)
@@ -615,6 +616,22 @@ def test_one_angle_calls_reject_an_array_of_angles(state, call):
     for theta in ([0.1, 0.2], np.array([0.3, 0.4]), [0.3]):
         with pytest.raises(ValueError, match="theta must be one angle"):
             call(state, Direction(0.6, 0.0, 0.8), theta)
+
+
+@pytest.mark.parametrize("state", [
+    make_fock_state(2, 4),
+    make_fock_state(86, collective.PROPAGATOR_MIN_N + 10),
+    diagonal_state([0.2, 0.3, 0.5]),
+], ids=["dense", "propagated", "mixed"])
+def test_estimate_rejects_angles_outside_the_window(state):
+    # every estimate lies in [0, pi/2]: twin-Fock N = 4 about x at theta = 2.0, 3.0 and -0.3
+    # gave means of pi - 2, 0.14 and 0.30, reported next to the CRBs at theta
+    n = Direction(1, 0, 0)
+    for theta in (2.0, 3.0, -0.3, -1e-300, DEFAULT_WINDOW[1] + 1e-15):
+        with pytest.raises(ValueError, match=r"estimation window \[0, pi/2\]"):
+            monte_carlo_estimate(state, n, theta, 2, 100, 1)
+    for theta in DEFAULT_WINDOW:  # the edges are in the window
+        assert monte_carlo_estimate(state, n, theta, 2, 100, 1).theta_true == theta
 
 
 def test_fine_grid_avoids_fringe_lock(monkeypatch):
@@ -798,7 +815,7 @@ def test_window_edge_estimates_take_four_calls(big_n, theta, monkeypatch):
 
 
 # Single-angle pure-state calls against a test-local copy of the Euler formula of
-# `collective.apply_su2`, and against the former `Rotation.apply` as the documented golden
+# `collective.apply_u2`, and against the former `Rotation.apply` as the documented golden
 # change; the norm against its former sum of |c_k|^2 after a finiteness scan.
 
 def _reference_validate_pure(state, tol):
@@ -837,22 +854,28 @@ def _reference_apply(v, n, c, theta):
     return outer * _reference_real_times(v, _reference_real_times(v.T, x) * tilt)
 
 
-def _su2_column(n, theta):
-    """The first column (u_00, u_10) of u = exp(i theta n.sigma/2)
-    = cos(theta/2) + i sin(theta/2) n.sigma."""
+def _su2_matrix(n, theta):
+    """u = exp(i theta n.sigma/2) = cos(theta/2) + i sin(theta/2) n.sigma, as
+    [[u_00, -conj(u_10)], [u_10, conj(u_00)]] from its first column."""
     cos, sin = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
+    u00, u10 = complex(cos, sin * n.n_z), complex(-sin * n.n_y, sin * n.n_x)
+    return np.array([[u00, -u10.conjugate()], [u10, u00.conjugate()]])
 
 
 def _reference_euler(v, n, c, theta):
-    """exp(i theta J_n) c as `apply_su2` gives it for u = cos(theta/2) + i sin(theta/2) n.sigma,
-    with Lambda built per call: the ZXZ Euler angles from the phases of u_00 and i u_10 and one
-    atan2, then two products of V through 1-D complex vectors."""
-    jz = np.arange(len(v)) - (len(v) - 1) / 2.0
-    u00, u10 = _su2_column(n, theta)
-    a, b = math.atan2(u00.imag, u00.real), math.atan2(u10.real, -u10.imag)
+    """exp(i theta J_n) c as `apply_u2` gives it for u = cos(theta/2) + i sin(theta/2) n.sigma,
+    with Lambda built per call: the determinant's phase chi (0 here), the ZXZ Euler angles from
+    the phases of u_00 and i u_10 and one atan2, then two products of V through 1-D complex
+    vectors."""
+    big_n = len(v) - 1
+    jz = np.arange(big_n + 1) - big_n / 2.0
+    (u00, u01), (u10, u11) = _su2_matrix(n, theta).tolist()
+    chi = 0.5 * cmath.phase(u00 * u11 - u01 * u10)
+    a, b = math.atan2(u00.imag, u00.real) - chi, math.atan2(u10.real, -u10.imag) - chi
     beta = 2.0 * math.atan2(abs(u10), abs(u00))
-    right, tilt, left = np.exp(np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), jz))
+    phases = np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), jz)
+    phases[2] += 1j * chi * big_n
+    right, tilt, left = np.exp(phases)
     x = _reference_real_times(v.T, right * np.asarray(c, dtype=complex)) * tilt
     return left * _reference_real_times(v, x)
 
@@ -1046,7 +1069,7 @@ def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
     state, n = make_fock_state(100, collective.PROPAGATOR_MIN_N), Direction(0.48, 0.64, 0.6)
     model = metrology._RotationModel(state, n)
     assert model.propagated and built == []  # the path is chosen; nothing is built yet
-    # one angle takes `apply_su2`, which propagates about x: it builds J_x, never J_n
+    # one angle takes `apply_u2`, which propagates about x: it builds J_x, never J_n
     model.classical_fisher(0.7)
     model.classical_fisher(1.1)
     assert built == [(state.n_particles, Direction(1.0, 0.0, 0.0))] * 2
@@ -1064,7 +1087,7 @@ def test_propagated_model_hands_its_generator_to_the_propagator(monkeypatch):
 
 @pytest.mark.parametrize("big_n", [collective.PROPAGATOR_MIN_N, 1000])
 def test_one_angle_calls_build_no_model_propagator(big_n, monkeypatch):
-    # the rotation model's propagators; `apply_su2` builds its own about x in `collective`
+    # the rotation model's propagators; `apply_u2` builds its own about x in `collective`
     built, original = [], metrology.Propagator
     monkeypatch.setattr(metrology, "Propagator",
                         lambda *args: built.append(args) or original(*args))
@@ -1108,7 +1131,7 @@ def test_estimate_checks_the_state_once(state, monkeypatch):
 @pytest.mark.parametrize("big_n, trials, shots", [(4, 200, 10_000), (20, 50, 2000),
                                                   (100, 20, 1000)])
 def test_estimate_budgets_match_reference_rotation(big_n, trials, shots, monkeypatch):
-    # the benchmark's three budgets: the true-angle state and F_cl come from `apply_su2`.  With
+    # the benchmark's three budgets: the true-angle state and F_cl come from `apply_u2`.  With
     # the test-local Euler formula in its place every output is the same bit for bit; with
     # the former `Rotation.apply` the estimates are, and F_cl moves within the golden bound.
     state, n, theta = make_fock_state(big_n // 2, big_n), Direction.in_plane(2.1), 0.8
@@ -1122,10 +1145,11 @@ def test_estimate_budgets_match_reference_rotation(big_n, trials, shots, monkeyp
             return reference_apply(v, n, c, theta)
 
         with monkeypatch.context() as patch:
-            patch.setattr(metrology, "apply_su2", patched)
+            patch.setattr(metrology, "apply_u2", patched)
             reference = monte_carlo_estimate(state, n, theta, trials, shots, 5)
         # one call, for the true-angle state, which F_cl reuses
-        assert calls == [_su2_column(n, theta)], reference_apply.__name__
+        assert len(calls) == 1, reference_apply.__name__
+        assert np.array_equal(calls[0], _su2_matrix(n, theta)), reference_apply.__name__
         assert np.array_equal(run.estimates, reference.estimates)
         for field in ("empirical_std", "qcrb", "fisher"):
             assert getattr(run, field) == getattr(reference, field), field
@@ -1274,7 +1298,7 @@ def test_moved_state_keeps_its_new_array(monkeypatch):
             assert array.base is None and not array.flags.writeable
 
 
-# From PROPAGATOR_MIN_N on, a pure state at one angle is rotated by `apply_su2`, which
+# From PROPAGATOR_MIN_N on, a pure state at one angle is rotated by `apply_u2`, which
 # propagates about x, where the model's propagator about n rotated it before.  Against a
 # test-local copy of that route, as the documented golden change.
 
