@@ -66,6 +66,21 @@ code=0; modefisher qfi --state half.json --direction 1,0,0 > half_out.json || co
 test "$code" -eq 2
 grep -q "N must be an integer" half_out.json
 
+# the spectral sum and the closed form agree to 1e-12 (relative) on a Gaussian-diagonal
+# N = 400 state, whose tail probabilities fall far below 1e-12
+python -c "
+import json, numpy as np
+k = np.arange(401)
+p = np.exp(-(k - 200) ** 2 / 800)
+json.dump({'N': 400, 'kind': 'diagonal', 'p': (p / p.sum()).tolist()}, open('gauss400.json', 'w'))
+"
+modefisher qfi --state gauss400.json --direction 1,0,0 --method both > gauss_both.json
+python -c "
+import json, sys
+r = json.load(open('gauss_both.json'))
+sys.exit(abs(r['fisher_spectral'] - r['fisher_closed_form']) > 1e-12 * r['fisher_closed_form'])
+"
+
 # a state whose frame is null, and a frame file holding null, exit 2 with the JSON error
 # and nothing on stderr, so no traceback
 echo '{"N": 2, "kind": "fock", "k": 1, "frame": null}' > null_frame_state.json

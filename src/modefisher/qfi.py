@@ -19,7 +19,6 @@ import numpy as np
 from .collective import CollectiveObservable, Direction, direction_generator
 from .fock import DEFAULT_TOL, SectorState, check_state, check_tolerance, expectation
 
-SPECTRAL_CUTOFF = 1e-12
 CLASSIFY_TOL = 1e-8
 
 CLASS_ZERO = "zero"
@@ -48,9 +47,10 @@ def _observable_matrix(observable) -> np.ndarray:
 def qfi_spectral(state: SectorState, observable, tol: float = DEFAULT_TOL) -> float:
     """F = 2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) |<i|A|j>|^2 over eig(rho).
 
-    Pairs with l_i + l_j <= SPECTRAL_CUTOFF (null-space pairs) are excluded; this is
-    the standard regularization of the sum.  For pure states the result
-    equals 4 Var(A).
+    The l are clipped at 0 (rounding leaves a rank-deficient rho's null eigenvalues
+    near +-1e-17), and exactly the 0/0 pairs, l_i + l_j = 0, are dropped, as in
+    :func:`qfi_diagonal_closed_form`.  No threshold is needed: for l >= 0 each weight
+    is at most l_i + l_j, so no pair can blow up.  A pure state gives 4 Var(A).
     """
     a = _observable_matrix(observable)
     if a.shape != (state.dim, state.dim):
@@ -58,12 +58,11 @@ def qfi_spectral(state: SectorState, observable, tol: float = DEFAULT_TOL) -> fl
     check_state(state, tol)
     rho = state.density_matrix()
     lam, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    lam = np.maximum(lam, 0.0)
     a_eig = vec.conj().T @ a @ vec
-    li = lam[:, None]
-    lj = lam[None, :]
+    li, lj = lam[:, None], lam[None, :]
     pair_sum = li + lj
-    mask = pair_sum > SPECTRAL_CUTOFF
-    weight = np.where(mask, (li - lj) ** 2 / np.where(mask, pair_sum, 1.0), 0.0)
+    weight = np.divide((li - lj) ** 2, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > 0.0)
     return float(2.0 * np.sum(weight * np.abs(a_eig) ** 2))
 
 

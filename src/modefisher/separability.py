@@ -116,7 +116,10 @@ class SpinSqueezingWitness:
 def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> SpinSqueezingWitness:
     """Check N (Delta Jz)^2 >= <Jx>^2 + <Jy>^2 on the spatial modes.
 
-    The result carries a caveat flag: the inequality is an entanglement
+    It is violated when lhs < rhs by more than ``tol`` N^2/4, the largest value either
+    side takes.  A coherent state sits on the equality, and the rounding of the state
+    and of lhs's cancellation scale with N^2/4 even where both sides are small, near
+    the poles.  The result carries a caveat flag: the inequality is an entanglement
     witness for distinguishable particles only.  It reads rho's diagonal and
     first superdiagonal, which a pure state gives in O(N) as |c_k|^2 and
     c_k conj(c_{k+1}) without forming rho.  The state is checked as in :func:`is_separable`.
@@ -132,4 +135,4 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     lhs = state.n_particles * (p @ jz ** 2 - (p @ jz) ** 2)
     # <J_+> = <Jx> + i <Jy> = sum_k J_+[k+1, k] rho[k, k+1]
     rhs = abs(raising @ coherence) ** 2
-    return SpinSqueezingWitness(lhs, rhs, lhs < rhs - tol)
+    return SpinSqueezingWitness(lhs, rhs, lhs < rhs - tol * state.n_particles ** 2 / 4)

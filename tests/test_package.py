@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modefisher
@@ -96,3 +97,17 @@ def test_each_subcommand_loads_only_its_modules(inputs, argv, code, present, abs
         assert loaded == []
     assert present <= set(loaded)
     assert not absent & set(loaded), sorted(absent & set(loaded))
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="below numpy 2, `import numpy` loads numpy.random itself")
+def test_selftest_leaves_numpy_random_unloaded():
+    # numpy.random costs about 6 MB (OpenSSL through `secrets`) in the selftest process
+    probe = ("import contextlib, io, sys\nfrom modefisher import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main(['selftest'])\n"
+             "print(code, 'numpy.random' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["0", "False"]

@@ -81,8 +81,9 @@ class TestQfiSpectral:
 
 
 class TestQfiPure:
-    @pytest.mark.parametrize("big_n", [0, 1, 2, 5, 30, 200])
+    @pytest.mark.parametrize("big_n", [0, 1, 2, 5, 30, 150, 200])
     def test_matches_spectral_oracle(self, big_n):
+        # rho = c c^dag has N null eigenvalues; eigh returns about half of them negative
         rng = np.random.default_rng(100 + big_n)
         for _ in range(5):
             c = rng.normal(size=big_n + 1) + 1j * rng.normal(size=big_n + 1)
@@ -91,7 +92,7 @@ class TestQfiPure:
             n = Direction(*(v / np.linalg.norm(v)))
             spectral = qfi_spectral(density_state(np.outer(c, c.conj())),
                                     direction_generator(big_n, n))
-            assert qfi_pure(pure_state(c), n) == pytest.approx(spectral, rel=1e-10, abs=1e-12)
+            assert qfi_pure(pure_state(c), n) == pytest.approx(spectral, rel=1e-13, abs=1e-12)
 
     @pytest.mark.parametrize("big_n", [2, 1000, 100_000])
     def test_twin_fock(self, big_n):
@@ -183,6 +184,17 @@ class TestClosedForm:
                 closed = qfi_diagonal_closed_form(p, big_n, n)
                 spectral = qfi_spectral(diagonal_state(p), direction_generator(big_n, n))
                 assert abs(closed - spectral) <= 1e-8 * max(1.0, closed)
+
+    @pytest.mark.parametrize("big_n", [400, 600, 1000])
+    def test_gaussian_diagonal_matches_spectral_oracle(self, big_n):
+        # p's tails fall far below 1e-12, and the spectral sum keeps their pairs
+        k = np.arange(big_n + 1)
+        p = np.exp(-(k - big_n / 2) ** 2 / (2 * big_n))
+        p /= p.sum()
+        n = Direction(1, 0, 0)
+        closed = qfi_diagonal_closed_form(p, big_n, n)
+        spectral = qfi_spectral(diagonal_state(p), direction_generator(big_n, n))
+        assert spectral == pytest.approx(closed, rel=1e-12)
 
 
 class TestQfiPureFock:

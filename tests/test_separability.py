@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from modefisher import (Direction, MonomialOp, bogolubov_frame, density_state,
-                        diagonal_state, expectation, factorization_residual, is_separable,
+                        diagonal_state, direction_generator, expectation,
+                        factorization_residual, is_separable,
                         make_fock_state, monomial_matrix, pure_state, rotate,
                         spatial_frame, spin_squeezing_witness, transform_state,
                         witness_monomials)
+from modefisher.collective import su2_bands
 from modefisher.separability import WITNESS_TIE_TOL, largest_coherence
 
 SQ2 = math.sqrt(2)
@@ -244,14 +246,45 @@ class TestSpinSqueezingWitness:
         assert not w.violated
 
     def test_coherent_spin_state_equality(self):
+        self._check_coherent_spin_state_equality(6)
+
+    @pytest.mark.parametrize("big_n", [100, 200, 1000, 10_000])
+    def test_coherent_spin_state_equality_large_n(self, big_n):
+        self._check_coherent_spin_state_equality(big_n)
+
+    @staticmethod
+    def _check_coherent_spin_state_equality(big_n):
         # (b1^dag)^N |0>/sqrt(N!) expressed spatially: lhs = N^2/4 = rhs
-        big_n = 6
         state = transform_state(make_fock_state(big_n, big_n, bogolubov_frame(0.0)),
                                 spatial_frame())
         w = spin_squeezing_witness(state)
-        assert w.lhs == pytest.approx(big_n ** 2 / 4, abs=1e-8)
-        assert w.rhs == pytest.approx(big_n ** 2 / 4, abs=1e-8)
+        assert w.lhs == pytest.approx(big_n ** 2 / 4, rel=1e-9)
+        assert w.rhs == pytest.approx(big_n ** 2 / 4, rel=1e-9)
         assert not w.violated
+        # |0> turned about generic axes sits on the equality too.  Rounding leaves lhs up to
+        # 2e-11 N^2/4 below rhs at N = 10^4; (0.8, 0, 0.6) ends near the pole, where both
+        # sides are a tenth of N^2/4
+        for n, theta in ((Direction(1, 0, 0), 0.7), (Direction(0.48, 0.64, 0.6), 0.9),
+                         (Direction(0.36, 0.48, 0.8), 1.1), (Direction(0.6, 0.8, 0), 0.3),
+                         (Direction(0.8, 0, 0.6), 0.4)):
+            w = spin_squeezing_witness(rotate(make_fock_state(0, big_n), n, theta))
+            assert w.lhs == pytest.approx(w.rhs, rel=1e-9)
+            assert not w.violated
+
+    @pytest.mark.parametrize("big_n, ratio", [(20, 0.2), (100, 0.065), (1000, 0.013)])
+    def test_twisted_and_turned_state_is_squeezed(self, big_n, ratio):
+        # exp(-i mu Jz^2 / 2), mu = 2 N^(-2/3), twists the coherent state along x; turning it
+        # about x brings its narrowest axis, from the y-z covariance, onto z
+        jz, _ = su2_bands(big_n)
+        c = rotate(make_fock_state(0, big_n), Direction(0, 1, 0), math.pi / 2).amplitudes
+        c = c * np.exp(-1j * big_n ** (-2 / 3) * jz ** 2)
+        y, z = direction_generator(big_n, Direction(0, 1, 0)).apply(c), jz * c
+        cov = [[np.vdot(u, v).real - np.vdot(c, u).real * np.vdot(c, v).real for v in (y, z)]
+               for u in (y, z)]
+        turn = 0.5 * (math.atan2(cov[0][1], (cov[1][1] - cov[0][0]) / 2) + math.pi)
+        w = spin_squeezing_witness(rotate(pure_state(c), Direction(1, 0, 0), -turn))
+        assert w.violated
+        assert w.lhs < ratio * w.rhs
 
     def test_polar_state(self):
         w = spin_squeezing_witness(make_fock_state(0, 5))
