@@ -121,6 +121,18 @@ json.dump({'kind': 'unitary', 'u_re': [[math.cos(0.3) * x for x in row] for row 
 modefisher separability --state det_state.json --frame phase_frame.json > phase_sep.json
 python -c "import json, sys; sys.exit(json.load(open('phase_sep.json'))['separable'] is not True)"
 
+# a witness whose coefficient exceeds double range (spatial |66> at N = 200 in a Bogolubov
+# frame) exits 0 with nothing on stderr: residual_re is null and log10_abs_residual finite
+echo '{"N": 200, "kind": "fock", "k": 66}' > fock200.json
+echo '{"kind": "bogolubov", "phi": 0.4}' > bogo04.json
+modefisher separability --state fock200.json --frame bogo04.json --witnesses > witness200.json 2>err.txt
+test ! -s err.txt
+python -c "
+import json, math, sys
+w = json.load(open('witness200.json'))['witness']
+sys.exit(not (w['residual_re'] is None and math.isfinite(w['log10_abs_residual'])))
+"
+
 # an estimate of an angle outside the window [0, pi/2] exits 2, naming the window
 code=0; modefisher estimate --state twin4.json --direction 1,0,0 --theta 2.0 --trials 4 --shots 200 > window.json || code=$?
 test "$code" -eq 2

@@ -162,10 +162,15 @@ def _cmd_separability(args) -> int:
     }
     if args.witnesses and verdict.witness_details is not None:
         w = verdict.witness_details
-        residual = w.residual
+        try:
+            residual = w.residual
+            residual_re, residual_im = residual.real, residual.imag
+        except ValueError:  # the witness coefficient exceeds double range
+            residual_re = residual_im = None
         report["witness"] = {
             "m": w.op.m, "n": w.op.n, "r": w.op.r, "s": w.op.s,
-            "residual_re": residual.real, "residual_im": residual.imag,
+            "residual_re": residual_re, "residual_im": residual_im,
+            "log10_abs_residual": w.log10_abs_residual, "residual_phase": w.residual_phase,
         }
     _emit(args, report)
     return 0

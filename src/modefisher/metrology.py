@@ -392,78 +392,76 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
     window's edge itself where the maximum sits on it.
 
     `loglik(theta, rows)` gives l, l', l'' and r, the rounding of l (shape (4, len(rows))), of
-    trials `rows` at angles `theta`.  A row holds a bracket [a, b] and x, its best point so
-    far.  Each step evaluates one point u; golden section's comparison of x and u then keeps
-    [a, right] when the left of the two is better, else [left, b], and the better becomes x.
-    The first u is the window edge for a bracket that ends on that edge with l' at x pointing
-    toward it (keyed on the sign of l', so a row with l'' >= 0 is pulled too).  Otherwise u is
-    the Newton point x + s, s = -l'/l'', when the bracket is narrower than `switch`, l'' < 0,
-    the point lies strictly inside (a, b) and the step is at most half the previous one; else
-    u is a golden-section step into the larger of [a, x] and [x, b], so the bracket always
-    shrinks.
+    trials `rows` at angles `theta`.  The refinement holds its live rows only: for each, its
+    trial index, a bracket [a, b], x, its best point so far, l, l', l'' and r at x, and its
+    last step.  Each step evaluates one point u per row; golden section's comparison of x and
+    u then keeps [a, right] when the left of the two is better, else [left, b], and the better
+    becomes x.  The first u is the window edge for a bracket that ends on that edge with l' at
+    x pointing toward it (keyed on the sign of l', so a row with l'' >= 0 is pulled too).
+    Otherwise u is the Newton point x + s, s = -l'/l'', when the bracket is narrower than
+    `switch`, l'' < 0, the point lies strictly inside (a, b) and the step is at most half the
+    previous one; else u is a golden-section step into the larger of [a, x] and [x, b], so the
+    bracket always shrinks.
 
     A row ends at x where l stops resolving: once the Newton step predicts a gain
     |l''| s^2 / 2 <= r, once the second-order model of l about x changes by at most r over the
     whole bracket, |l'| w + |l''| w^2 / 2 <= r with w the larger distance from x to either
     end, or once u equals x in floating point (which ends a row whose l'' is not finite).  So
     an estimate is resolved to about sqrt(2 r / |l''|), and rounding in p or in the order of a
-    batch's rows moves it by less.  A row also ends once the edge beats x with l' there
-    pointing out of the window (or l' = 0 and l'' < 0): its estimate is then the edge exactly.
-    All rows step together, so the slowest row sets the number of calls (see the module
-    docstring).  A row whose maximum sits on an edge ends after two: its golden pair and the
-    edge.
+    batch's rows moves it by less.  A row also ends in the step that evaluates its edge, if the
+    edge beats x with l' there pointing out of the window (or l' = 0 and l'' < 0): its estimate
+    is then the edge exactly.  All rows step together, so the slowest row sets the number of
+    calls (see the module docstring).  A row whose maximum sits on an edge ends after two: its
+    golden pair and the edge.
     """
     trials = len(a)
-    every = np.arange(trials)
+    rows = np.arange(trials)
     low, high = DEFAULT_WINDOW
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f = loglik(np.concatenate([c, d]), np.concatenate([every, every]))
+    f = loglik(np.concatenate([c, d]), np.concatenate([rows, rows]))
     left = f[0, :trials] > f[0, trials:]  # the maximum lies in [a, d]
     a, b = np.where(left, a, c), np.where(left, d, b)
     x, fx = np.where(left, c, d), np.where(left, f[:, :trials], f[:, trials:])
-    step, on_edge = b - a, np.zeros(trials, dtype=bool)
+    step = b - a
     # a bracket that ends on a window edge, with l' at x toward it, steps to the edge first
     pull = np.where(fx[1] < 0, a == low, (fx[1] > 0) & (b == high))
     pull = pull if pull.any() else None
     estimates = np.empty(trials)
-    active = every
     while True:
-        lo, hi, best = a[active], b[active], x[active]
-        slope, curve, rounding = fx[1:, active]
-        width = np.maximum(hi - best, best - lo)
+        slope, curve, rounding = fx[1:]
+        width = np.maximum(b - x, x - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = -slope / curve
             resolved = 0.5 * np.abs(curve) * newton ** 2 <= rounding  # the Newton step's gain
             flat = np.abs(slope) * width + 0.5 * np.abs(curve) * width ** 2 <= rounding
-        u = best + newton
-        take = ((hi - lo < switch) & (-np.inf < curve) & (curve < 0.0) & (lo < u) & (u < hi)
-                & (np.abs(newton) <= 0.5 * np.abs(step[active])))
-        golden = np.where(hi - best > best - lo, best + _CGOLD * (hi - best),
-                          best - _CGOLD * (best - lo))
+        u = x + newton
+        take = ((b - a < switch) & (-np.inf < curve) & (curve < 0.0) & (a < u) & (u < b)
+                & (np.abs(newton) <= 0.5 * np.abs(step)))
+        golden = np.where(b - x > x - a, x + _CGOLD * (b - x), x - _CGOLD * (x - a))
         u = np.where(take, u, golden)
-        done = on_edge[active] | (take & resolved) | flat | (u == best)
-        estimates[active[done]] = best[done]
-        if pull is not None:  # the first step, where `active` holds every row
+        done = (take & resolved) | flat | (u == x)
+        estimates[rows[done]] = x[done]
+        if pull is not None:  # the first step
             u = np.where(pull, np.where(slope < 0, low, high), u)
-        u, active = u[~done], active[~done]
-        if not active.size:
+        live = ~done
+        a, b, x, fx, u, rows = (v[..., live] for v in (a, b, x, fx, u, rows))
+        if not rows.size:
             return estimates
-        step[active] = u - x[active]
-        fu = loglik(u, active)
-        u_left = u < x[active]
-        keep_left = np.where(u_left, fu[0], fx[0, active]) > np.where(u_left, fx[0, active], fu[0])
-        a[active] = np.where(keep_left, a[active], np.minimum(u, x[active]))
-        b[active] = np.where(keep_left, np.maximum(u, x[active]), b[active])
+        step = u - x
+        fu = loglik(u, rows)
+        u_left = u < x
+        keep_left = np.where(u_left, fu[0], fx[0]) > np.where(u_left, fx[0], fu[0])
+        a, b = np.where(keep_left, a, np.minimum(u, x)), np.where(keep_left, np.maximum(u, x), b)
         moved = keep_left == u_left
+        x, fx = np.where(moved, u, x), np.where(moved, fu, fx)
         if pull is not None:
             # an edge that beats x, with l' there pointing out of the window (or l' = 0 and
             # l'' < 0), is the maximum
             outward = np.where(u == low, -fu[1], fu[1])
-            on_edge[active] = pull[active] & moved & ((outward > 0)
-                                                      | ((outward == 0) & (fu[2] < 0)))
+            edge = pull[live] & moved & ((outward > 0) | ((outward == 0) & (fu[2] < 0)))
+            estimates[rows[edge]] = x[edge]
+            a, b, x, fx, step, rows = (v[..., ~edge] for v in (a, b, x, fx, step, rows))
             pull = None
-        x[active] = np.where(moved, u, x[active])
-        fx[:, active] = np.where(moved, fu, fx[:, active])
 
 
 def _estimation_grid(n_particles: int) -> np.ndarray:

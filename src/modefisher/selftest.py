@@ -8,8 +8,9 @@ import numpy as np
 
 from .collective import (Direction, bose_hubbard, commutator_residual, direction_generator,
                          propagate, schwinger, su2_rotation, u2_image)
-from .fock import diagonal_state, make_fock_state
-from .frames import bogolubov_frame, frame_change_unitary, spatial_frame, transform_state
+from .fock import density_state, diagonal_state, make_fock_state, pure_state
+from .frames import (bogolubov_frame, custom_frame, frame_change_unitary, spatial_frame,
+                     transform_state)
 from .qfi import qfi_diagonal_closed_form, qfi_spectral
 from .separability import is_separable
 
@@ -25,6 +26,9 @@ def checks():
 
     def generic(size):
         return np.array([next(draws) * golden % 1.0 for _ in range(size)])
+
+    def complex_vector(size):  # moduli 0.5-1.5, phases spread over the circle
+        return (0.5 + generic(size)) * np.exp(2j * math.pi * generic(size))
 
     yield "su2-commutators", all(commutator_residual(n) <= 1e-12 for n in (0, 1, 5, 20))
 
@@ -47,16 +51,20 @@ def checks():
             ok = ok and abs(closed - spectral) <= 1e-8 * max(1.0, closed)
     yield "closed-form-vs-spectral", ok
 
+    # a generic complex pure state and rank-3 rho about a generic axis, moved into a frame
+    # with det U != 1: real or twin-Fock inputs would hide a dropped phase or a conjugated move
     ok = True
-    for big_n in (2, 4, 8):
-        state = make_fock_state(big_n // 2, big_n)
-        n = Direction(1, 0, 0)
-        f0 = qfi_spectral(state, direction_generator(big_n, n))
-        frame = bogolubov_frame(0.4)
-        v = frame_change_unitary(big_n, frame)
-        moved = transform_state(state, frame)
-        f1 = qfi_spectral(moved, v @ direction_generator(big_n, n).matrix @ v.conj().T)
-        ok = ok and abs(f0 - f1) <= 1e-8 * max(1.0, f0)
+    axis = generic(3) - 0.5
+    n = Direction(*(axis / np.linalg.norm(axis)))
+    frame = custom_frame(np.linalg.qr(complex_vector(4).reshape(2, 2))[0])
+    for big_n in (2, 5, 8):
+        c, x = complex_vector(big_n + 1), complex_vector(3 * (big_n + 1)).reshape(big_n + 1, 3)
+        generator, v = direction_generator(big_n, n), frame_change_unitary(big_n, frame)
+        for state in (pure_state(c / np.linalg.norm(c)),
+                      density_state(x @ x.conj().T / np.vdot(x, x).real)):
+            f0 = qfi_spectral(state, generator)
+            f1 = qfi_spectral(transform_state(state, frame), v @ generator.matrix @ v.conj().T)
+            ok = ok and abs(f0 - f1) <= 1e-8 * max(1.0, f0)
     yield "frame-invariance", ok
 
     ok = True
@@ -91,7 +99,7 @@ def checks():
     # the matrix-free path that serves large N, against the dense one; |theta| > 2 pi
     ok = True
     for big_n in (1, 7, 40):
-        c = (0.5 + generic(big_n + 1)) * np.exp(2j * math.pi * generic(big_n + 1))
+        c = complex_vector(big_n + 1)
         c /= np.linalg.norm(c)
         for n in (Direction(1.0, 0.0, 0.0), Direction(0.6, 0.0, 0.8)):
             dense = u2_image(su2_rotation(n, 6.5), big_n) @ c

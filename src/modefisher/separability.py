@@ -6,10 +6,15 @@ in that frame's Fock basis.  The verdict therefore reads only the state's
 largest coherence in that basis.  Witness monomials
 (a1^dag)^m a1^n (a2^dag)^r a2^s with m < n, s < r, m + r = n + s provide
 independent certificates of entanglement; each has one ladder band, so its
-expectation is read from that band and the state's matching coherences.
+expectation is read from that band and the state's matching coherences.  The
+witness an entangled verdict names, for its coherence rho_{row,col}, has a single
+nonzero band entry sqrt(row! col! (N-row)! (N-col)!), so its residual is also read
+in the log domain, at any N.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,8 +36,13 @@ SPIN_SQUEEZING_CAVEAT = (
 class WitnessRecord:
     """The monomial that certifies entanglement, and the state it is read in.
 
-    `residual` is evaluated when read, so a verdict never fails on a witness
-    coefficient outside double range; reading the residual then raises ValueError.
+    For the coherence rho_{row,col}, row > col, the monomial is
+    (a1^dag)^col a1^row (a2^dag)^(N-col) a2^(N-row), whose one nonzero band entry is
+    sqrt(row! col! (N-row)! (N-col)!); the residual is that coefficient times
+    rho_{row,col}.  `residual` is the chunked ladder product's value, evaluated when
+    read, so a verdict never fails on a witness coefficient outside double range;
+    reading the residual then raises ValueError.  `log10_abs_residual` (the
+    factorials through math.lgamma) and `residual_phase` hold at any N.
     """
 
     op: MonomialOp
@@ -41,6 +51,24 @@ class WitnessRecord:
     @property
     def residual(self) -> complex:
         return factorization_residual(self.state, self.op)
+
+    @property
+    def log10_abs_residual(self) -> float:
+        row, col, big_n = self.op.n, self.op.m, self.state.n_particles
+        log_coefficient = sum(math.lgamma(j + 1) for j in (row, col, big_n - row, big_n - col))
+        return log_coefficient / (2 * math.log(10)) + math.log10(abs(self._coherence()))
+
+    @property
+    def residual_phase(self) -> float:
+        return cmath.phase(self._coherence())
+
+    def _coherence(self) -> complex:
+        """rho_{row,col}; a pure state's c_row conj(c_col), without forming rho."""
+        row, col = self.op.n, self.op.m
+        if self.state.is_pure:
+            c = self.state.amplitudes
+            return complex(c[row] * c[col].conj())
+        return complex(self.state.rho[row, col])
 
 
 @dataclass(frozen=True)
@@ -116,13 +144,17 @@ class SpinSqueezingWitness:
 def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> SpinSqueezingWitness:
     """Check N (Delta Jz)^2 >= <Jx>^2 + <Jy>^2 on the spatial modes.
 
-    It is violated when lhs < rhs by more than ``tol`` N^2/4, the largest value either
-    side takes.  A coherent state sits on the equality, and the rounding of the state
-    and of lhs's cancellation scale with N^2/4 even where both sides are small, near
-    the poles.  The result carries a caveat flag: the inequality is an entanglement
-    witness for distinguishable particles only.  It reads rho's diagonal and
-    first superdiagonal, which a pure state gives in O(N) as |c_k|^2 and
-    c_k conj(c_{k+1}) without forming rho.  The state is checked as in :func:`is_separable`.
+    It is violated when lhs < rhs by more than (``tol`` + delta (3N + 2)) N^2/4, with N^2/4
+    the largest value either side takes and delta = 16 eps the relative rounding of one of
+    its sums, the state's own included (the rounding metrology takes for a log-likelihood).
+    A coherent state sits on the equality, and its rounding scales with N^2/4 even where
+    both sides are small, near the poles: lhs = N (A - B^2) takes the difference of two
+    sums that reach N^2/4, A = <Jz^2> and B^2 with B = <Jz>, whose square doubles B's
+    rounding, so lhs rounds by up to 3 delta N N^2/4; rhs = |<J_+>|^2 rounds by up to
+    2 delta N^2/4.  The result carries a caveat flag: the inequality is an entanglement
+    witness for distinguishable particles only.  It reads rho's diagonal and first
+    superdiagonal, which a pure state gives in O(N) as |c_k|^2 and c_k conj(c_{k+1})
+    without forming rho.  The state is checked as in :func:`is_separable`.
     """
     check_state(state, tol)
     moved = transform_state(state, spatial_frame())
@@ -135,4 +167,5 @@ def spin_squeezing_witness(state: SectorState, tol: float = DEFAULT_TOL) -> Spin
     lhs = state.n_particles * (p @ jz ** 2 - (p @ jz) ** 2)
     # <J_+> = <Jx> + i <Jy> = sum_k J_+[k+1, k] rho[k, k+1]
     rhs = abs(raising @ coherence) ** 2
-    return SpinSqueezingWitness(lhs, rhs, lhs < rhs - tol * state.n_particles ** 2 / 4)
+    rounding = 16 * np.finfo(float).eps * (3 * state.n_particles + 2)
+    return SpinSqueezingWitness(lhs, rhs, lhs < rhs - (tol + rounding) * state.n_particles ** 2 / 4)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import modefisher
-from modefisher import (Direction, collective, fock, make_fock_state, metrology,
-                        monte_carlo_estimate, schwinger, serialize)
+from modefisher import (Direction, bogolubov_frame, collective, fock, make_fock_state,
+                        metrology, monte_carlo_estimate, schwinger, serialize, transform_state)
 from modefisher.cli import BROKEN_PIPE_STATUS, main
 
 
@@ -185,14 +185,31 @@ class TestSeparabilityCommand:
         w = report["witness"]
         assert math.hypot(w["residual_re"], w["residual_im"]) > 1e-10
 
-    def test_coefficient_past_double_range_exits_2(self, capsys, tmp_path):
-        state = write_json(tmp_path / "fock200.json", {"N": 200, "kind": "fock", "k": 66})
+    def test_witness_log_residual_matches_its_value(self, capsys, twin4, bogo0):
+        _, out = run_cli(capsys, ["separability", "--state", twin4, "--frame", bogo0,
+                                  "--witnesses"])
+        w = json.loads(out)["witness"]
+        residual = complex(w["residual_re"], w["residual_im"])
+        assert w["log10_abs_residual"] == pytest.approx(math.log10(abs(residual)), rel=1e-14)
+        assert w["residual_phase"] == pytest.approx(np.angle(residual), abs=1e-14)
+
+    @pytest.mark.parametrize("big_n", [200, 1000])
+    def test_coefficient_past_double_range_reports_log_residual(self, capsys, tmp_path, big_n):
+        state = write_json(tmp_path / "fock.json", {"N": big_n, "kind": "fock", "k": big_n // 3})
         frame = write_json(tmp_path / "bogo.json", {"kind": "bogolubov", "phi": 0.4})
         code, out = run_cli(capsys, ["separability", "--state", state, "--frame", frame,
                                      "--witnesses"])
-        assert code == 2
-        error = json.loads(out)["error"]
-        assert error["type"] == "ValueError" and "double range" in error["message"]
+        assert code == 0
+        w = json.loads(out)["witness"]
+        assert w["residual_re"] is None and w["residual_im"] is None
+        # the coefficient's one band entry, sqrt(row! col! (N-row)! (N-col)!), as an integer
+        row, col = w["n"], w["m"]
+        c = transform_state(make_fock_state(big_n // 3, big_n), bogolubov_frame(0.4)).amplitudes
+        exact = math.prod(math.factorial(j) for j in (row, col, big_n - row, big_n - col))
+        oracle = math.log10(exact) / 2 + math.log10(abs(c[row])) + math.log10(abs(c[col]))
+        assert w["log10_abs_residual"] > 308
+        assert w["log10_abs_residual"] == pytest.approx(oracle, rel=1e-12)
+        assert w["residual_phase"] == pytest.approx(np.angle(c[row] * c[col].conj()), abs=1e-14)
 
     def test_verdict_past_double_range_exits_0(self, capsys, tmp_path):
         # the witness coefficient leaves double range here; the verdict does not need it

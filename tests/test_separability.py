@@ -79,6 +79,26 @@ class TestIsSeparable:
         assert not verdict.separable
         assert 0.0 < abs(verdict.witness_details.residual) < math.inf
 
+    @pytest.mark.parametrize("big_n, rank", [(4, 1), (60, 1), (200, 1), (1000, 1), (4, 3), (60, 3)])
+    def test_witness_log_residual_matches_factorial_oracle(self, big_n, rank):
+        c = transform_state(make_fock_state(big_n // 3, big_n), bogolubov_frame(0.4)).amplitudes
+        state = pure_state(c)
+        if rank > 1:  # a mixture with the Fock states |0> and |N>, which move no coherence
+            rho = 0.8 * np.outer(c, c.conj())
+            rho[0, 0] += 0.1
+            rho[big_n, big_n] += 0.1
+            state = density_state(rho)
+        w = is_separable(state, spatial_frame()).witness_details
+        row, col = w.op.n, w.op.m
+        coherence = state.rho[row, col] if rank > 1 else c[row] * c[col].conj()
+        exact = math.prod(math.factorial(j) for j in (row, col, big_n - row, big_n - col))
+        oracle = math.log10(exact) / 2 + math.log10(abs(coherence))
+        assert w.log10_abs_residual == pytest.approx(oracle, rel=1e-12)
+        assert w.residual_phase == pytest.approx(np.angle(coherence), abs=1e-15)
+        if big_n <= 60:  # the chunked product's value fits in a double
+            assert w.log10_abs_residual == pytest.approx(math.log10(abs(w.residual)), rel=1e-13)
+            assert w.residual_phase == pytest.approx(np.angle(w.residual), abs=1e-13)
+
     def test_witness_past_double_range_raises(self):
         verdict = is_separable(make_fock_state(66, 200), bogolubov_frame(0.4))
         assert not verdict.separable
@@ -268,6 +288,16 @@ class TestSpinSqueezingWitness:
                          (Direction(0.36, 0.48, 0.8), 1.1), (Direction(0.6, 0.8, 0), 0.3),
                          (Direction(0.8, 0, 0.6), 0.4)):
             w = spin_squeezing_witness(rotate(make_fock_state(0, big_n), n, theta))
+            assert w.lhs == pytest.approx(w.rhs, rel=1e-9)
+            assert not w.violated
+
+    def test_coherent_states_at_n10k_within_their_rounding(self):
+        # the rounding of these coherent states leaves rhs above lhs by up to 1.1e-11 N^2/4,
+        # past tol = 1e-12 but within the sums' rounding, 16 eps (3N + 2) N^2/4 = 1.1e-10 N^2/4
+        big_n = 10_000
+        for n, theta in ((Direction(0.6, 0.8, 0), 0.7), (Direction(0.36, 0.48, 0.8), 1.1),
+                         (Direction(0, 1, 0), 0.3), (Direction(1, 0, 0), 2.0)):
+            w = spin_squeezing_witness(rotate(make_fock_state(0, big_n), n, theta), tol=1e-12)
             assert w.lhs == pytest.approx(w.rhs, rel=1e-9)
             assert not w.violated
 
