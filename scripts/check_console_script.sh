@@ -165,3 +165,16 @@ import json, sys
 one, two = (json.load(open(f'threads{t}.json'))['estimates'] for t in (1, 2))
 sys.exit(max(abs(a - b) for a, b in zip(one, two, strict=True)) > 1e-12)
 "
+
+# `modefisher --help` names all seven subcommands, and `estimate --help` lists --shots
+modefisher --help > help.txt
+for name in qfi separability rotate estimate sweep frames selftest; do
+    grep -q -w -e "$name" help.txt
+done
+modefisher estimate --help | grep -q -e --shots
+
+# a pure state whose amplitudes_im is shorter than amplitudes_re exits 2, naming both fields
+echo '{"N": 1, "kind": "pure", "amplitudes_re": [1, 0], "amplitudes_im": [0]}' > short_im.json
+code=0; modefisher qfi --state short_im.json --direction 1,0,0 > short_im_out.json || code=$?
+test "$code" -eq 2
+grep -q "amplitudes_re and amplitudes_im must have the same shape" short_im_out.json

@@ -241,9 +241,10 @@ def _euler_phases(u, sector: _Sector):
     alpha -+ gamma by their phases a and b, so U = -1 gives (-1)^N.  Every angle is an atan2, so
     nothing is normalised; a rotation's det U is real and positive to the bit, and chi = 0.
     """
-    if np.shape(u) != (2, 2):
-        raise ValueError(f"u must be a 2x2 unitary, got shape {np.shape(u)}")
-    (u00, u01), (u10, u11) = np.asarray(u, dtype=complex).tolist()
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError(f"u must be a 2x2 unitary, got shape {u.shape}")
+    u00, u01, u10, u11 = u.ravel().tolist()
     # U^dag U - 1 of a frame change U_new U_old^dag is within 4 UNITARITY_TOL plus rounding, as
     # ModeFrame's mixings are within UNITARITY_TOL (3.15e-12 in 2000 pairs 0.98e-12 off); NaN fails
     if not (abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) <= 5.0 * UNITARITY_TOL
@@ -256,7 +257,7 @@ def _euler_phases(u, sector: _Sector):
     beta = 2.0 * math.atan2(abs(u10), abs(u00))
     phases = np.multiply.outer((1j * (a + b), -1j * beta, 1j * (a - b)), sector.jz)
     phases[2] += 1j * chi * sector.n_particles
-    right, tilt, left = np.exp(phases)
+    right, tilt, left = np.exp(phases, out=phases)
     return right, tilt, left, beta
 
 
@@ -304,7 +305,7 @@ def u2_image(u, n_particles: int) -> np.ndarray:
 
 def _su2(u00: complex, u10: complex) -> np.ndarray:
     """The SU(2) matrix [[u_00, -conj(u_10)], [u_10, conj(u_00)]] of first column (u_00, u_10)."""
-    return np.array([[u00, -u10.conjugate()], [u10, u00.conjugate()]])
+    return np.array((u00, -u10.conjugate(), u10, u00.conjugate())).reshape(2, 2)
 
 
 def su2_rotation(n: Direction, theta: float) -> np.ndarray:

@@ -43,10 +43,11 @@ points about 1.6 GRID_BLOCK + 35, and a refinement step rotates each trial by le
 grid spacing.
 A refinement makes 3-4 likelihood calls per estimate at N = 4 to 40, 5-7 at N = 100-150,
 8-11 at N = 400 and 10-13 at N = 1000 (twin-Fock about axes in the plane).  A trial whose
-maximum sits on a window edge ends on the edge itself: the refinement's first step
-evaluates the edge where l' points toward it, and an edge that beats the best point, with
-l' pointing out of the window, is the estimate.
-Twin-Fock N = 2 and 4 about x at theta = 0.02 and pi/2 - 0.02 take at most 4 calls.
+maximum sits on a window edge ends on the edge itself, in the first call: that call
+evaluates the edge with the golden pair of every bracket that ends on it, and an edge that
+beats the better of the pair, with l' pointing out of the window or resolved to zero, is
+the estimate.  Twin-Fock N = 2 and 4 about x at theta = 0.02 and pi/2 - 0.02 take at most
+4 calls.
 
 An estimate raises NonIdentifiableError when p moves over the grid by less than the
 log-likelihood's rounding resolves: sum_m (p_max,m - p_min,m)^2 / pbar_m <=
@@ -392,41 +393,46 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
     window's edge itself where the maximum sits on it.
 
     `loglik(theta, rows)` gives l, l', l'' and r, the rounding of l (shape (4, len(rows))), of
-    trials `rows` at angles `theta`.  The refinement holds its live rows only: for each, its
-    trial index, a bracket [a, b], x, its best point so far, l, l', l'' and r at x, and its
-    last step.  Each step evaluates one point u per row; golden section's comparison of x and
-    u then keeps [a, right] when the left of the two is better, else [left, b], and the better
-    becomes x.  The first u is the window edge for a bracket that ends on that edge with l' at
-    x pointing toward it (keyed on the sign of l', so a row with l'' >= 0 is pulled too).
-    Otherwise u is the Newton point x + s, s = -l'/l'', when the bracket is narrower than
-    `switch`, l'' < 0, the point lies strictly inside (a, b) and the step is at most half the
-    previous one; else u is a golden-section step into the larger of [a, x] and [x, b], so the
-    bracket always shrinks.
+    trials `rows` at angles `theta`.  The first call evaluates each row's golden pair and,
+    where [a, b] ends on a window edge, the edge: an edge that beats the better of the pair,
+    with l' there pointing out of the window, or with l'' < 0 and a Newton step's gain
+    l'^2 / 2|l''| <= r, is the row's estimate exactly.  The refinement holds its live rows
+    only: for each, its trial index, a bracket [a, b], x, its best point so far, l, l', l'' and
+    r at x, and its last step.  Each step evaluates one point u per row; golden section's
+    comparison of x and u then keeps [a, right] when the left of the two is better, else
+    [left, b], and the better becomes x.  u is the Newton point x + s, s = -l'/l'', when the
+    bracket is narrower than `switch`, l'' < 0, the point lies strictly inside (a, b) and the
+    step is at most half the previous one; else u is a golden-section step into the larger of
+    [a, x] and [x, b], so the bracket always shrinks.
 
     A row ends at x where l stops resolving: once the Newton step predicts a gain
     |l''| s^2 / 2 <= r, once the second-order model of l about x changes by at most r over the
     whole bracket, |l'| w + |l''| w^2 / 2 <= r with w the larger distance from x to either
     end, or once u equals x in floating point (which ends a row whose l'' is not finite).  So
     an estimate is resolved to about sqrt(2 r / |l''|), and rounding in p or in the order of a
-    batch's rows moves it by less.  A row also ends in the step that evaluates its edge, if the
-    edge beats x with l' there pointing out of the window (or l' = 0 and l'' < 0): its estimate
-    is then the edge exactly.  All rows step together, so the slowest row sets the number of
-    calls (see the module docstring).  A row whose maximum sits on an edge ends after two: its
-    golden pair and the edge.
+    batch's rows moves it by less.  All rows step together, so the slowest row sets the number
+    of calls (see the module docstring); a row whose maximum sits on an edge ends in the first.
     """
     trials = len(a)
     rows = np.arange(trials)
     low, high = DEFAULT_WINDOW
+    on_edge = np.flatnonzero((a == low) | (b == high))
+    edge = np.where(a[on_edge] == low, low, high)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f = loglik(np.concatenate([c, d]), np.concatenate([rows, rows]))
-    left = f[0, :trials] > f[0, trials:]  # the maximum lies in [a, d]
+    f = loglik(np.concatenate([c, d, edge]), np.concatenate([rows, rows, on_edge]))
+    left = f[0, :trials] > f[0, trials:2 * trials]  # the maximum lies in [a, d]
     a, b = np.where(left, a, c), np.where(left, d, b)
-    x, fx = np.where(left, c, d), np.where(left, f[:, :trials], f[:, trials:])
-    step = b - a
-    # a bracket that ends on a window edge, with l' at x toward it, steps to the edge first
-    pull = np.where(fx[1] < 0, a == low, (fx[1] > 0) & (b == high))
-    pull = pull if pull.any() else None
+    x, fx = np.where(left, c, d), np.where(left, f[:, :trials], f[:, trials:2 * trials])
+    fe = f[:, 2 * trials:]
+    outward = np.where(edge == low, -fe[1], fe[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = 0.5 * fe[1] ** 2 / -fe[2]  # of a Newton step from the edge, where l'' < 0
+    ends = (fe[0] > fx[0, on_edge]) & ((outward > 0) | ((fe[2] < 0.0) & (gain <= fe[3])))
     estimates = np.empty(trials)
+    estimates[on_edge[ends]] = edge[ends]
+    live = np.isin(rows, on_edge[ends], invert=True)
+    a, b, x, fx, rows = (v[..., live] for v in (a, b, x, fx, rows))
+    step = b - a
     while True:
         slope, curve, rounding = fx[1:]
         width = np.maximum(b - x, x - a)
@@ -441,8 +447,6 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
         u = np.where(take, u, golden)
         done = (take & resolved) | flat | (u == x)
         estimates[rows[done]] = x[done]
-        if pull is not None:  # the first step
-            u = np.where(pull, np.where(slope < 0, low, high), u)
         live = ~done
         a, b, x, fx, u, rows = (v[..., live] for v in (a, b, x, fx, u, rows))
         if not rows.size:
@@ -454,14 +458,6 @@ def _refine_max(loglik, a: np.ndarray, b: np.ndarray, switch: float) -> np.ndarr
         a, b = np.where(keep_left, a, np.minimum(u, x)), np.where(keep_left, np.maximum(u, x), b)
         moved = keep_left == u_left
         x, fx = np.where(moved, u, x), np.where(moved, fu, fx)
-        if pull is not None:
-            # an edge that beats x, with l' there pointing out of the window (or l' = 0 and
-            # l'' < 0), is the maximum
-            outward = np.where(u == low, -fu[1], fu[1])
-            edge = pull[live] & moved & ((outward > 0) | ((outward == 0) & (fu[2] < 0)))
-            estimates[rows[edge]] = x[edge]
-            a, b, x, fx, step, rows = (v[..., ~edge] for v in (a, b, x, fx, step, rows))
-            pull = None
 
 
 def _estimation_grid(n_particles: int) -> np.ndarray:

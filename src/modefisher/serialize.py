@@ -12,7 +12,8 @@ Frame object:
   {"kind": "spatial"} | {"kind": "bogolubov", "phi": real}
   | {"kind": "unitary", "u_re": [[..]], "u_im": [[..]]}
 
-A state or frame that is not an object, or a missing or non-numeric field, raises ValueError.
+A state or frame that is not an object, a missing or non-numeric field, or real and imaginary
+parts of different shapes raise ValueError.
 """
 from __future__ import annotations
 
@@ -73,10 +74,13 @@ def _number(obj: dict, field: str, integral: bool = False):
 
 def _complex_array(obj: dict, re: str, im: str) -> np.ndarray:
     """obj[re] + i obj[im], set part by part: 1j * inf would make a NaN real part and a numpy
-    warning."""
-    re, im = np.broadcast_arrays(_floats(obj, re), _floats(obj, im))
-    out = re.astype(complex)
-    out.imag = im
+    warning.  The two parts must have one shape; a mismatch raises ValueError naming both."""
+    real, imag = _floats(obj, re), _floats(obj, im)
+    if real.shape != imag.shape:
+        raise ValueError(f"{re} and {im} must have the same shape, got {real.shape} and "
+                         f"{imag.shape}")
+    out = real.astype(complex)
+    out.imag = imag
     return out
 
 

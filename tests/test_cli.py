@@ -997,16 +997,26 @@ FOCK = {"N": 2, "kind": "fock", "k": 1}
     ("qfi", {"N": 1, "kind": "diagonal"}, "p is missing"),
     ("qfi", {**FOCK, "frame": {"kind": "bogolubov"}}, "phi is missing"),
     ("frames", {"kind": "unitary", "u_re": [[1, 0], [0, 1]]}, "u_im is missing"),
+    ("qfi", {"N": 1, "kind": "pure", "amplitudes_re": [1, 0], "amplitudes_im": [0]},
+     "amplitudes_re and amplitudes_im must have the same shape, got (2,) and (1,)"),
+    ("qfi", {"N": 1, "kind": "pure", "amplitudes_re": [1, 0], "amplitudes_im": 0},
+     "amplitudes_re and amplitudes_im must have the same shape, got (2,) and ()"),
+    ("qfi", {"N": 1, "kind": "density", "rho_re": [[1, 0], [0, 0]], "rho_im": [[0]]},
+     "rho_re and rho_im must have the same shape, got (2, 2) and (1, 1)"),
+    ("frames", {"kind": "unitary", "u_re": [[1, 0], [0, 1]], "u_im": [[0, 0]]},
+     "u_re and u_im must have the same shape, got (2, 2) and (1, 2)"),
 ], ids=["state_frame_null", "state_frame_array", "state_array", "state_string", "p_object",
         "phi_null", "phi_array", "u_re_object", "phi_past_double_range", "p_past_double_range",
         "frame_file_null", "frame_file_number", "amplitudes_string", "p_bool", "u_re_string",
         "p_null", "n_missing", "k_missing", "amplitudes_im_missing", "p_missing",
-        "phi_missing", "u_im_missing"])
+        "phi_missing", "u_im_missing", "amplitudes_im_short", "amplitudes_im_scalar",
+        "rho_im_shape", "u_im_shape"])
 def test_malformed_json_exits_2_naming_the_field(capsys, tmp_path, subcommand, obj, message):
     # the first ten ended in a TypeError, AttributeError or OverflowError traceback, exit 1;
     # numpy's float conversion read the strings and booleans as numbers, exit 0, and null as
     # NaN, rejected for its finiteness without naming the field; a missing field was a
-    # KeyError whose message was the bare field name
+    # KeyError whose message was the bare field name; the two parts of a complex array were
+    # broadcast, so the last four were read as valid inputs, exit 0
     path = write_json(tmp_path / "input.json", obj)
     argv = (["qfi", "--state", path, "--direction", "1,0,0"] if subcommand == "qfi"
             else ["frames", "--n", "2", "--frame", path])

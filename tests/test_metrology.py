@@ -712,6 +712,21 @@ def test_refinement_ends_no_lower_than_golden_section(kind, path, monkeypatch):
                 assert (new[0] >= ref[0] - new[3]).all(), (big_n, theta, shots)
 
 
+@pytest.mark.parametrize("big_n, n", [(249, Direction(1, 0, 0)),
+                                      (1000, Direction(0.48, 0.64, 0.6))])
+def test_refinement_ends_no_lower_than_golden_section_between_close_humps(big_n, n,
+                                                                          monkeypatch):
+    # Fock |N/3> at theta = 0.02: trial 19's bracket holds two humps of l, 1.04 (N = 249) and
+    # 0.83 (N = 1000) apart.  Golden section from the bracket's golden pair finds the higher;
+    # a refinement that started at the best grid point instead climbed the lower one
+    seen = _record_refinements(monkeypatch)
+    run = monte_carlo_estimate(make_fock_state(big_n // 3, big_n), n, 0.02, 20, 2000, 5)
+    loglik, rows = seen["loglik"], np.arange(20)
+    golden = _golden_max(lambda t, r: loglik(t, r)[0], seen["a"], seen["b"])
+    new, ref = loglik(run.estimates, rows), loglik(golden, rows)
+    assert (new[0] >= ref[0] - new[3]).all()
+
+
 @pytest.mark.parametrize("kind", ["twin-fock", "random-pure"])
 def test_estimates_stay_within_resolution_when_w_rounds_differently(kind, monkeypatch):
     # W perturbed by 4e-16 (relative) moves p in its last bits, so an estimate may move only
@@ -790,28 +805,39 @@ def test_refinement_pulls_rows_to_the_window_edge():
 @pytest.mark.parametrize("big_n", [2, 4])
 def test_window_edge_estimates_take_four_calls(big_n, theta, monkeypatch):
     # twin-Fock about x is even about both edges, so many trials have their maximum on one:
-    # those rows end exactly on it, and the estimate takes at most 4 likelihood calls, where
-    # golden section's pace took 27
-    seen, refine_max = {}, metrology._refine_max
+    # those rows end exactly on it, in the first call, which evaluates the edge with their
+    # golden pair, and the estimate takes at most 4 likelihood calls, where golden section's
+    # pace took 27
+    seen, refine_max = {"rows": []}, metrology._refine_max
 
     def counting_refine_max(loglik, a, b, switch):
         def counted(angles, rows):
-            seen["calls"] += 1
+            seen["rows"].append(rows.copy())
             return loglik(angles, rows)
 
-        seen.update(loglik=loglik, calls=0)
+        seen.update(loglik=loglik)
         return refine_max(counted, a, b, switch)
 
     monkeypatch.setattr(metrology, "_refine_max", counting_refine_max)
     run = monte_carlo_estimate(make_fock_state(big_n // 2, big_n), Direction(1, 0, 0), theta,
                                40, 2000, 3)
-    assert seen["calls"] <= 4
+    assert len(seen["rows"]) <= 4
     rows = np.flatnonzero(np.isin(run.estimates, DEFAULT_WINDOW))
     assert rows.size and np.isfinite(run.estimates).all()
+    assert not any(np.isin(rows, later).any() for later in seen["rows"][1:])
     # l' there points out of the window, or vanishes with l'' < 0
     f = seen["loglik"](run.estimates[rows], rows)
     outward = np.where(run.estimates[rows] == DEFAULT_WINDOW[0], -f[1], f[1])
     assert ((outward > 0) | ((outward == 0) & (f[2] < 0))).all()
+
+
+@pytest.mark.parametrize("theta", [0.003, math.pi / 2 - 0.003])
+def test_window_edge_where_an_observed_outcome_is_impossible(theta):
+    # Fock |1, 3> about x: at either edge p_m = 0 for every m but one, so where a bracket ends
+    # on the edge its l' there reaches about 1e284 and squares past the double range; the
+    # Newton gain read from it is then infinite, not a RuntimeWarning (an error under pytest)
+    run = monte_carlo_estimate(make_fock_state(1, 4), Direction(1, 0, 0), theta, 40, 10 ** 5, 0)
+    assert ((DEFAULT_WINDOW[0] <= run.estimates) & (run.estimates <= DEFAULT_WINDOW[1])).all()
 
 
 # Single-angle pure-state calls against a test-local copy of the Euler formula of
